@@ -63,7 +63,8 @@ def main(argv=None) -> int:
         aux2 = spaces.v2_aux_spectral(grid, field_, aux1, cfg.J)
         basis2 = spaces.v2_basis(grid, field_, aux1, aux2, cfg.layers)
         both = spaces.combine(basis1, basis2)
-        spaces.save_basis(args.out, both, grid, field_)
+        spaces.save_basis(args.out, both, grid, field_, L=cfg.L, J=cfg.J,
+                          layers=cfg.layers)
         print(f"cached {both.n} basis columns to {args.out}")
         return 0
 

@@ -45,9 +45,17 @@ class ExperimentConfig:
         m = self.dt / self.dt_fine
         if abs(m - round(m)) > 1e-9 * max(m, 1):
             raise ValueError("dt_fine must divide dt")
-        for name in ("coarse_n", "refine", "layers", "L", "J"):
-            if getattr(self, name) < 0 or getattr(self, name) != int(getattr(self, name)):
-                raise ValueError(f"{name} must be a nonnegative integer")
+        for name, least in (("coarse_n", 2), ("refine", 2), ("layers", 0),
+                            ("L", 1), ("J", 1)):
+            value = getattr(self, name)
+            if value < least or value != int(value):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
+        if unknown:
+            raise ValueError(f"schemes: unknown {unknown}, expected names from "
+                             f"{ALL_SCHEMES}")
 
     @property
     def n_steps(self) -> int:

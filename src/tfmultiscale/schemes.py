@@ -14,12 +14,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .fractional import L1Kernel, history_rhs, make_kernel
 from .grid import GridHierarchy
-from .linalg import SolveError
+from .linalg import SolveError, _sparse_lu
 from .spaces import ReducedBasis
 
 DIVERGENCE_FACTOR = 1e12
@@ -57,8 +56,7 @@ class ReducedSystem:
     def solver(self, matrix):
         """Factor a (dense or sparse) matrix once; returns a solve closure."""
         if sp.issparse(matrix):
-            lu = spla.splu(sp.csc_matrix(matrix))
-            return lu.solve
+            return _sparse_lu(matrix).solve
         lu, piv = sla.lu_factor(np.asarray(matrix))
         return lambda b: sla.lu_solve((lu, piv), b)
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly
 from .grid import GridHierarchy, element_interior_dofs, oversample
-from .linalg import SolveError, kkt_solve
+from .linalg import SolveError, _sparse_lu
 
 DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
@@ -171,9 +170,11 @@ def _kkt_multi(Ap, C, G, tol: float = 1e-9):
     """Solve one patch KKT system for several right-hand moment vectors.
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
-    factors that otherwise skew the factorization), a single factorization is
-    shared across the patch, and one iterative refinement step is applied
-    before the residuals are verified.
+    factors that otherwise skew the factorization).  The saddle matrix is
+    factored once by :func:`linalg._sparse_lu`; all columns of G are solved
+    together as one block, with one block iterative refinement step.  Each
+    column's constraint and stationarity residuals are then verified, and
+    the first failing column is reported.
     """
     m, nd = C.shape
     row_norms = np.sqrt(np.asarray(C.multiply(C).sum(axis=1)).ravel())
@@ -184,23 +185,22 @@ def _kkt_multi(Ap, C, G, tol: float = 1e-9):
     Cs = (D @ C).tocsr()
     Gs = G / row_norms[:, None]
     K = sp.bmat([[Ap, Cs.T], [Cs, None]], format="csc")
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise SolveError(f"KKT factorization failed: {exc}") from exc
-    out = np.empty((nd, G.shape[1]))
-    for j in range(G.shape[1]):
-        rhs = np.concatenate([np.zeros(nd), Gs[:, j]])
-        sol = lu.solve(rhs)
-        sol += lu.solve(rhs - K @ sol)
-        x = sol[:nd]
-        r = np.linalg.norm(Cs @ x - Gs[:, j])
-        r2 = np.linalg.norm(Ap @ x + Cs.T @ sol[nd:])
-        scale = max(np.linalg.norm(Gs[:, j]), 1.0)
-        if r > tol * scale or r2 > tol * max(scale, np.abs(Ap.diagonal()).max()):
-            raise SolveError(f"constraint residual {r:.3e} above {tol:.1e}")
-        out[:, j] = x
-    return out
+    lu = _sparse_lu(K)
+    rhs = np.vstack([np.zeros((nd, G.shape[1])), Gs])
+    sol = lu.solve(rhs)
+    sol += lu.solve(rhs - K @ sol)
+    X = sol[:nd]
+    r = np.linalg.norm(Cs @ X - Gs, axis=0)
+    r2 = np.linalg.norm(Ap @ X + Cs.T @ sol[nd:], axis=0)
+    scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
+    stat_scale = np.maximum(scale, np.abs(Ap.diagonal()).max())
+    # Tested as "within tolerance" so that a NaN residual fails too.
+    ok = (r <= tol * scale) & (r2 <= tol * stat_scale)
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
+        raise SolveError(f"column {j}: constraint residual {r[j]:.3e}, "
+                         f"stationarity residual {r2[j]:.3e}, above {tol:.1e}")
+    return X
 
 
 def v2_aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -291,22 +291,37 @@ def field_checksum(field_: assembly.PermeabilityField) -> str:
     return hashlib.sha256(np.ascontiguousarray(field_.values).tobytes()).hexdigest()
 
 
+BASIS_FORMAT = 2
+
+
 def save_basis(path, basis: ReducedBasis, grid: GridHierarchy,
-               field_: assembly.PermeabilityField) -> None:
-    """Cache a basis to disk (grid dims + field checksum header)."""
+               field_: assembly.PermeabilityField, *, L: int, J: int,
+               layers: int) -> None:
+    """Cache a basis to disk, keyed on everything that shapes its columns."""
     np.savez_compressed(
         path, R=basis.R, col_elem=basis.col_elem, col_index=basis.col_index,
-        tags=basis.tags, coarse_n=grid.coarse_n, refine=grid.refine,
+        tags=basis.tags, version=BASIS_FORMAT, coarse_n=grid.coarse_n,
+        refine=grid.refine, L=L, J=J, layers=layers,
         checksum=field_checksum(field_))
 
 
-def load_basis(path, grid: GridHierarchy,
-               field_: assembly.PermeabilityField) -> ReducedBasis:
-    """Reload a cached basis, verifying grid dims and field checksum."""
-    data = np.load(path, allow_pickle=False)
-    if int(data["coarse_n"]) != grid.coarse_n or int(data["refine"]) != grid.refine:
-        raise ValueError("basis cache was built for a different grid")
-    if str(data["checksum"]) != field_checksum(field_):
-        raise ValueError("basis cache was built for a different field")
-    return ReducedBasis(R=data["R"], col_elem=data["col_elem"],
-                        col_index=data["col_index"], tags=data["tags"])
+def load_basis(path, grid: GridHierarchy, field_: assembly.PermeabilityField,
+               *, L: int, J: int, layers: int) -> ReducedBasis:
+    """Reload a cached basis after checking its format and every key."""
+    with np.load(path, allow_pickle=False) as data:
+        version = int(data["version"]) if "version" in data else 1
+        if version != BASIS_FORMAT:
+            raise ValueError(f"basis cache has format version {version}, "
+                             f"expected {BASIS_FORMAT}")
+        for name, want in (("coarse_n", grid.coarse_n), ("refine", grid.refine)):
+            if int(data[name]) != want:
+                raise ValueError(f"basis cache was built for a different grid: "
+                                 f"{name}={int(data[name])}, expected {want}")
+        for name, want in (("L", L), ("J", J), ("layers", layers)):
+            if int(data[name]) != want:
+                raise ValueError(f"basis cache was built with "
+                                 f"{name}={int(data[name])}, expected {name}={want}")
+        if str(data["checksum"]) != field_checksum(field_):
+            raise ValueError("basis cache was built for a different field")
+        return ReducedBasis(R=data["R"], col_elem=data["col_elem"],
+                            col_index=data["col_index"], tags=data["tags"])

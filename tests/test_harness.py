@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from tfmultiscale import assembly, cli
+from tfmultiscale import assembly, cli, spaces
 from tfmultiscale.grid import build_grids
-from tfmultiscale.harness import (ExperimentConfig, channel_geometry,
-                                  error_series, experiment_config, gen_field,
-                                  gen_forcing, run_experiment)
+from tfmultiscale.harness import (ExperimentConfig, _field_from_config,
+                                  channel_geometry, error_series,
+                                  experiment_config, gen_field, gen_forcing,
+                                  run_experiment)
 from tfmultiscale.schemes import Trajectory
 
 
@@ -166,6 +167,16 @@ def test_config_rejects_bad_time_grid():
         ExperimentConfig(dt=2e-5, dt_fine=1.5e-5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coarse_n", 1), ("refine", 1), ("L", 0), ("J", 0),
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
+    ("schemes", ("fine", "bogus")),
+])
+def test_config_rejects_invalid_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_single_step():
     cfg = ExperimentConfig(T=0.01, dt=0.01, dt_fine=0.01)
     assert cfg.n_steps == 1
@@ -256,6 +267,14 @@ def test_cli_basis(tmp_path, capsys):
     assert cli.main(["basis", "--config", str(p), "--out", str(cache)]) == 0
     assert cache.exists()
     assert "basis columns" in capsys.readouterr().out
+    grid = build_grids(cfg.coarse_n, cfg.refine)
+    field_ = _field_from_config(cfg)
+    basis = spaces.load_basis(cache, grid, field_, L=cfg.L, J=cfg.J,
+                              layers=cfg.layers)
+    assert basis.n == grid.n_coarse_elems * (cfg.L + cfg.J)
+    with pytest.raises(ValueError, match="layers"):
+        spaces.load_basis(cache, grid, field_, L=cfg.L, J=cfg.J,
+                          layers=cfg.layers + 1)
 
 
 def test_cli_experiment_rejects_bad_number():

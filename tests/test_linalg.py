@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tfmultiscale.linalg import (SolveError, gamma_fn, gen_eig_smallest,
-                                 kkt_solve, spd_solve)
+from tfmultiscale.linalg import (SolveError, _sparse_lu, gamma_fn,
+                                 gen_eig_smallest, kkt_solve, spd_solve)
 
 
 def random_spd(n, rng, scale=1.0):
@@ -81,6 +81,22 @@ def kkt_dense_oracle(A, C, b, g):
     mu = gauss_solve(S, C @ Ainv_b - g)
     x = Ainv_b - Ainv_Ct @ mu
     return x, mu
+
+
+# --------------------------------------------------------------- _sparse_lu
+
+def test_sparse_lu_solves_block_of_right_hand_sides():
+    rng = np.random.default_rng(7)
+    A = random_spd(9, rng)
+    B = rng.standard_normal((9, 4))
+    X = _sparse_lu(sp.csr_matrix(A)).solve(B)
+    for j in range(4):
+        assert np.allclose(X[:, j], gauss_solve(A, B[:, j]), rtol=1e-9, atol=1e-12)
+
+
+def test_sparse_lu_singular_raises_solve_error():
+    with pytest.raises(SolveError, match="factorization"):
+        _sparse_lu(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
 
 
 # ---------------------------------------------------------------- spd_solve

@@ -3,10 +3,14 @@ localized coarse bases."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
-from tfmultiscale import assembly, spaces
-from tfmultiscale.linalg import SolveError
+from tfmultiscale import assembly, harness, spaces
+from tfmultiscale.grid import oversample
+from tfmultiscale.linalg import SolveError, _sparse_lu
 from tfmultiscale.spaces import (aux_spectral, cem_basis, combine,
                                  field_checksum, load_basis, project_pi,
                                  save_basis, v2_aux_spectral, v2_basis)
@@ -212,6 +216,129 @@ def test_v2_nearly_a_orthogonal_to_cem():
     assert np.max(np.abs(cross) / np.outer(na, nb)) <= 0.1
 
 
+# ------------------------------------------------------- batched patch solves
+
+def test_kkt_multi_matches_dense_kkt_solve(monkeypatch):
+    """Every column of the batched solve equals a dense solve of the full KKT."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4)
+    aux2 = v2_aux_spectral(g, fld, aux1, 2)
+    calls = []
+    batched = spaces._kkt_multi
+
+    def recording(Ap, C, G):
+        X = batched(Ap, C, G)
+        calls.append((Ap, C, G, X))
+        return X
+
+    monkeypatch.setattr(spaces, "_kkt_multi", recording)
+    cem_basis(g, fld, aux1, 1)
+    v2_basis(g, fld, aux1, aux2, 1)
+    assert len(calls) == 2 * g.n_coarse_elems
+    for Ap, C, G, X in calls:
+        nd, m = Ap.shape[0], C.shape[0]
+        K = np.block([[Ap.toarray(), C.T.toarray()], [C.toarray(), np.zeros((m, m))]])
+        rhs = np.vstack([np.zeros((nd, G.shape[1])), G])
+        dense = np.linalg.solve(K, rhs)[:nd]
+        err = np.linalg.norm(X - dense, axis=0)
+        assert np.all(err <= 1e-10 * np.linalg.norm(dense, axis=0))
+
+
+def _cem_patch_system(g, fld, aux1, i, layers):
+    """Stiffness, constraints and target moments of element i's CEM patch."""
+    A = assembly.assemble(g, fld, "stiffness")
+    patch = oversample(g, i, layers)
+    dofs = patch.local_dofs
+    acols = aux1.columns_in(patch.elements)
+    SPsi = (aux1.S @ aux1.Psi).tocsc()
+    C = SPsi[dofs][:, acols].T.tocsr()
+    own = np.flatnonzero(aux1.col_elem[acols] == i)
+    G = (aux1.Psi[:, acols].T @ SPsi[:, acols[own]]).toarray()
+    return A[dofs][:, dofs], C, G
+
+
+def test_kkt_ordering_reduces_fill_on_exp1_patch(monkeypatch):
+    """The centre patch KKT of experiment 1 fills less than under COLAMD."""
+    cfg = harness.experiment_config(1)
+    g = t.build_grids(cfg.coarse_n, cfg.refine)
+    fld = harness._field_from_config(cfg)
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    aux1 = aux_spectral(g, fld, kt, cfg.L)
+    centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2
+    factored = []
+    monkeypatch.setattr(spaces, "_sparse_lu",
+                        lambda K: factored.append(K) or _sparse_lu(K))
+    spaces._kkt_multi(*_cem_patch_system(g, fld, aux1, centre, cfg.layers))
+    K = factored[0]
+    assert K.shape[0] > 8000
+    lu = _sparse_lu(K)
+    colamd = spla.splu(K, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_zero_constraint_row_names_element():
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    keep = np.ones(aux1.total)
+    keep[0] = 0.0                      # first aux function of element 0
+    aux1.Psi = (aux1.Psi @ sp.diags(keep)).tocsc()
+    with pytest.raises(SolveError,
+                       match="CEM basis solve failed on element 0: zero constraint row"):
+        cem_basis(g, fld, aux1, 1)
+
+
+def test_residual_failure_names_element(monkeypatch):
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    aux2 = v2_aux_spectral(g, fld, aux1, 1)
+    # A factorization of 2K leaves a residual that one refinement step
+    # cannot remove, so the residual check must reject the first patch.
+    monkeypatch.setattr(spaces, "_sparse_lu", lambda K: _sparse_lu(2.0 * K))
+    with pytest.raises(SolveError,
+                       match="V2 basis solve failed on element 0: column 0"):
+        v2_basis(g, fld, aux1, aux2, 1)
+
+
+def _small_patch_system():
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    Ap, C, _ = _cem_patch_system(g, fld, aux1, 4, 1)
+    return Ap, C
+
+
+def test_kkt_multi_rejects_inconsistent_moments():
+    Ap, C = _small_patch_system()
+    C2 = sp.vstack([C[:1], C[:1]]).tocsr()   # one constraint, two targets
+    G = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(SolveError):
+        spaces._kkt_multi(Ap, C2, G)
+
+
+def test_kkt_multi_rejects_nonfinite_moments():
+    Ap, C = _small_patch_system()
+    G = np.ones((C.shape[0], 3))
+    G[0, 1] = np.nan
+    with pytest.raises(SolveError, match="column 1"):
+        spaces._kkt_multi(Ap, C, G)
+
+
+@settings(max_examples=6, deadline=None)
+@given(coarse_n=st.integers(3, 4), refine=st.integers(3, 5),
+       contrast=st.sampled_from([1e2, 1e4, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, seed):
+    g = t.build_grids(coarse_n, refine)
+    mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
+    fld = assembly.PermeabilityField(np.where(mask, contrast, 1.0))
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    aux1 = aux_spectral(g, fld, kt, 2)
+    aux2 = v2_aux_spectral(g, fld, aux1, 1)
+    b1 = cem_basis(g, fld, aux1, 1)
+    b2 = v2_basis(g, fld, aux1, aux2, 1)
+    G1 = aux1.Psi.T @ (aux1.S @ b1.R)
+    assert np.max(np.abs(G1 - np.eye(aux1.total))) <= 1e-9
+    assert np.max(np.abs(aux1.Psi.T @ (aux1.S @ b2.R))) <= 1e-9
+    G2 = aux2.Xi.T @ (aux2.M @ b2.R)
+    XtMX = (aux2.Xi.T @ (aux2.M @ aux2.Xi)).toarray()
+    assert np.max(np.abs(G2 - XtMX)) <= 1e-9
+
+
 # ------------------------------------------------------------- combined / cache
 
 def test_combined_basis_full_rank():
@@ -229,8 +356,8 @@ def test_basis_cache_round_trip(tmp_path):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2, J=1)
     b1 = cem_basis(g, fld, aux1, 1)
     p = tmp_path / "basis.npz"
-    save_basis(p, b1, g, fld)
-    back = load_basis(p, g, fld)
+    save_basis(p, b1, g, fld, L=2, J=1, layers=1)
+    back = load_basis(p, g, fld, L=2, J=1, layers=1)
     assert np.array_equal(back.R, b1.R)
     assert np.array_equal(back.col_elem, b1.col_elem)
     assert np.array_equal(back.tags, b1.tags)
@@ -240,10 +367,34 @@ def test_basis_cache_rejects_mismatch(tmp_path):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
     b1 = cem_basis(g, fld, aux1, 1)
     p = tmp_path / "basis.npz"
-    save_basis(p, b1, g, fld)
+    save_basis(p, b1, g, fld, L=2, J=2, layers=1)
     with pytest.raises(ValueError, match="grid"):
-        load_basis(p, t.build_grids(3, 4), fld)
+        load_basis(p, t.build_grids(3, 4), fld, L=2, J=2, layers=1)
     other = assembly.PermeabilityField(2.0 * fld.values)
     with pytest.raises(ValueError, match="field"):
-        load_basis(p, g, other)
+        load_basis(p, g, other, L=2, J=2, layers=1)
     assert field_checksum(fld) != field_checksum(other)
+
+
+def test_basis_cache_rejects_other_settings(tmp_path):
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
+    b1 = cem_basis(g, fld, aux1, 1)
+    p = tmp_path / "basis.npz"
+    save_basis(p, b1, g, fld, L=2, J=1, layers=1)
+    with pytest.raises(ValueError, match="layers=1, expected layers=2"):
+        load_basis(p, g, fld, L=2, J=1, layers=2)
+    with pytest.raises(ValueError, match="L=2, expected L=3"):
+        load_basis(p, g, fld, L=3, J=1, layers=1)
+    with pytest.raises(ValueError, match="J=1, expected J=2"):
+        load_basis(p, g, fld, L=2, J=2, layers=1)
+
+
+def test_basis_cache_rejects_unversioned_file(tmp_path):
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
+    b1 = cem_basis(g, fld, aux1, 1)
+    p = tmp_path / "old.npz"
+    np.savez_compressed(p, R=b1.R, col_elem=b1.col_elem, col_index=b1.col_index,
+                        tags=b1.tags, coarse_n=g.coarse_n, refine=g.refine,
+                        checksum=field_checksum(fld))
+    with pytest.raises(ValueError, match="format version 1"):
+        load_basis(p, g, fld, L=2, J=1, layers=1)
