@@ -16,8 +16,7 @@ from . import assembly, spaces, stability
 from .assembly import PermeabilityField, read_raster, write_raster
 from .fractional import make_kernel
 from .grid import build_grids
-from .schemes import (ReducedSystem, Trajectory, fine_reference,
-                      project_initial, reduce, run_scheme)
+from .schemes import Trajectory, fine_reference, reduce, run_scheme
 
 ALL_SCHEMES = ("fine", "cem", "tildeU", "scem")
 
@@ -283,10 +282,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "scem": ("partial", both),
     }
     bases = {}
+    reduced = {}  # tildeU and scem share one basis, so one reduction
     for name, (scheme, basis) in runs.items():
         if name not in cfg.schemes:
             continue
-        sys_r = reduce(A, M, basis)
+        if id(basis) not in reduced:
+            reduced[id(basis)] = reduce(A, M, basis)
+        sys_r = reduced[id(basis)]
         u0 = np.zeros(basis.R.shape[1])
         traj = run_scheme(scheme, sys_r, kernel, u0, reduced_loads(basis),
                           space=name)

@@ -4,11 +4,12 @@ function.
 
 Sparse matrices are scipy CSR/CSC throughout.  Every sparse factorization on
 the production path goes through :func:`_sparse_lu`, which orders the matrix
-by minimum degree on the pattern of A^T + A: the patch KKT systems and the
+by minimum degree on the pattern of A^T + A: the patch skeleton systems left
+by the basis builders' static condensation (see :mod:`spaces`) and the
 fine-space system matrices are structurally symmetric, and on them this
-ordering fills far less than SuperLU's default column ordering (COLAMD).  Callers verify
-residuals after solving.  Local spectral problems are small and are
-densified before calling LAPACK.
+ordering fills far less than SuperLU's default column ordering (COLAMD).
+Callers verify residuals after solving.  Local spectral problems and the
+per-element saddle blocks of the condensation are small and are dense.
 """
 
 from __future__ import annotations

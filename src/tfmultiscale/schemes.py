@@ -196,13 +196,6 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
     return traj
 
 
-def project_initial(M_fine, basis: ReducedBasis, u0_fine: np.ndarray) -> np.ndarray:
-    """L2 projection of a fine-space initial datum onto the reduced space."""
-    Mr = basis.R.T @ (M_fine @ basis.R)
-    rhs = basis.R.T @ (M_fine @ u0_fine)
-    return sla.solve(0.5 * (Mr + Mr.T), rhs, assume_a="pos")
-
-
 def fine_reference(grid: GridHierarchy, field_: assembly.PermeabilityField,
                    alpha: float, dt_fine: float, forcing, u0,
                    n_steps: int) -> Trajectory:

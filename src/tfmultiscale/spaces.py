@@ -9,11 +9,19 @@ minimizations.
 
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.
+
+Both bases come from one patch loop, :func:`_localize`.  Every constraint
+row is a moment against a function living on one coarse element, so each
+element's interior unknowns and multipliers are eliminated once per basis
+(static condensation, :func:`_condense`); a patch then solves only a sparse
+SPD system on the fine DOFs of the coarse edges inside it, and every column
+is checked against the residuals of its full patch saddle system.
 """
 
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,71 +144,24 @@ def project_pi(aux: AuxSpace, v: np.ndarray) -> np.ndarray:
 
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
               aux: AuxSpace, layers: int = DEFAULT_LAYERS) -> ReducedBasis:
-    """Localized constraint-energy minimizers on oversampled patches."""
+    """Localized constraint-energy minimizers on oversampled patches.
+
+    Column (i, j) minimizes energy on element i's patch subject to s-moments
+    against every patch aux function equal to those of aux function (i, j).
+    """
     A = assembly.assemble(grid, field_, "stiffness")
     SPsi = (aux.S @ aux.Psi).tocsc()
-    n = grid.n_dofs
-    cols_out, col_elem, col_index = [], [], []
+    targets = []
     for i in range(grid.n_coarse_elems):
-        patch = oversample(grid, i, layers)
-        dofs = patch.local_dofs
-        acols = aux.columns_in(patch.elements)
-        C = SPsi[dofs][:, acols].T.tocsr()
-        Ap = A[dofs][:, dofs]
-        own = np.flatnonzero(aux.col_elem[acols] == i)
-        # s-moments of the targets against all patch aux functions.
-        G = (aux.Psi[:, acols].T @ SPsi[:, acols[own]]).toarray()
-        try:
-            sols = _kkt_multi(Ap, C, G)
-        except SolveError as exc:
-            raise SolveError(f"CEM basis solve failed on element {i}: {exc}") from exc
-        for jj, j in enumerate(aux.col_index[acols[own]]):
-            v = np.zeros(n)
-            v[dofs] = sols[:, jj]
-            cols_out.append(v)
-            col_elem.append(i)
-            col_index.append(int(j))
-    R = np.column_stack(cols_out)
-    return ReducedBasis(R=R, col_elem=np.array(col_elem),
-                        col_index=np.array(col_index),
-                        tags=np.array(["cem"] * len(col_elem)))
-
-
-def _kkt_multi(Ap, C, G, tol: float = 1e-9):
-    """Solve one patch KKT system for several right-hand moment vectors.
-
-    Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
-    factors that otherwise skew the factorization).  The saddle matrix is
-    factored once by :func:`linalg._sparse_lu`; all columns of G are solved
-    together as one block, with one block iterative refinement step.  Each
-    column's constraint and stationarity residuals are then verified, and
-    the first failing column is reported.
-    """
-    m, nd = C.shape
-    row_norms = np.sqrt(np.asarray(C.multiply(C).sum(axis=1)).ravel())
-    if np.any(row_norms <= 0):
-        bad = int(np.flatnonzero(row_norms <= 0)[0])
-        raise SolveError(f"zero constraint row {bad}")
-    D = sp.diags(1.0 / row_norms)
-    Cs = (D @ C).tocsr()
-    Gs = G / row_norms[:, None]
-    K = sp.bmat([[Ap, Cs.T], [Cs, None]], format="csc")
-    lu = _sparse_lu(K)
-    rhs = np.vstack([np.zeros((nd, G.shape[1])), Gs])
-    sol = lu.solve(rhs)
-    sol += lu.solve(rhs - K @ sol)
-    X = sol[:nd]
-    r = np.linalg.norm(Cs @ X - Gs, axis=0)
-    r2 = np.linalg.norm(Ap @ X + Cs.T @ sol[nd:], axis=0)
-    scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
-    stat_scale = np.maximum(scale, np.abs(Ap.diagonal()).max())
-    # Tested as "within tolerance" so that a NaN residual fails too.
-    ok = (r <= tol * scale) & (r2 <= tol * stat_scale)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        raise SolveError(f"column {j}: constraint residual {r[j]:.3e}, "
-                         f"stationarity residual {r2[j]:.3e}, above {tol:.1e}")
-    return X
+        own = np.flatnonzero(aux.col_elem == i)
+        targets.append((aux.Psi[:, own].T @ SPsi[:, own]).toarray())
+    try:
+        R = _localize(grid, A, SPsi.T, aux.col_elem, targets, layers)
+    except SolveError as exc:
+        raise SolveError(f"CEM basis solve failed {exc}") from exc
+    return ReducedBasis(R=R, col_elem=aux.col_elem.copy(),
+                        col_index=aux.col_index.copy(),
+                        tags=np.array(["cem"] * aux.total))
 
 
 def v2_aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -257,34 +218,173 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     A = assembly.assemble(grid, field_, "stiffness")
     SPsi = (aux1.S @ aux1.Psi).tocsc()
     MXi = (aux2.M @ aux2.Xi).tocsc()
-    n = grid.n_dofs
-    cols_out, col_elem, col_index = [], [], []
+    targets = []
     for i in range(grid.n_coarse_elems):
+        own = np.flatnonzero(aux2.col_elem == i)
+        moments = (aux2.Xi[:, own].T @ MXi[:, own]).toarray()
+        zeros = np.zeros((np.count_nonzero(aux1.col_elem == i), len(own)))
+        targets.append(np.vstack([zeros, moments]))
+    C = sp.vstack([SPsi.T, MXi.T])
+    row_elem = np.concatenate([aux1.col_elem, aux2.col_elem])
+    try:
+        R = _localize(grid, A, C, row_elem, targets, layers)
+    except SolveError as exc:
+        raise SolveError(f"V2 basis solve failed {exc}") from exc
+    return ReducedBasis(R=R, col_elem=aux2.col_elem.copy(),
+                        col_index=aux2.col_index.copy(),
+                        tags=np.array(["v2"] * aux2.total))
+
+
+def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
+              tol: float = 1e-9) -> np.ndarray:
+    """Constrained energy minimizers on every oversampled patch.
+
+    ``C`` holds one constraint row per auxiliary function; row r is a moment
+    against a function supported in coarse element ``row_elem[r]``, so it
+    lives on that element's closure.  ``targets[i]`` gives, for each basis
+    column of element i, its moments against element i's rows (in row
+    order); its moments against every other row are zero.  Column j of
+    element i minimizes x^T A x on the patch around i subject to C_P x = g_P.
+    Columns are returned element-major as an (n_dofs, total) array.
+
+    Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
+    factors) and condensed onto the coarse skeleton by :func:`_condense`.
+    A patch then only factors the skeleton operator S on its interior
+    skeleton (SPD) by :func:`linalg._sparse_lu`, solves its right-hand sides
+    as one block with one refinement step and lifts x = E x_S + Z_i.  Each
+    column's constraint and stationarity residuals on the full patch saddle
+    system are then checked, and the first failing column is reported.
+    """
+    n = grid.n_dofs
+    A = sp.csr_matrix(A)
+    C = sp.csr_matrix(C)
+    row_elem = np.asarray(row_elem)
+    C2 = C.multiply(C).tocsr()
+    norms = np.sqrt(np.asarray(C2.sum(axis=1)).ravel())
+    if np.any(norms <= 0):
+        bad = int(np.flatnonzero(norms <= 0)[0])
+        raise SolveError(f"on element {row_elem[bad]}: zero constraint row {bad}")
+    pos, S, E, F, parts = _condense(grid, A, (sp.diags(1.0 / norms) @ C).tocsr(),
+                                    row_elem, targets, norms)
+
+    diag = np.abs(A.diagonal())
+    R = np.zeros((n, sum(np.shape(g)[1] for g in targets)))
+    col = 0
+    for i, (interior, rows, Z, bpos, WZ) in enumerate(parts):
         patch = oversample(grid, i, layers)
         dofs = patch.local_dofs
-        a1 = aux1.columns_in(patch.elements)
-        a2 = aux2.columns_in(patch.elements)
-        C1 = SPsi[dofs][:, a1].T
-        C2 = MXi[dofs][:, a2].T
-        C = sp.vstack([C1, C2]).tocsr()
-        Ap = A[dofs][:, dofs]
-        own = np.flatnonzero(aux2.col_elem[a2] == i)
-        G2 = (aux2.Xi[:, a2].T @ MXi[:, a2[own]]).toarray()
-        G = np.vstack([np.zeros((C1.shape[0], len(own))), G2])
+        sk = pos[dofs]
+        sk = sk[sk >= 0]
+        k = Z.shape[1]
+        rhs = np.zeros((S.shape[0], k))
+        rhs[bpos] = -WZ
+        xs = np.zeros_like(rhs)
+        if len(sk):
+            SP = S[sk][:, sk]
+            lu = _sparse_lu(SP)
+            xs[sk] = lu.solve(rhs[sk])
+            xs[sk] += lu.solve(rhs[sk] - SP @ xs[sk])
+        X = E @ xs
+        mu = F @ xs
+        X[interior] += Z[:len(interior)]
+        mu[rows] += Z[len(interior):]
+
+        # Residuals of the full patch saddle system, rows equilibrated on
+        # the patch.  X vanishes outside the patch, so global products equal
+        # the patch ones.
+        prow = np.isin(row_elem, patch.elements)
+        inside = np.zeros(n)
+        inside[dofs] = 1.0
+        pnorms = np.sqrt(C2 @ inside)[prow][:, None]
+        G = np.zeros_like(mu)
+        G[rows] = targets[i]
+        Gs = G[prow] / pnorms
+        res = np.linalg.norm((C @ X)[prow] / pnorms - Gs, axis=0)
+        lam = np.where(prow[:, None], mu / norms[:, None], 0.0)
+        res2 = np.linalg.norm((A @ X + C.T @ lam)[dofs], axis=0)
+        scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
+        stat_scale = np.maximum(scale, diag[dofs].max())
+        # Tested as "within tolerance" so that a NaN residual fails too.
+        ok = (res <= tol * scale) & (res2 <= tol * stat_scale)
+        if not ok.all():
+            j = int(np.flatnonzero(~ok)[0])
+            raise SolveError(f"on element {i}: column {j}: constraint residual "
+                             f"{res[j]:.3e}, stationarity residual {res2[j]:.3e}, "
+                             f"above {tol:.1e}")
+        R[:, col:col + k] = X
+        col += k
+    return R
+
+
+def _condense(grid: GridHierarchy, A, Cs, row_elem, targets, norms):
+    """Eliminate every element's interior unknowns and multipliers once.
+
+    The skeleton is the set of DOFs on coarse-element edges.  Element e's
+    interior DOFs I and multipliers are coupled to the rest only through its
+    boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated by a
+    dense LU of its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  Returns
+    the skeleton, the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e,
+    the maps E (skeleton values to the full vector, the identity on the
+    skeleton) and F (skeleton values to multipliers), and per element
+    (I, its rows, Z_e, B's skeleton positions, W_e^T Z_e), where Z_e solves
+    K_e Z_e = [0; g_e] for the element's own equilibrated targets.  The
+    skeleton is given as ``pos``, each DOF's position in it or -1.
+    """
+    n = grid.n_dofs
+    nodes = grid.interior_nodes()
+    nn, r = grid.n_nodes_side, grid.refine
+    on_skel = (nodes % nn % r == 0) | (nodes // nn % r == 0)
+    skel = np.flatnonzero(on_skel)
+    pos = np.full(n, -1)
+    pos[skel] = np.arange(len(skel))
+
+    S_tri, E_tri, F_tri = ([], [], []), ([], [], []), ([], [], [])
+    parts = []
+    for e in range(grid.n_coarse_elems):
+        rows = np.flatnonzero(row_elem == e)
+        I = element_interior_dofs(grid, e)
+        closure = grid.fine_dof_map[grid.elem_maps[e][1]]
+        B = closure[np.isin(closure, skel)]
+        D = np.concatenate([I, B])
+        nI, m = len(I), len(rows)
+        AD = A[D][:, D].toarray()
+        CD = Cs[rows][:, D].toarray()
+        K = np.zeros((nI + m, nI + m))
+        K[:nI, :nI] = AD[:nI, :nI]
+        K[:nI, nI:] = CD[:, :nI].T
+        K[nI:, :nI] = CD[:, :nI]
+        W = np.vstack([AD[:nI, nI:], CD[:, nI:]])
         try:
-            sols = _kkt_multi(Ap, C, G)
-        except SolveError as exc:
-            raise SolveError(f"V2 basis solve failed on element {i}: {exc}") from exc
-        for jj, j in enumerate(aux2.col_index[a2[own]]):
-            v = np.zeros(n)
-            v[dofs] = sols[:, jj]
-            cols_out.append(v)
-            col_elem.append(i)
-            col_index.append(int(j))
-    R = np.column_stack(cols_out)
-    return ReducedBasis(R=R, col_elem=np.array(col_elem),
-                        col_index=np.array(col_index),
-                        tags=np.array(["v2"] * len(col_elem)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", sla.LinAlgWarning)
+                lu = sla.lu_factor(K)
+        except sla.LinAlgWarning as exc:
+            raise SolveError(f"on element {e}: singular local saddle block "
+                             f"({exc})") from exc
+        Y = sla.lu_solve(lu, W)
+        g = np.asarray(targets[e], dtype=float) / norms[rows][:, None]
+        # Non-finite targets are left to the residual check, which names
+        # the column.
+        Z = sla.lu_solve(lu, np.vstack([np.zeros((nI, g.shape[1])), g]),
+                         check_finite=False)
+        b = pos[B]
+        for tri, rr, vals in ((S_tri, b, -(W.T @ Y)), (E_tri, I, -Y[:nI]),
+                              (F_tri, rows, -Y[nI:])):
+            tri[0].append(np.repeat(rr, len(b)))
+            tri[1].append(np.tile(b, len(rr)))
+            tri[2].append(vals.ravel())
+        parts.append((I, rows, Z, b, W.T @ Z))
+
+    def assemble(tri, shape):
+        return sp.csr_matrix((np.concatenate(tri[2]), (np.concatenate(tri[0]),
+                              np.concatenate(tri[1]))), shape=shape)
+
+    ns = len(skel)
+    S = (A[skel][:, skel] + assemble(S_tri, (ns, ns))).tocsr()
+    identity = sp.csr_matrix((np.ones(ns), (skel, np.arange(ns))), shape=(n, ns))
+    E = identity + assemble(E_tri, (n, ns))
+    F = assemble(F_tri, (Cs.shape[0], ns))
+    return pos, S, E, F, parts
 
 
 def field_checksum(field_: assembly.PermeabilityField) -> str:

@@ -1,9 +1,14 @@
 """Tests for Q1 assembly, the MsFEM partition of unity, kappa_tilde, load
 vectors, and the raster file format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import scipy.sparse as sp
 
 from tfmultiscale.assembly import (PermeabilityField, WeightedField, assemble,
@@ -269,6 +274,19 @@ def test_raster_round_trip_exact(tmp_path):
     nx, ny, back = read_raster(p)
     assert (nx, ny) == (4, 3)
     assert np.array_equal(back, vals)  # bit-exact
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), nx=st.integers(1, 6), ny=st.integers(1, 6))
+def test_raster_round_trip_exact_on_random_values(data, nx, ny):
+    vals = data.draw(arrays(np.float64, nx * ny,
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "field.txt")
+        write_raster(p, nx, ny, vals)
+        back = read_raster(p)
+    assert back[:2] == (nx, ny)
+    assert np.array_equal(back[2], vals)
 
 
 def test_raster_bad_header(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tfmultiscale.fractional import caputo_apply, history_rhs, make_kernel
@@ -73,6 +74,20 @@ def test_history_weights_sum_to_one():
             w = k.history_weights(step)
             assert len(w) == step + 1
             assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.01, 0.99), N=st.integers(1, 2000))
+def test_weight_identities_for_random_alpha_and_n(alpha, N):
+    k = make_kernel(alpha, 0.1, N)
+    b = k.b[:N + 1]
+    assert b[0] == 1.0
+    assert np.all(b > 0) and np.all(np.diff(b) < 0)
+    expect = (np.arange(N + 1) + 1.0) ** (1.0 - alpha)
+    assert np.max(np.abs(np.cumsum(b) / expect - 1.0)) <= 1e-12
+    w = k.history_weights(N)
+    assert np.all(w > 0)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_history_rhs_first_step():

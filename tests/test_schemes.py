@@ -3,13 +3,14 @@ divergence guard, and the fine reference solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, spaces
 from tfmultiscale.fractional import make_kernel
 from tfmultiscale.linalg import SolveError, gamma_fn
 from tfmultiscale.schemes import (ReducedSystem, fine_reference,
-                                  load_trajectory, project_initial, reduce,
+                                  load_trajectory, reduce,
                                   run_scheme, step_explicit, step_implicit,
                                   step_partial)
 from tfmultiscale.spaces import ReducedBasis
@@ -71,6 +72,26 @@ def test_reduce_m_orthonormal_basis_gives_identity():
     Q = gram_schmidt_m(rng.standard_normal((g.n_dofs, 6)), M)
     sys_r = reduce(A, M, make_basis(Q))
     assert np.allclose(sys_r.M, np.eye(6), atol=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(coarse_n=st.integers(2, 3), refine=st.integers(2, 3),
+       n_cols=st.integers(1, 6), n_v2=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_reduce_symmetric_and_mass_positive_on_random_bases(coarse_n, refine,
+                                                             n_cols, n_v2, seed):
+    g = t.build_grids(coarse_n, refine)
+    rng = np.random.default_rng(seed)
+    fld = assembly.PermeabilityField(10.0 ** rng.uniform(0, 4, g.n_cells))
+    A = assembly.assemble(g, fld, "stiffness")
+    M = assembly.assemble(g, None, "mass")
+    n_v2 = min(n_v2, n_cols)
+    R = rng.standard_normal((g.n_dofs, n_cols))
+    sys_r = reduce(A, M, make_basis(R, ["cem"] * (n_cols - n_v2) + ["v2"] * n_v2))
+    assert np.array_equal(sys_r.A, sys_r.A.T)
+    assert np.array_equal(sys_r.M, sys_r.M.T)
+    np.linalg.cholesky(sys_r.M)        # raises unless M is positive definite
+    assert (sys_r.n1, sys_r.n2) == (n_cols - n_v2, n_v2)
 
 
 def test_reduce_rejects_rank_deficient():
@@ -261,17 +282,6 @@ def test_history_work_is_quadratic():
     k = make_kernel(0.5, 0.01, N)
     traj = run_scheme("implicit", sys_r, k, np.ones(1), lambda _: np.zeros(1))
     assert traj.history_ops == N * (N + 1) // 2
-
-
-def test_project_initial_reproduces_member():
-    g = t.build_grids(2, 3)
-    M = assembly.assemble(g, None, "mass")
-    rng = np.random.default_rng(7)
-    R = rng.standard_normal((g.n_dofs, 4))
-    basis = make_basis(R)
-    c = rng.standard_normal(4)
-    got = project_initial(M, basis, R @ c)
-    assert np.allclose(got, c, atol=1e-10)
 
 
 # --------------------------------------------------------------- fine reference

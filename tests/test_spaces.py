@@ -1,11 +1,15 @@
 """Tests for the auxiliary spectral problems, the projection, and the two
 localized coarse bases."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
@@ -216,32 +220,7 @@ def test_v2_nearly_a_orthogonal_to_cem():
     assert np.max(np.abs(cross) / np.outer(na, nb)) <= 0.1
 
 
-# ------------------------------------------------------- batched patch solves
-
-def test_kkt_multi_matches_dense_kkt_solve(monkeypatch):
-    """Every column of the batched solve equals a dense solve of the full KKT."""
-    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4)
-    aux2 = v2_aux_spectral(g, fld, aux1, 2)
-    calls = []
-    batched = spaces._kkt_multi
-
-    def recording(Ap, C, G):
-        X = batched(Ap, C, G)
-        calls.append((Ap, C, G, X))
-        return X
-
-    monkeypatch.setattr(spaces, "_kkt_multi", recording)
-    cem_basis(g, fld, aux1, 1)
-    v2_basis(g, fld, aux1, aux2, 1)
-    assert len(calls) == 2 * g.n_coarse_elems
-    for Ap, C, G, X in calls:
-        nd, m = Ap.shape[0], C.shape[0]
-        K = np.block([[Ap.toarray(), C.T.toarray()], [C.toarray(), np.zeros((m, m))]])
-        rhs = np.vstack([np.zeros((nd, G.shape[1])), G])
-        dense = np.linalg.solve(K, rhs)[:nd]
-        err = np.linalg.norm(X - dense, axis=0)
-        assert np.all(err <= 1e-10 * np.linalg.norm(dense, axis=0))
-
+# ------------------------------------------------------------ patch solves
 
 def _cem_patch_system(g, fld, aux1, i, layers):
     """Stiffness, constraints and target moments of element i's CEM patch."""
@@ -256,8 +235,56 @@ def _cem_patch_system(g, fld, aux1, i, layers):
     return A[dofs][:, dofs], C, G
 
 
+def _v2_patch_system(g, fld, aux1, aux2, i, layers):
+    """Stiffness, constraints and target moments of element i's V2 patch."""
+    A = assembly.assemble(g, fld, "stiffness")
+    patch = oversample(g, i, layers)
+    dofs = patch.local_dofs
+    a1 = aux1.columns_in(patch.elements)
+    a2 = aux2.columns_in(patch.elements)
+    MXi = (aux2.M @ aux2.Xi).tocsc()
+    C = sp.vstack([(aux1.S @ aux1.Psi)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
+    own = np.flatnonzero(aux2.col_elem[a2] == i)
+    G2 = (aux2.Xi[:, a2].T @ MXi[:, a2[own]]).toarray()
+    G = np.vstack([np.zeros((len(a1), len(own))), G2])
+    return A[dofs][:, dofs], C, G
+
+
+def _dense_patch_solve(Ap, C, G):
+    """Oracle: dense solve of the full patch KKT system."""
+    nd, m = Ap.shape[0], C.shape[0]
+    K = np.block([[Ap.toarray(), C.T.toarray()], [C.toarray(), np.zeros((m, m))]])
+    rhs = np.vstack([np.zeros((nd, G.shape[1])), G])
+    return np.linalg.solve(K, rhs)[:nd]
+
+
+def _worst_patch_error(g, fld, aux1, aux2, layers):
+    """Largest relative column error of both bases against the dense oracle."""
+    b1 = cem_basis(g, fld, aux1, layers)
+    b2 = v2_basis(g, fld, aux1, aux2, layers)
+    worst = 0.0
+    for basis, system in ((b1, lambda i: _cem_patch_system(g, fld, aux1, i, layers)),
+                          (b2, lambda i: _v2_patch_system(g, fld, aux1, aux2, i, layers))):
+        for i in range(g.n_coarse_elems):
+            dofs = oversample(g, i, layers).local_dofs
+            cols = np.flatnonzero(basis.col_elem == i)
+            dense = _dense_patch_solve(*system(i))
+            err = np.linalg.norm(basis.R[dofs][:, cols] - dense, axis=0)
+            worst = max(worst, float(np.max(err / np.linalg.norm(dense, axis=0))))
+    return worst
+
+
+def test_bases_match_dense_patch_kkt_solve():
+    """Every column of both bases equals a dense solve of its full patch KKT."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4)
+    aux2 = v2_aux_spectral(g, fld, aux1, 2)
+    assert _worst_patch_error(g, fld, aux1, aux2, 1) <= 1e-10
+
+
 def test_kkt_ordering_reduces_fill_on_exp1_patch(monkeypatch):
-    """The centre patch KKT of experiment 1 fills less than under COLAMD."""
+    """The centre patch of experiment 1 factors only its skeleton system,
+    which fills less under ``_sparse_lu`` than under COLAMD and less than
+    the 703,387 of the full patch KKT system it replaces."""
     cfg = harness.experiment_config(1)
     g = t.build_grids(cfg.coarse_n, cfg.refine)
     fld = harness._field_from_config(cfg)
@@ -267,12 +294,16 @@ def test_kkt_ordering_reduces_fill_on_exp1_patch(monkeypatch):
     factored = []
     monkeypatch.setattr(spaces, "_sparse_lu",
                         lambda K: factored.append(K) or _sparse_lu(K))
-    spaces._kkt_multi(*_cem_patch_system(g, fld, aux1, centre, cfg.layers))
-    K = factored[0]
-    assert K.shape[0] > 8000
+    cem_basis(g, fld, aux1, cfg.layers)
+    K = factored[centre]
+    # 8 inner coarse lines each way of 89 DOFs, crossing at 64 coarse vertices.
+    assert K.shape[0] == 2 * 8 * 89 - 64
+    assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
     lu = _sparse_lu(K)
-    colamd = spla.splu(K, permc_spec="COLAMD")
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    colamd = spla.splu(K.tocsc(), permc_spec="COLAMD")
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill < colamd.L.nnz + colamd.U.nnz
+    assert fill < 703_387
 
 
 def test_zero_constraint_row_names_element():
@@ -296,26 +327,47 @@ def test_residual_failure_names_element(monkeypatch):
         v2_basis(g, fld, aux1, aux2, 1)
 
 
-def _small_patch_system():
+def _cem_localize_inputs():
+    """``_localize`` arguments of the CEM basis on a 3x3 coarse grid."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
-    Ap, C, _ = _cem_patch_system(g, fld, aux1, 4, 1)
-    return Ap, C
+    A = assembly.assemble(g, fld, "stiffness")
+    SPsi = (aux1.S @ aux1.Psi).tocsc()
+    targets = [(aux1.Psi[:, own].T @ SPsi[:, own]).toarray()
+               for own in (np.flatnonzero(aux1.col_elem == i)
+                           for i in range(g.n_coarse_elems))]
+    return g, A, SPsi.T.tocsr(), aux1.col_elem, targets
 
 
-def test_kkt_multi_rejects_inconsistent_moments():
-    Ap, C = _small_patch_system()
-    C2 = sp.vstack([C[:1], C[:1]]).tocsr()   # one constraint, two targets
-    G = np.array([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(SolveError):
-        spaces._kkt_multi(Ap, C2, G)
+def test_localize_rejects_inconsistent_targets():
+    g, A, C, row_elem, targets = _cem_localize_inputs()
+    first = np.flatnonzero(row_elem == 4)[0]
+    C2 = sp.vstack([C, C[first]]).tocsr()      # element 4's first row twice,
+    targets[4] = np.vstack([targets[4], targets[4][:1] + 1.0])  # other target
+    with pytest.raises(SolveError, match="element 4"):
+        spaces._localize(g, A, C2, np.append(row_elem, 4), targets, 1)
 
 
-def test_kkt_multi_rejects_nonfinite_moments():
-    Ap, C = _small_patch_system()
-    G = np.ones((C.shape[0], 3))
-    G[0, 1] = np.nan
-    with pytest.raises(SolveError, match="column 1"):
-        spaces._kkt_multi(Ap, C, G)
+def test_localize_rejects_nonfinite_targets():
+    g, A, C, row_elem, targets = _cem_localize_inputs()
+    targets[4][0, 1] = np.nan
+    with pytest.raises(SolveError, match="on element 4: column 1"):
+        spaces._localize(g, A, C, row_elem, targets, 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(coarse_n=st.integers(3, 4), refine=st.integers(3, 5),
+       contrast=st.sampled_from([1e2, 1e4, 1e6]), layers=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_bases_match_dense_kkt_on_random_binary_fields(coarse_n, refine, contrast,
+                                                       layers, seed):
+    """Covers layers = 0 (no skeleton) and patches clipped at the boundary."""
+    g = t.build_grids(coarse_n, refine)
+    mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
+    fld = assembly.PermeabilityField(np.where(mask, contrast, 1.0))
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    aux1 = aux_spectral(g, fld, kt, 2)
+    aux2 = v2_aux_spectral(g, fld, aux1, 1)
+    assert _worst_patch_error(g, fld, aux1, aux2, layers) <= 1e-9
 
 
 @settings(max_examples=6, deadline=None)
@@ -361,6 +413,32 @@ def test_basis_cache_round_trip(tmp_path):
     assert np.array_equal(back.R, b1.R)
     assert np.array_equal(back.col_elem, b1.col_elem)
     assert np.array_equal(back.tags, b1.tags)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), coarse_n=st.integers(2, 3), refine=st.integers(2, 3),
+       n_cols=st.integers(1, 5), L=st.integers(1, 4), J=st.integers(1, 4),
+       layers=st.integers(0, 3))
+def test_basis_cache_round_trip_exact_on_random_bases(data, coarse_n, refine,
+                                                      n_cols, L, J, layers):
+    g = t.build_grids(coarse_n, refine)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    fld = assembly.PermeabilityField(
+        data.draw(arrays(np.float64, g.n_cells, elements=st.floats(1.0, 1e6))))
+    basis = spaces.ReducedBasis(
+        R=data.draw(arrays(np.float64, (g.n_dofs, n_cols), elements=finite)),
+        col_elem=data.draw(arrays(np.int64, n_cols,
+                                  elements=st.integers(0, g.n_coarse_elems - 1))),
+        col_index=data.draw(arrays(np.int64, n_cols, elements=st.integers(0, 3))),
+        tags=np.array(data.draw(st.lists(st.sampled_from(["cem", "v2"]),
+                                         min_size=n_cols, max_size=n_cols))))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "basis.npz")
+        save_basis(p, basis, g, fld, L=L, J=J, layers=layers)
+        back = load_basis(p, g, fld, L=L, J=J, layers=layers)
+    for name in ("R", "col_elem", "col_index", "tags"):
+        assert np.array_equal(getattr(back, name), getattr(basis, name))
+        assert getattr(back, name).dtype == getattr(basis, name).dtype
 
 
 def test_basis_cache_rejects_mismatch(tmp_path):
