@@ -9,8 +9,9 @@ from .harness import (ExperimentConfig, error_series, experiment_config,
                       gen_field, gen_forcing, run_experiment)
 from .schemes import (ReducedSystem, Trajectory, fine_reference, reduce,
                       run_scheme, step_explicit, step_implicit, step_partial)
-from .spaces import (AuxSpace, AuxSpace2, ReducedBasis, aux_spectral,
-                     cem_basis, combine, project_pi, v2_aux_spectral, v2_basis)
+from .spaces import (AuxSpace, CoarseSpaces, ReducedBasis, aux_spectral,
+                     build_spaces, cem_basis, combine, v2_aux_spectral,
+                     v2_basis)
 from .stability import (StabilityReport, build_report, contrast_sweep,
                         dt_max_explicit, dt_max_partial, energy_audit,
                         estimate_gamma, lambda_max)

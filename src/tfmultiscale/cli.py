@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import os
 
-from . import assembly, spaces, stability
+from . import spaces, stability
 from .harness import (ExperimentConfig, _field_from_config, experiment_config,
                       run_experiment)
 from .grid import build_grids
+from .schemes import reduce
 
 
 def _add_config_arg(p):
@@ -55,22 +56,16 @@ def main(argv=None) -> int:
     grid = build_grids(cfg.coarse_n, cfg.refine)
     field_ = _field_from_config(cfg)
 
+    cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
+
     if args.command == "basis":
-        pou = assembly.msfem_partition(grid, field_)
-        kt = assembly.kappa_tilde(field_, pou)
-        aux1 = spaces.aux_spectral(grid, field_, kt, cfg.L)
-        basis1 = spaces.cem_basis(grid, field_, aux1, cfg.layers)
-        aux2 = spaces.v2_aux_spectral(grid, field_, aux1, cfg.J)
-        basis2 = spaces.v2_basis(grid, field_, aux1, aux2, cfg.layers)
-        both = spaces.combine(basis1, basis2)
-        spaces.save_basis(args.out, both, grid, field_, L=cfg.L, J=cfg.J,
-                          layers=cfg.layers)
-        print(f"cached {both.n} basis columns to {args.out}")
+        spaces.save_basis(args.out, cs.combined, grid, field_, L=cfg.L,
+                          J=cfg.J, layers=cfg.layers)
+        print(f"cached {cs.combined.n} basis columns to {args.out}")
         return 0
 
     if args.command == "stability":
-        rep = stability.build_report(grid, field_, cfg.alpha, L=cfg.L,
-                                     J=cfg.J, layers=cfg.layers)
+        rep = stability.build_report(reduce(cs.A, cs.M, cs.combined), cfg.alpha)
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "stability_report.txt")
         rep.save(path)

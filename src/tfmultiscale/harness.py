@@ -246,27 +246,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     nf = grid.n_fine
     write_raster(os.path.join(cfg.out_dir, "kappa.txt"), nf, nf, field_.values)
 
-    A = assembly.assemble(grid, field_, "stiffness")
-    M = assembly.assemble(grid, None, "mass")
-
-    pou = assembly.msfem_partition(grid, field_)
-    kt = assembly.kappa_tilde(field_, pou)
-    aux1 = spaces.aux_spectral(grid, field_, kt, cfg.L)
-    basis1 = spaces.cem_basis(grid, field_, aux1, cfg.layers)
-    aux2 = spaces.v2_aux_spectral(grid, field_, aux1, cfg.J)
-    basis2 = spaces.v2_basis(grid, field_, aux1, aux2, cfg.layers)
-    both = spaces.combine(basis1, basis2)
-
-    report = stability.build_report(grid, field_, cfg.alpha,
-                                    basis1=basis1, basis2=basis2)
+    cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
+    A, M = cs.A, cs.M
+    # The report, tildeU and scem share one reduction of the combined space.
+    sys_both = reduce(A, M, cs.combined)
+    report = stability.build_report(sys_both, cfg.alpha)
     report.save(os.path.join(cfg.out_dir, "stability_report.txt"))
 
     N = cfg.n_steps
     trajectories = {}
     if "fine" in cfg.schemes:
         trajectories["fine"] = fine_reference(
-            grid, field_, cfg.alpha, cfg.dt_fine, forcing, None,
-            N * cfg.stride)
+            grid, A, M, cfg.alpha, cfg.dt_fine, forcing, None, N * cfg.stride)
 
     kernel = make_kernel(cfg.alpha, cfg.dt, N)
 
@@ -277,23 +268,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         return F
 
     runs = {
-        "cem": ("implicit", basis1),
-        "tildeU": ("implicit", both),
-        "scem": ("partial", both),
+        "cem": ("implicit", cs.basis1),
+        "tildeU": ("implicit", cs.combined),
+        "scem": ("partial", cs.combined),
     }
-    bases = {}
-    reduced = {}  # tildeU and scem share one basis, so one reduction
     for name, (scheme, basis) in runs.items():
         if name not in cfg.schemes:
             continue
-        if id(basis) not in reduced:
-            reduced[id(basis)] = reduce(A, M, basis)
-        sys_r = reduced[id(basis)]
+        sys_r = sys_both if basis is cs.combined else reduce(A, M, basis)
         u0 = np.zeros(basis.R.shape[1])
         traj = run_scheme(scheme, sys_r, kernel, u0, reduced_loads(basis),
                           space=name)
         trajectories[name] = traj
-        bases[name] = basis
 
     errors = {}
     ref = trajectories.get("fine")
@@ -302,8 +288,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         traj.save(path)
         if name == "fine" or ref is None or traj.diverged:
             continue
-        errors[name] = error_series(traj, bases[name], ref, A, M)
-        final = bases[name].R @ traj.states[-1]
+        basis = runs[name][1]
+        errors[name] = error_series(traj, basis, ref, A, M)
+        final = basis.R @ traj.states[-1]
         _write_solution_raster(grid, final,
                                os.path.join(cfg.out_dir, f"final_{name}.txt"))
     if ref is not None:

@@ -196,12 +196,10 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
     return traj
 
 
-def fine_reference(grid: GridHierarchy, field_: assembly.PermeabilityField,
-                   alpha: float, dt_fine: float, forcing, u0,
-                   n_steps: int) -> Trajectory:
-    """Implicit reference run on the full fine space at step dt_fine."""
-    A = assembly.assemble(grid, field_, "stiffness")
-    M = assembly.assemble(grid, None, "mass")
+def fine_reference(grid: GridHierarchy, A, M, alpha: float, dt_fine: float,
+                   forcing, u0, n_steps: int) -> Trajectory:
+    """Implicit reference run on the full fine space at step dt_fine, with
+    the fine stiffness ``A`` and mass ``M``."""
     sys = ReducedSystem(M=M, A=A, n1=grid.n_dofs, n2=0)
     kernel = make_kernel(alpha, dt_fine, n_steps)
     if u0 is None:

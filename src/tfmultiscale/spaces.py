@@ -7,6 +7,11 @@ kernel of the projection Pi and is built from L2-normalized eigenfunctions
 of the constrained local problem, localized by doubly-constrained
 minimizations.
 
+Both spaces are built by :func:`build_spaces` and nowhere else.  The two
+spectral problems share one element loop, :func:`_local_eigs`; each
+:class:`AuxSpace` carries the matrices it was solved with, so every fine
+matrix is assembled once.
+
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,49 +43,25 @@ DEFAULT_NBASIS = 3
 
 @dataclass
 class AuxSpace:
-    """Per-element auxiliary eigenpairs, s_i-orthonormal within each element.
+    """Per-element local eigenpairs, ``weight``-orthonormal within each element.
 
-    ``Psi`` stacks all eigenvectors as sparse columns ordered by
-    (element, local index); ``S`` is the global weighted mass realizing the
-    s-bilinear form on interior DOFs.
+    ``vectors`` stacks all eigenvectors as sparse columns ordered by
+    (element, local index).  For the first space ``weight`` is S, the
+    kappa_tilde-weighted mass realizing the s-bilinear form; for the second
+    it is the mass M and every vector lies in the Pi-kernel.  ``A`` is the
+    stiffness the local problems were solved against.
     """
 
-    grid: GridHierarchy
-    counts: list
-    values: list          # per element, ascending eigenvalues
-    Psi: sp.csc_matrix    # (n_dofs, total)
-    S: sp.csr_matrix
-    col_elem: np.ndarray  # element id per column
+    values: list            # per element, ascending eigenvalues
+    vectors: sp.csc_matrix  # (n_dofs, total)
+    weight: sp.csr_matrix
+    A: sp.csr_matrix
+    col_elem: np.ndarray    # element id per column
     col_index: np.ndarray
 
     @property
     def total(self) -> int:
-        return self.Psi.shape[1]
-
-    def columns_in(self, elements) -> np.ndarray:
-        mask = np.isin(self.col_elem, np.asarray(list(elements)))
-        return np.flatnonzero(mask)
-
-
-@dataclass
-class AuxSpace2:
-    """Constrained (Pi-kernel) local eigenpairs, L2-orthonormal per element."""
-
-    grid: GridHierarchy
-    counts: list
-    values: list
-    Xi: sp.csc_matrix
-    M: sp.csr_matrix
-    col_elem: np.ndarray
-    col_index: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return self.Xi.shape[1]
-
-    def columns_in(self, elements) -> np.ndarray:
-        mask = np.isin(self.col_elem, np.asarray(list(elements)))
-        return np.flatnonzero(mask)
+        return self.vectors.shape[1]
 
 
 @dataclass
@@ -97,6 +78,34 @@ class ReducedBasis:
         return self.R.shape[1]
 
 
+@dataclass
+class CoarseSpaces:
+    """Both coarse spaces of one field and the fine matrices they share."""
+
+    A: sp.csr_matrix       # fine stiffness
+    M: sp.csr_matrix       # fine mass
+    aux1: AuxSpace
+    aux2: AuxSpace
+    basis1: ReducedBasis   # V_{H,1}
+    basis2: ReducedBasis   # V_{H,2}
+    combined: ReducedBasis
+
+
+def build_spaces(grid: GridHierarchy, field_: assembly.PermeabilityField,
+                 L: int, J: int, layers: int) -> CoarseSpaces:
+    """Partition of unity, kappa_tilde, both spectral problems and bases;
+    the spectral problems assemble stiffness, weighted mass and mass."""
+    pou = assembly.msfem_partition(grid, field_)
+    kt = assembly.kappa_tilde(field_, pou)
+    aux1 = aux_spectral(grid, field_, kt, L)
+    basis1 = cem_basis(grid, field_, aux1, layers)
+    aux2 = v2_aux_spectral(grid, field_, aux1, J)
+    basis2 = v2_basis(grid, field_, aux1, aux2, layers)
+    return CoarseSpaces(A=aux1.A, M=aux2.weight, aux1=aux1, aux2=aux2,
+                        basis1=basis1, basis2=basis2,
+                        combined=combine(basis1, basis2))
+
+
 def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
     return ReducedBasis(
         R=np.hstack([first.R, second.R]),
@@ -108,38 +117,70 @@ def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
 
 def aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
                  kt: assembly.WeightedField, L: int = DEFAULT_NBASIS) -> AuxSpace:
-    """L smallest eigenpairs per element of local stiffness vs s_i."""
+    """L smallest eigenpairs per element of local stiffness vs s_i; assembles
+    the stiffness A and the weighted mass S."""
     A = assembly.assemble(grid, field_, "stiffness")
     S = assembly.assemble(grid, kt, "weighted_mass")
-    counts, values = [], []
-    cols, col_elem, col_index = [], [], []
-    n = grid.n_dofs
+    return _local_eigs(grid, A, S, L)
+
+
+def v2_aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
+                    aux1: AuxSpace, J: int = DEFAULT_NBASIS) -> AuxSpace:
+    """J smallest local eigenpairs of stiffness vs mass in the Pi-kernel;
+    assembles the mass M.  The stiffness is ``aux1.A``; ``field_`` is unused."""
+    M = assembly.assemble(grid, None, "mass")
+    return _local_eigs(grid, aux1.A, M, J, constraint=aux1)
+
+
+def _local_eigs(grid: GridHierarchy, A, B, k: int,
+                constraint: AuxSpace | None = None) -> AuxSpace:
+    """k smallest eigenpairs of A v = lambda B v on every element interior.
+
+    With a ``constraint`` space, element i's problem is restricted to the
+    kernel of the weighted moments against the constraint's functions on
+    element i (s_i-orthogonality to them when the constraint is the first
+    auxiliary space).  The kernel is spanned by an explicit null-space basis
+    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.
+    """
+    values, rows, cols, data = [], [], [], []
     for i in range(grid.n_coarse_elems):
         dofs = element_interior_dofs(grid, i)
         Aloc = A[dofs][:, dofs].toarray()
-        Sloc = S[dofs][:, dofs].toarray()
+        Bloc = B[dofs][:, dofs].toarray()
         try:
-            sla.cholesky(Sloc)
+            if constraint is not None:
+                own = np.flatnonzero(constraint.col_elem == i)
+                Cloc = (constraint.vectors[dofs][:, own].toarray().T
+                        @ constraint.weight[dofs][:, dofs].toarray())
+                Z = sla.null_space(Cloc)
+                if Z.shape[1] < k:
+                    raise SolveError(
+                        f"element {i}: requested {k} constrained eigenpairs, "
+                        f"space has dimension {Z.shape[1]}")
+                Aloc, Bloc = Z.T @ Aloc @ Z, Z.T @ Bloc @ Z
+            vals, vecs = sla.eigh(Aloc, Bloc, subset_by_index=(0, k - 1))
         except sla.LinAlgError as exc:
-            raise SolveError(f"degenerate s-form on coarse element {i}") from exc
-        vals, vecs = sla.eigh(Aloc, Sloc, subset_by_index=(0, L - 1))
-        counts.append(L)
+            raise SolveError(f"local eigenproblem failed on coarse element "
+                             f"{i} ({exc})") from exc
         values.append(vals)
-        for j in range(L):
-            v = np.zeros(n)
-            v[dofs] = vecs[:, j]
-            cols.append(sp.csc_matrix(v[:, None]))
-            col_elem.append(i)
-            col_index.append(j)
-    Psi = sp.hstack(cols, format="csc")
-    return AuxSpace(grid=grid, counts=counts, values=values, Psi=Psi, S=S,
-                    col_elem=np.array(col_elem), col_index=np.array(col_index))
+        rows.append(np.repeat(dofs, k))
+        cols.append(np.tile(np.arange(i * k, (i + 1) * k), len(dofs)))
+        data.append((vecs if constraint is None else Z @ vecs).ravel())
+    ne = grid.n_coarse_elems
+    vectors = sp.csc_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                    np.concatenate(cols))),
+                            shape=(grid.n_dofs, ne * k))
+    return AuxSpace(values=values, vectors=vectors, weight=B, A=A,
+                    col_elem=np.repeat(np.arange(ne), k),
+                    col_index=np.tile(np.arange(k), ne))
 
 
-def project_pi(aux: AuxSpace, v: np.ndarray) -> np.ndarray:
-    """Element-wise s-orthogonal projection onto the auxiliary space."""
-    coef = aux.Psi.T @ (aux.S @ v)
-    return aux.Psi @ coef
+def _moments(aux: AuxSpace):
+    """Constraint rows (weight @ vectors)^T of an auxiliary space, and per
+    element the moments of its own functions against its own rows."""
+    WV = (aux.weight @ aux.vectors).tocsc()
+    own = [np.flatnonzero(aux.col_elem == i) for i in range(len(aux.values))]
+    return WV.T, [(aux.vectors[:, o].T @ WV[:, o]).toarray() for o in own]
 
 
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -148,15 +189,11 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
 
     Column (i, j) minimizes energy on element i's patch subject to s-moments
     against every patch aux function equal to those of aux function (i, j).
+    The stiffness is ``aux.A``; ``field_`` is unused.
     """
-    A = assembly.assemble(grid, field_, "stiffness")
-    SPsi = (aux.S @ aux.Psi).tocsc()
-    targets = []
-    for i in range(grid.n_coarse_elems):
-        own = np.flatnonzero(aux.col_elem == i)
-        targets.append((aux.Psi[:, own].T @ SPsi[:, own]).toarray())
+    C, targets = _moments(aux)
     try:
-        R = _localize(grid, A, SPsi.T, aux.col_elem, targets, layers)
+        R = _localize(grid, aux.A, C, aux.col_elem, targets, layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
     return ReducedBasis(R=R, col_elem=aux.col_elem.copy(),
@@ -164,70 +201,24 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
                         tags=np.array(["cem"] * aux.total))
 
 
-def v2_aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
-                    aux1: AuxSpace, J: int = DEFAULT_NBASIS) -> AuxSpace2:
-    """J smallest local eigenpairs restricted to the Pi-kernel.
-
-    The constraint (s_i-orthogonality to the element's auxiliary functions)
-    is realized by an explicit null-space basis Z, and the projected problem
-    Z^T A Z w = gamma Z^T M Z w is solved densely.
-    """
-    A = assembly.assemble(grid, field_, "stiffness")
-    M = assembly.assemble(grid, None, "mass")
-    counts, values = [], []
-    cols, col_elem, col_index = [], [], []
-    n = grid.n_dofs
-    for i in range(grid.n_coarse_elems):
-        dofs = element_interior_dofs(grid, i)
-        own = np.flatnonzero(aux1.col_elem == i)
-        Psi_loc = aux1.Psi[dofs][:, own].toarray()
-        Sloc = aux1.S[dofs][:, dofs].toarray()
-        Cloc = Psi_loc.T @ Sloc
-        Z = sla.null_space(Cloc)
-        if Z.shape[1] < J:
-            raise SolveError(
-                f"element {i}: requested {J} constrained eigenpairs, "
-                f"space has dimension {Z.shape[1]}")
-        Aloc = A[dofs][:, dofs].toarray()
-        Mloc = M[dofs][:, dofs].toarray()
-        vals, W = sla.eigh(Z.T @ Aloc @ Z, Z.T @ Mloc @ Z,
-                           subset_by_index=(0, J - 1))
-        vecs = Z @ W
-        counts.append(J)
-        values.append(vals)
-        for j in range(J):
-            v = np.zeros(n)
-            v[dofs] = vecs[:, j]
-            cols.append(sp.csc_matrix(v[:, None]))
-            col_elem.append(i)
-            col_index.append(j)
-    Xi = sp.hstack(cols, format="csc")
-    return AuxSpace2(grid=grid, counts=counts, values=values, Xi=Xi, M=M,
-                     col_elem=np.array(col_elem), col_index=np.array(col_index))
-
-
 def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
-             aux1: AuxSpace, aux2: AuxSpace2,
+             aux1: AuxSpace, aux2: AuxSpace,
              layers: int = DEFAULT_LAYERS) -> ReducedBasis:
     """Doubly-constrained localized basis of the second (Pi-kernel) space.
 
     Each column minimizes energy on its patch subject to vanishing s-moments
     against all patch aux1 functions and prescribed L2 moments against the
-    patch aux2 functions.
+    patch aux2 functions.  The stiffness is ``aux1.A``; ``field_`` is unused.
     """
-    A = assembly.assemble(grid, field_, "stiffness")
-    SPsi = (aux1.S @ aux1.Psi).tocsc()
-    MXi = (aux2.M @ aux2.Xi).tocsc()
-    targets = []
-    for i in range(grid.n_coarse_elems):
-        own = np.flatnonzero(aux2.col_elem == i)
-        moments = (aux2.Xi[:, own].T @ MXi[:, own]).toarray()
-        zeros = np.zeros((np.count_nonzero(aux1.col_elem == i), len(own)))
-        targets.append(np.vstack([zeros, moments]))
-    C = sp.vstack([SPsi.T, MXi.T])
+    C1 = (aux1.weight @ aux1.vectors).tocsc().T
+    C2, moments = _moments(aux2)
+    targets = [np.vstack([np.zeros((np.count_nonzero(aux1.col_elem == i),
+                                    g.shape[1])), g])
+               for i, g in enumerate(moments)]
     row_elem = np.concatenate([aux1.col_elem, aux2.col_elem])
     try:
-        R = _localize(grid, A, C, row_elem, targets, layers)
+        R = _localize(grid, aux1.A, sp.vstack([C1, C2]), row_elem, targets,
+                      layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
     return ReducedBasis(R=R, col_elem=aux2.col_elem.copy(),

@@ -1,6 +1,10 @@
 """Quantitative stability machinery: generalized eigenvalue bounds, the
 subspace angle between the two coarse spaces, maximal stable time steps for
 the explicit and partially explicit schemes, and energy-estimate audits.
+
+The report is computed from the reduced system of the combined coarse space,
+which callers build once (:func:`spaces.build_spaces`, then
+:func:`schemes.reduce`) and share with the time steppers.
 """
 
 from __future__ import annotations
@@ -147,36 +151,18 @@ def energy_audit(traj: Trajectory, A, f_norms_sq, kernel: L1Kernel) -> EnergyAud
     return EnergyAudit(lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
-def build_report(grid, field_, alpha: float, L: int = spaces.DEFAULT_NBASIS,
-                 J: int = spaces.DEFAULT_NBASIS,
-                 layers: int = spaces.DEFAULT_LAYERS,
-                 basis1: spaces.ReducedBasis | None = None,
-                 basis2: spaces.ReducedBasis | None = None) -> StabilityReport:
-    """Construct the coarse spaces and evaluate every stability quantity.
+def build_report(sysc: ReducedSystem, alpha: float) -> StabilityReport:
+    """Evaluate every stability quantity on the reduced combined system.
 
-    lambda_max_full is taken over the combined coarse space V_H (the space
-    all three schemes act on); lambda_max_v2 over the second block alone.
+    ``sysc`` is the (dense) :func:`schemes.reduce` of the combined coarse
+    space V_H (the space all three schemes act on), V_{H,1} columns first.
+    lambda_max_full is taken over all of it; lambda_max_v2 over the second
+    block alone.
     """
-    if basis1 is None or basis2 is None:
-        pou = assembly.msfem_partition(grid, field_)
-        kt = assembly.kappa_tilde(field_, pou)
-        aux1 = spaces.aux_spectral(grid, field_, kt, L)
-        if basis1 is None:
-            basis1 = spaces.cem_basis(grid, field_, aux1, layers)
-        if basis2 is None:
-            aux2 = spaces.v2_aux_spectral(grid, field_, aux1, J)
-            basis2 = spaces.v2_basis(grid, field_, aux1, aux2, layers)
-    A = assembly.assemble(grid, field_, "stiffness")
-    M = assembly.assemble(grid, None, "mass")
-    combined = spaces.combine(basis1, basis2)
-    sysc = reduce(A, M, combined)
-    n1 = sysc.n1
-    lam_full = lambda_max(sysc.A, sysc.M)
-    A22 = np.asarray(sysc.A)[n1:, n1:]
-    M22 = np.asarray(sysc.M)[n1:, n1:]
-    lam_v2 = lambda_max(A22, M22)
-    ge = estimate_gamma(np.asarray(sysc.M)[:n1, :n1],
-                        np.asarray(sysc.M)[:n1, n1:], M22)
+    n1, A, M = sysc.n1, sysc.A, sysc.M
+    lam_full = lambda_max(A, M)
+    lam_v2 = lambda_max(A[n1:, n1:], M[n1:, n1:])
+    ge = estimate_gamma(M[:n1, :n1], M[:n1, n1:], M[n1:, n1:])
     return StabilityReport(
         lambda_max_full=lam_full, lambda_max_v2=lam_v2, gamma=ge.gamma,
         gamma_effective=ge.gamma_effective, min_ratio=ge.min_ratio,
@@ -199,8 +185,9 @@ def contrast_sweep(grid, geometry_mask: np.ndarray, contrasts, alpha: float,
         if c <= 0:
             raise ValueError("contrasts must be positive")
         kappa = np.where(mask, float(c), 1.0)
-        field_ = assembly.PermeabilityField(values=kappa)
-        rep = build_report(grid, field_, alpha, L=L, J=J, layers=layers)
+        cs = spaces.build_spaces(grid, assembly.PermeabilityField(values=kappa),
+                                 L, J, layers)
+        rep = build_report(reduce(cs.A, cs.M, cs.combined), alpha)
         rows.append({"contrast": float(c),
                      "lambda_full": rep.lambda_max_full,
                      "lambda_v2": rep.lambda_max_v2,

@@ -37,20 +37,13 @@ def desk_spaces():
     rng = np.random.default_rng(7)
     mask = rng.random(g.n_cells) < 0.25
     fld = PermeabilityField(np.where(mask, 1e5, 1.0))
-    pou = assembly.msfem_partition(g, fld)
-    kt = assembly.kappa_tilde(fld, pou)
-    aux1 = spaces.aux_spectral(g, fld, kt, 3)
-    basis1 = spaces.cem_basis(g, fld, aux1, 2)
-    aux2 = spaces.v2_aux_spectral(g, fld, aux1, 3)
-    basis2 = spaces.v2_basis(g, fld, aux1, aux2, 2)
-    return g, fld, aux1, basis1, aux2, basis2
+    return g, fld, spaces.build_spaces(g, fld, 3, 3, 2)
 
 
 @pytest.fixture(scope="module")
 def desk():
-    g, fld, aux1, basis1, aux2, basis2 = desk_spaces()
-    return SimpleNamespace(g=g, fld=fld, aux1=aux1, basis1=basis1,
-                           aux2=aux2, basis2=basis2)
+    g, fld, cs = desk_spaces()
+    return SimpleNamespace(g=g, fld=fld, cs=cs)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -149,12 +142,8 @@ def test_criterion_04_explicit_threshold():
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion_05_partial_scheme_condition(desk):
-    A = assembly.assemble(desk.g, desk.fld, "stiffness")
-    M = assembly.assemble(desk.g, None, "mass")
-    rep = build_report(desk.g, desk.fld, 0.9,
-                       basis1=desk.basis1, basis2=desk.basis2)
-    both = spaces.combine(desk.basis1, desk.basis2)
-    sys_r = reduce(A, M, both)
+    sys_r = reduce(desk.cs.A, desk.cs.M, desk.cs.combined)
+    rep = build_report(sys_r, 0.9)
     rng = np.random.default_rng(0)
     u0 = rng.standard_normal(sys_r.n)
     zero = lambda _: np.zeros(sys_r.n)
@@ -203,18 +192,11 @@ def paper():
     g = build_grids(cfg.coarse_n, cfg.refine)
     fld = harness._field_from_config(cfg)
     forcing = gen_forcing("smooth")
-    pou = assembly.msfem_partition(g, fld)
-    kt = assembly.kappa_tilde(fld, pou)
-    aux1 = spaces.aux_spectral(g, fld, kt, cfg.L)
-    basis1 = spaces.cem_basis(g, fld, aux1, cfg.layers)
-    aux2 = spaces.v2_aux_spectral(g, fld, aux1, cfg.J)
-    basis2 = spaces.v2_basis(g, fld, aux1, aux2, cfg.layers)
-    both = spaces.combine(basis1, basis2)
-    A = assembly.assemble(g, fld, "stiffness")
-    M = assembly.assemble(g, None, "mass")
-    report = build_report(g, fld, cfg.alpha, basis1=basis1, basis2=basis2)
+    cs = spaces.build_spaces(g, fld, cfg.L, cfg.J, cfg.layers)
+    A, M, basis1, both = cs.A, cs.M, cs.basis1, cs.combined
     sys_cem = reduce(A, M, basis1)
     sys_both = reduce(A, M, both)
+    report = build_report(sys_both, cfg.alpha)
 
     N = cfg.n_steps
     F_fine = assembly.load_vector(g, forcing, cfg.dt)
@@ -229,7 +211,7 @@ def paper():
         "scem": run_scheme("partial", sys_both, kern,
                            np.zeros(sys_both.n), lambda _: load_both),
     }
-    ref = fine_reference(g, fld, cfg.alpha, cfg.dt_fine, forcing, None,
+    ref = fine_reference(g, A, M, cfg.alpha, cfg.dt_fine, forcing, None,
                          N * cfg.stride)
     bases = {"cem": basis1, "tildeU": both, "scem": both}
     errors = {name: error_series(traj, bases[name], ref, A, M)
@@ -275,28 +257,32 @@ def test_criterion_08_alpha_instability(paper):
 # ---------------------------------------------------------------- criterion 9
 
 def test_criterion_09_basis_contracts(desk):
-    aux1, aux2 = desk.aux1, desk.aux2
-    b1, b2 = desk.basis1, desk.basis2
+    aux1, aux2 = desk.cs.aux1, desk.cs.aux2
+    b1, b2 = desk.cs.basis1, desk.cs.basis2
     # first-space basis: unit s-moments against every auxiliary function
-    G1 = aux1.Psi.T @ (aux1.S @ b1.R)
+    G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
     r_cem = float(np.max(np.abs(G1 - np.eye(aux1.total))))
     # second-space basis: s-orthogonality to the first auxiliary space
-    r_orth = float(np.max(np.abs(aux1.Psi.T @ (aux1.S @ b2.R))))
+    r_orth = float(np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))))
     # second-space basis: L2 moments equal those of the target eigenfunctions
-    G2 = aux2.Xi.T @ (aux2.M @ b2.R)
-    XtMX = (aux2.Xi.T @ (aux2.M @ aux2.Xi)).toarray()
+    G2 = aux2.vectors.T @ (aux2.weight @ b2.R)
+    XtMX = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
     r_mom = 0.0
     for j in range(b2.n):
         col = np.flatnonzero((aux2.col_elem == int(b2.col_elem[j]))
                              & (aux2.col_index == int(b2.col_index[j])))[0]
         r_mom = max(r_mom, float(np.max(np.abs(G2[:, j] - XtMX[:, col]))))
-    # projection idempotence
+    # idempotence of the element-wise s-orthogonal projection Pi onto the
+    # first auxiliary space
+    def project_pi(v):
+        return aux1.vectors @ (aux1.vectors.T @ (aux1.weight @ v))
+
     rng = np.random.default_rng(5)
     r_pi = 0.0
     for _ in range(5):
         v = rng.standard_normal(desk.g.n_dofs)
-        pv = spaces.project_pi(aux1, v)
-        r_pi = max(r_pi, float(np.max(np.abs(spaces.project_pi(aux1, pv) - pv))
+        pv = project_pi(v)
+        r_pi = max(r_pi, float(np.max(np.abs(project_pi(pv) - pv))
                                / max(np.max(np.abs(pv)), 1.0)))
     ok = r_cem <= 1e-8 and r_orth <= 1e-8 and r_mom <= 1e-8 and r_pi <= 1e-10
     _verdict(9, "basis construction contracts", ok,

@@ -229,6 +229,15 @@ def test_run_experiment_deterministic(tmp_path):
                           b.trajectories["scem"].states)
 
 
+def test_run_experiment_assembles_each_matrix_once(tmp_path, monkeypatch):
+    kinds = []
+    assemble = assembly.assemble
+    monkeypatch.setattr(assembly, "assemble", lambda grid, field, weight:
+                        kinds.append(weight) or assemble(grid, field, weight))
+    run_experiment(_tiny_config(tmp_path / "run"))
+    assert sorted(kinds) == ["mass", "stiffness", "weighted_mass"]
+
+
 def test_run_experiment_scheme_subset(tmp_path):
     cfg = _tiny_config(tmp_path / "sub", schemes=("fine", "cem"))
     result = run_experiment(cfg)

@@ -293,7 +293,7 @@ def test_fine_reference_matches_identity_run():
     M = assembly.assemble(g, None, "mass")
     f = lambda x, y, tt: np.sin(np.pi * x) * np.sin(np.pi * y)
     dt = 1e-3
-    ref = fine_reference(g, fld, 0.5, dt, f, None, 10)
+    ref = fine_reference(g, A, M, 0.5, dt, f, None, 10)
     sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
     k = make_kernel(0.5, dt, 10)
     loads = lambda step: assembly.load_vector(g, f, (step + 1) * dt)
@@ -304,7 +304,9 @@ def test_fine_reference_matches_identity_run():
 def test_fine_reference_zero_data():
     g = t.build_grids(2, 2)
     fld = assembly.PermeabilityField(np.ones(g.n_cells))
-    ref = fine_reference(g, fld, 0.5, 1e-3, lambda x, y, tt: np.zeros_like(x),
+    A = assembly.assemble(g, fld, "stiffness")
+    M = assembly.assemble(g, None, "mass")
+    ref = fine_reference(g, A, M, 0.5, 1e-3, lambda x, y, tt: np.zeros_like(x),
                          None, 5)
     assert np.allclose(ref.states, 0.0)
 

@@ -1,5 +1,5 @@
-"""Tests for the auxiliary spectral problems, the projection, and the two
-localized coarse bases."""
+"""Tests for the auxiliary spectral problems and the two localized coarse
+bases."""
 
 import os
 import tempfile
@@ -15,9 +15,9 @@ import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
 from tfmultiscale.grid import oversample
 from tfmultiscale.linalg import SolveError, _sparse_lu
-from tfmultiscale.spaces import (aux_spectral, cem_basis, combine,
-                                 field_checksum, load_basis, project_pi,
-                                 save_basis, v2_aux_spectral, v2_basis)
+from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
+                                 field_checksum, load_basis, save_basis,
+                                 v2_aux_spectral, v2_basis)
 
 
 def channel_field(g, contrast=1e5):
@@ -52,7 +52,7 @@ def test_aux_eigenvalues_ascending_nonnegative():
 
 def test_aux_s_orthonormal_per_element():
     g, _, _, aux1 = setup_spaces()
-    G = (aux1.Psi.T @ (aux1.S @ aux1.Psi)).toarray()
+    G = (aux1.vectors.T @ (aux1.weight @ aux1.vectors)).toarray()
     # disjoint element-interior supports make the global Gram the identity
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
@@ -79,39 +79,12 @@ def test_aux_degenerate_s_names_element():
         aux_spectral(g, fld, kt, 2)
 
 
-# ------------------------------------------------------------------- project_pi
-
-def test_pi_fixes_range():
-    _, _, _, aux1 = setup_spaces()
-    v = aux1.Psi[:, 4].toarray().ravel()
-    assert np.allclose(project_pi(aux1, v), v, atol=1e-10)
-
-
-def test_pi_annihilates_s_orthogonal():
-    g, _, _, aux1 = setup_spaces()
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.n_dofs)
-    w = v - project_pi(aux1, v)          # s-orthogonal complement part
-    coef = aux1.Psi.T @ (aux1.S @ w)
-    assert np.max(np.abs(coef)) <= 1e-9 * max(np.linalg.norm(v), 1)
-    assert np.allclose(project_pi(aux1, w), 0.0, atol=1e-8)
-
-
-def test_pi_idempotent():
-    g, _, _, aux1 = setup_spaces()
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        v = rng.standard_normal(g.n_dofs)
-        pv = project_pi(aux1, v)
-        assert np.max(np.abs(project_pi(aux1, pv) - pv)) <= 1e-10 * max(np.max(np.abs(pv)), 1)
-
-
 # -------------------------------------------------------------------- cem_basis
 
 def test_cem_constraint_gram_identity():
     g, fld, _, aux1 = setup_spaces()
     b1 = cem_basis(g, fld, aux1, 2)
-    G = aux1.Psi.T @ (aux1.S @ b1.R)     # s-moments of each basis column
+    G = aux1.vectors.T @ (aux1.weight @ b1.R)     # s-moments of each basis column
     expect = np.eye(aux1.total)
     assert np.max(np.abs(G - expect)) <= 1e-8
 
@@ -153,8 +126,8 @@ def test_v2_aux_in_pi_kernel():
     g, fld, _, aux1 = setup_spaces()
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
     for j in range(aux2.total):
-        xi = aux2.Xi[:, j].toarray().ravel()
-        coef = aux1.Psi.T @ (aux1.S @ xi)
+        xi = aux2.vectors[:, j].toarray().ravel()
+        coef = aux1.vectors.T @ (aux1.weight @ xi)
         assert np.max(np.abs(coef)) <= 1e-9
 
 
@@ -164,7 +137,7 @@ def test_v2_aux_ascending_l2_orthonormal():
     for vals in aux2.values:
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] >= -1e-10
-    G = (aux2.Xi.T @ (aux2.M @ aux2.Xi)).toarray()
+    G = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
 
@@ -195,12 +168,12 @@ def test_v2_basis_constraints():
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
     b2 = v2_basis(g, fld, aux1, aux2, 2)
     # s-orthogonality to every aux1 function
-    G1 = aux1.Psi.T @ (aux1.S @ b2.R)
+    G1 = aux1.vectors.T @ (aux1.weight @ b2.R)
     assert np.max(np.abs(G1)) <= 1e-8
     # L2 moments match those of the target eigenfunctions
-    M = aux2.M
-    G2 = aux2.Xi.T @ (M @ b2.R)
-    XtMX = (aux2.Xi.T @ (M @ aux2.Xi)).toarray()
+    M = aux2.weight
+    G2 = aux2.vectors.T @ (M @ b2.R)
+    XtMX = (aux2.vectors.T @ (M @ aux2.vectors)).toarray()
     for j in range(b2.n):
         i = int(b2.col_elem[j])
         jj = int(b2.col_index[j])
@@ -209,11 +182,9 @@ def test_v2_basis_constraints():
 
 
 def test_v2_nearly_a_orthogonal_to_cem():
-    g, fld, _, aux1 = setup_spaces(coarse_n=5, refine=4)
-    A = assembly.assemble(g, fld, "stiffness")
-    aux2 = v2_aux_spectral(g, fld, aux1, 2)
-    b1 = cem_basis(g, fld, aux1, 3)
-    b2 = v2_basis(g, fld, aux1, aux2, 3)
+    g = t.build_grids(5, 4)
+    cs = build_spaces(g, channel_field(g), 3, 2, 3)
+    A, b1, b2 = cs.A, cs.basis1, cs.basis2
     cross = b2.R.T @ (A @ b1.R)
     na = np.sqrt(np.einsum("ij,ij->j", b2.R, A @ b2.R))
     nb = np.sqrt(np.einsum("ij,ij->j", b1.R, A @ b1.R))
@@ -227,11 +198,11 @@ def _cem_patch_system(g, fld, aux1, i, layers):
     A = assembly.assemble(g, fld, "stiffness")
     patch = oversample(g, i, layers)
     dofs = patch.local_dofs
-    acols = aux1.columns_in(patch.elements)
-    SPsi = (aux1.S @ aux1.Psi).tocsc()
+    acols = np.flatnonzero(np.isin(aux1.col_elem, patch.elements))
+    SPsi = (aux1.weight @ aux1.vectors).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
     own = np.flatnonzero(aux1.col_elem[acols] == i)
-    G = (aux1.Psi[:, acols].T @ SPsi[:, acols[own]]).toarray()
+    G = (aux1.vectors[:, acols].T @ SPsi[:, acols[own]]).toarray()
     return A[dofs][:, dofs], C, G
 
 
@@ -240,12 +211,12 @@ def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     A = assembly.assemble(g, fld, "stiffness")
     patch = oversample(g, i, layers)
     dofs = patch.local_dofs
-    a1 = aux1.columns_in(patch.elements)
-    a2 = aux2.columns_in(patch.elements)
-    MXi = (aux2.M @ aux2.Xi).tocsc()
-    C = sp.vstack([(aux1.S @ aux1.Psi)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
+    a1 = np.flatnonzero(np.isin(aux1.col_elem, patch.elements))
+    a2 = np.flatnonzero(np.isin(aux2.col_elem, patch.elements))
+    MXi = (aux2.weight @ aux2.vectors).tocsc()
+    C = sp.vstack([(aux1.weight @ aux1.vectors)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
     own = np.flatnonzero(aux2.col_elem[a2] == i)
-    G2 = (aux2.Xi[:, a2].T @ MXi[:, a2[own]]).toarray()
+    G2 = (aux2.vectors[:, a2].T @ MXi[:, a2[own]]).toarray()
     G = np.vstack([np.zeros((len(a1), len(own))), G2])
     return A[dofs][:, dofs], C, G
 
@@ -310,7 +281,7 @@ def test_zero_constraint_row_names_element():
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     keep = np.ones(aux1.total)
     keep[0] = 0.0                      # first aux function of element 0
-    aux1.Psi = (aux1.Psi @ sp.diags(keep)).tocsc()
+    aux1.vectors = (aux1.vectors @ sp.diags(keep)).tocsc()
     with pytest.raises(SolveError,
                        match="CEM basis solve failed on element 0: zero constraint row"):
         cem_basis(g, fld, aux1, 1)
@@ -331,8 +302,8 @@ def _cem_localize_inputs():
     """``_localize`` arguments of the CEM basis on a 3x3 coarse grid."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     A = assembly.assemble(g, fld, "stiffness")
-    SPsi = (aux1.S @ aux1.Psi).tocsc()
-    targets = [(aux1.Psi[:, own].T @ SPsi[:, own]).toarray()
+    SPsi = (aux1.weight @ aux1.vectors).tocsc()
+    targets = [(aux1.vectors[:, own].T @ SPsi[:, own]).toarray()
                for own in (np.flatnonzero(aux1.col_elem == i)
                            for i in range(g.n_coarse_elems))]
     return g, A, SPsi.T.tocsr(), aux1.col_elem, targets
@@ -378,30 +349,26 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
     g = t.build_grids(coarse_n, refine)
     mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
     fld = assembly.PermeabilityField(np.where(mask, contrast, 1.0))
-    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
-    aux1 = aux_spectral(g, fld, kt, 2)
-    aux2 = v2_aux_spectral(g, fld, aux1, 1)
-    b1 = cem_basis(g, fld, aux1, 1)
-    b2 = v2_basis(g, fld, aux1, aux2, 1)
-    G1 = aux1.Psi.T @ (aux1.S @ b1.R)
+    cs = build_spaces(g, fld, 2, 1, 1)
+    aux1, aux2, b1, b2 = cs.aux1, cs.aux2, cs.basis1, cs.basis2
+    G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
     assert np.max(np.abs(G1 - np.eye(aux1.total))) <= 1e-9
-    assert np.max(np.abs(aux1.Psi.T @ (aux1.S @ b2.R))) <= 1e-9
-    G2 = aux2.Xi.T @ (aux2.M @ b2.R)
-    XtMX = (aux2.Xi.T @ (aux2.M @ aux2.Xi)).toarray()
+    assert np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))) <= 1e-9
+    G2 = aux2.vectors.T @ (aux2.weight @ b2.R)
+    XtMX = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
     assert np.max(np.abs(G2 - XtMX)) <= 1e-9
 
 
 # ------------------------------------------------------------- combined / cache
 
 def test_combined_basis_full_rank():
-    g, fld, _, aux1 = setup_spaces()
-    M = assembly.assemble(g, None, "mass")
-    aux2 = v2_aux_spectral(g, fld, aux1, 2)
-    both = combine(cem_basis(g, fld, aux1, 2), v2_basis(g, fld, aux1, aux2, 2))
+    g = t.build_grids(5, 4)
+    cs = build_spaces(g, channel_field(g), 3, 2, 2)
+    M, both = cs.M, cs.combined
     Mr = both.R.T @ (M @ both.R)
     w = np.linalg.eigvalsh(0.5 * (Mr + Mr.T))
     assert w.min() > 1e-10 * w.max()
-    assert np.all(both.tags[: both.n - aux1.grid.n_coarse_elems * 2] == "cem")
+    assert np.all(both.tags[: both.n - g.n_coarse_elems * 2] == "cem")
 
 
 def test_basis_cache_round_trip(tmp_path):

@@ -8,7 +8,7 @@ import tfmultiscale as t
 from tfmultiscale import assembly, harness
 from tfmultiscale.fractional import make_kernel
 from tfmultiscale.linalg import gamma_fn
-from tfmultiscale.schemes import ReducedSystem, run_scheme
+from tfmultiscale.schemes import ReducedSystem, reduce, run_scheme
 from tfmultiscale.stability import (EnergyAudit, build_report, contrast_sweep,
                                     dt_max_explicit, dt_max_partial,
                                     energy_audit, estimate_gamma, lambda_max,
@@ -205,7 +205,8 @@ def test_build_report_fields_consistent():
     g = t.build_grids(5, 4)
     fld = assembly.PermeabilityField(
         np.where(fixed_channel_mask(g.n_fine).ravel(), 1e4, 1.0))
-    rep = build_report(g, fld, 0.9, L=2, J=1, layers=2)
+    cs = t.build_spaces(g, fld, 2, 1, 2)
+    rep = build_report(reduce(cs.A, cs.M, cs.combined), 0.9)
     assert rep.lambda_max_full >= rep.lambda_max_v2 > 0
     assert 0 <= rep.gamma < 1
     assert rep.dt_max_explicit == pytest.approx(
@@ -218,7 +219,8 @@ def test_report_round_trip_text(tmp_path):
     g = t.build_grids(5, 4)
     fld = assembly.PermeabilityField(
         np.where(fixed_channel_mask(g.n_fine).ravel(), 1e4, 1.0))
-    rep = build_report(g, fld, 0.5, L=2, J=1, layers=2)
+    cs = t.build_spaces(g, fld, 2, 1, 2)
+    rep = build_report(reduce(cs.A, cs.M, cs.combined), 0.5)
     p = tmp_path / "report.txt"
     rep.save(p)
     text = p.read_text()
