@@ -196,16 +196,21 @@ def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedFiel
 
 
 def load_vector(grid: GridHierarchy, f, t: float) -> np.ndarray:
-    """(f(.,t), phi_i) on interior DOFs, f interpolated bilinearly per cell."""
+    """Load vector ``(f(., t), phi_i)`` on the interior DOFs.
+
+    ``f(x, y, t)`` is evaluated at the fine nodes (a scalar is broadcast) and
+    interpolated bilinearly on each cell, so each cell contributes its exact
+    element mass matrix times its four nodal values.  Contributions are
+    summed per node in cell order.
+    """
     xy = grid.node_coords()
     fn = np.asarray(f(xy[:, 0], xy[:, 1], t), dtype=float)
     if fn.shape != (grid.n_nodes,):
-        fn = np.broadcast_to(fn, (grid.n_nodes,)).copy()
+        fn = np.broadcast_to(fn, (grid.n_nodes,))
     conn = grid.cell_nodes()
-    Me = element_mass(grid.h)
-    contrib = fn[conn] @ Me.T            # (n_cells, 4)
-    out = np.zeros(grid.n_nodes)
-    np.add.at(out, conn.ravel(), contrib.ravel())
+    contrib = fn[conn] @ element_mass(grid.h).T          # (n_cells, 4)
+    out = np.bincount(conn.ravel(), weights=contrib.ravel(),
+                      minlength=grid.n_nodes)
     return out[grid.interior_nodes()]
 
 

@@ -11,6 +11,7 @@ the outer boundary carry no degree of freedom (homogeneous Dirichlet).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,25 +94,35 @@ class GridHierarchy:
     def n_coarse_vertices(self) -> int:
         return (self.coarse_n + 1) ** 2
 
-    def node_coords(self) -> np.ndarray:
-        """(n_nodes, 2) array of fine node coordinates."""
+    @cached_property
+    def _geometry(self) -> tuple:
+        """Node coordinates, cell connectivity and interior node ids, built
+        on first use and shared, read-only, by every later caller."""
         s = np.linspace(0.0, 1.0, self.n_nodes_side)
         X, Y = np.meshgrid(s, s, indexing="xy")
-        return np.column_stack([X.ravel(), Y.ravel()])
-
-    def cell_nodes(self) -> np.ndarray:
-        """(n_cells, 4) node ids per fine cell, counterclockwise from SW."""
+        coords = np.column_stack([X.ravel(), Y.ravel()])
         nf = self.n_fine
         nn = self.n_nodes_side
         cx, cy = np.meshgrid(np.arange(nf), np.arange(nf), indexing="xy")
-        cx = cx.ravel()
-        cy = cy.ravel()
-        n0 = cy * nn + cx
-        return np.column_stack([n0, n0 + 1, n0 + nn + 1, n0 + nn])
+        n0 = cy.ravel() * nn + cx.ravel()
+        conn = np.column_stack([n0, n0 + 1, n0 + nn + 1, n0 + nn])
+        interior = np.flatnonzero(self.fine_dof_map >= 0)
+        for a in (coords, conn, interior):
+            a.flags.writeable = False
+        return coords, conn, interior
+
+    def node_coords(self) -> np.ndarray:
+        """(n_nodes, 2) array of fine node coordinates (read-only)."""
+        return self._geometry[0]
+
+    def cell_nodes(self) -> np.ndarray:
+        """(n_cells, 4) node ids per fine cell, counterclockwise from SW
+        (read-only)."""
+        return self._geometry[1]
 
     def interior_nodes(self) -> np.ndarray:
-        """Fine node ids carrying a DOF, in DOF order."""
-        return np.flatnonzero(self.fine_dof_map >= 0)
+        """Fine node ids carrying a DOF, in DOF order (read-only)."""
+        return self._geometry[2]
 
 
 def build_grids(coarse_n: int, refine: int) -> GridHierarchy:

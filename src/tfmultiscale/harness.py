@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from importlib import resources
 
 import numpy as np
@@ -16,7 +16,8 @@ from . import assembly, spaces, stability
 from .assembly import PermeabilityField, read_raster, write_raster
 from .fractional import make_kernel
 from .grid import build_grids
-from .schemes import Trajectory, fine_reference, reduce, run_scheme
+from .schemes import (ReducedSystem, Trajectory, fine_reference, reduce,
+                      run_scheme)
 
 ALL_SCHEMES = ("fine", "cem", "tildeU", "scem")
 
@@ -174,31 +175,32 @@ class ErrorSeries:
 
 def error_series(traj: Trajectory, basis, reference: Trajectory,
                  A_fine, M_fine) -> ErrorSeries:
-    """Lift a coarse trajectory to the fine space and compare at shared times."""
+    """Errors of ``traj`` against ``reference`` at the coarse time levels.
+
+    The coarse states are lifted to the fine space as ``states @ basis.R.T``
+    (taken as they are when ``basis`` is None) and compared with every
+    ``stride``-th reference state, ``stride`` being the ratio of the two
+    step counts.  Errors are relative in the ``M_fine`` (L2) and ``A_fine``
+    (energy) norms; at a level where either norm of the reference is zero
+    both errors are absolute and ``absolute`` is set.
+    """
     stride_f = reference.n_steps / traj.n_steps if traj.n_steps else 1
     stride = round(stride_f)
     if traj.n_steps == 0 or abs(stride_f - stride) > 1e-9:
         raise ValueError("reference and trajectory time grids are incompatible")
-    n = traj.states.shape[0]
-    err_l2 = np.zeros(n)
-    err_en = np.zeros(n)
-    absolute = np.zeros(n, dtype=bool)
-    R = basis.R if basis is not None else None
-    for k in range(n):
-        uf = R @ traj.states[k] if R is not None else traj.states[k]
-        ref = reference.states[k * stride]
-        d = uf - ref
-        dl2 = np.sqrt(max(d @ (M_fine @ d), 0.0))
-        den = np.sqrt(max(ref @ (M_fine @ ref), 0.0))
-        dan = np.sqrt(max(d @ (A_fine @ d), 0.0))
-        dena = np.sqrt(max(ref @ (A_fine @ ref), 0.0))
-        if den == 0.0 or dena == 0.0:
-            absolute[k] = True
-            err_l2[k] = dl2
-            err_en[k] = dan
-        else:
-            err_l2[k] = dl2 / den
-            err_en[k] = dan / dena
+    U = traj.states if basis is None else traj.states @ basis.R.T
+    ref = reference.states[::stride][:U.shape[0]]
+    D = U - ref
+
+    def norms(X, K):
+        # sqrt(x_k^T K x_k) for every row x_k of X, round-off clipped at 0
+        return np.sqrt(np.maximum(np.einsum("ij,ji->i", X, K @ X.T), 0.0))
+
+    err_l2, den = norms(D, M_fine), norms(ref, M_fine)
+    err_en, dena = norms(D, A_fine), norms(ref, A_fine)
+    absolute = (den == 0.0) | (dena == 0.0)
+    np.divide(err_l2, den, out=err_l2, where=~absolute)
+    np.divide(err_en, dena, out=err_en, where=~absolute)
     return ErrorSeries(err_l2=err_l2, err_energy=err_en, absolute=absolute)
 
 
@@ -259,34 +261,36 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trajectories["fine"] = fine_reference(
             grid, A, M, cfg.alpha, cfg.dt_fine, forcing, None, N * cfg.stride)
 
-    kernel = make_kernel(cfg.alpha, cfg.dt, N)
-
-    def reduced_loads(basis):
-        F = np.empty((N, basis.R.shape[1]))
-        for k in range(N):
-            F[k] = basis.R.T @ assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
-        return F
-
-    runs = {
-        "cem": ("implicit", cs.basis1),
-        "tildeU": ("implicit", cs.combined),
-        "scem": ("partial", cs.combined),
-    }
-    for name, (scheme, basis) in runs.items():
-        if name not in cfg.schemes:
-            continue
-        sys_r = sys_both if basis is cs.combined else reduce(A, M, basis)
-        u0 = np.zeros(basis.R.shape[1])
-        traj = run_scheme(scheme, sys_r, kernel, u0, reduced_loads(basis),
-                          space=name)
-        trajectories[name] = traj
+    # cem's space is the leading block of the combined one, so its system
+    # and its loads are the leading blocks of the combined ones.
+    n1 = cs.basis1.n
+    sys_cem = ReducedSystem(M=sys_both.M[:n1, :n1].copy(),
+                            A=sys_both.A[:n1, :n1].copy(), n1=n1, n2=0)
+    runs = {name: run for name, run in (
+        ("cem", ("implicit", cs.basis1, sys_cem)),
+        ("tildeU", ("implicit", cs.combined, sys_both)),
+        ("scem", ("partial", cs.combined, sys_both)),
+    ) if name in cfg.schemes}
+    if runs:
+        kernel = make_kernel(cfg.alpha, cfg.dt, N)
+        loads = np.stack([assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
+                          for k in range(N)])
+        F = loads @ cs.combined.R
+    for name, (scheme, basis, sys_r) in runs.items():
+        u0 = np.zeros(basis.n)
+        trajectories[name] = run_scheme(scheme, sys_r, kernel, u0,
+                                        F[:, :basis.n], space=name)
 
     errors = {}
     ref = trajectories.get("fine")
     for name, traj in trajectories.items():
         path = os.path.join(cfg.out_dir, f"trajectory_{name}.txt")
+        if name == "fine":
+            # Errors are only taken at the coarse time levels; dump those.
+            replace(traj, dt=cfg.dt, states=traj.states[::cfg.stride]).save(path)
+            continue
         traj.save(path)
-        if name == "fine" or ref is None or traj.diverged:
+        if ref is None or traj.diverged:
             continue
         basis = runs[name][1]
         errors[name] = error_series(traj, basis, ref, A, M)

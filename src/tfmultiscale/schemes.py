@@ -94,7 +94,8 @@ class Trajectory:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"# space={self.space} alpha={self.alpha:.17g} "
-                     f"dt={self.dt:.17g} diverged={int(self.diverged)}\n")
+                     f"dt={self.dt:.17g} diverged={int(self.diverged)} "
+                     f"diverged_step={self.diverged_step}\n")
             np.savetxt(fh, self.states, fmt="%.17g")
 
 
@@ -105,7 +106,8 @@ def load_trajectory(path) -> Trajectory:
         states = np.loadtxt(fh, ndmin=2)
     return Trajectory(space=meta["space"], alpha=float(meta["alpha"]),
                       dt=float(meta["dt"]), states=states,
-                      diverged=bool(int(meta.get("diverged", "0"))))
+                      diverged=bool(int(meta.get("diverged", "0"))),
+                      diverged_step=int(meta.get("diverged_step", "-1")))
 
 
 def _implicit_matrix(sys: ReducedSystem, alpha0: float):

@@ -264,6 +264,37 @@ def test_load_time_argument_passed():
     assert np.allclose(b1, 2.0 * b2)
 
 
+def _load_vector_add_at(g, f, t):
+    """Oracle: the load vector summed with np.add.at on geometry built here."""
+    nn = g.n_nodes_side
+    s = np.linspace(0.0, 1.0, nn)
+    X, Y = np.meshgrid(s, s, indexing="xy")
+    xy = np.column_stack([X.ravel(), Y.ravel()])
+    fn = np.asarray(f(xy[:, 0], xy[:, 1], t), dtype=float)
+    fn = np.broadcast_to(fn, (g.n_nodes,))
+    cx, cy = np.meshgrid(np.arange(g.n_fine), np.arange(g.n_fine), indexing="xy")
+    n0 = cy.ravel() * nn + cx.ravel()
+    conn = np.column_stack([n0, n0 + 1, n0 + nn + 1, n0 + nn])
+    out = np.zeros(g.n_nodes)
+    np.add.at(out, conn.ravel(), (fn[conn] @ element_mass(g.h).T).ravel())
+    return out[np.flatnonzero(g.fine_dof_map >= 0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse_n=st.integers(2, 4), refine=st.integers(2, 5),
+       t=st.floats(0.0, 10.0), c=st.floats(-1e3, 1e3),
+       kind=st.sampled_from(["constant", "smooth", "time-dependent"]))
+def test_load_vector_bit_identical_to_add_at(coarse_n, refine, t, c, kind):
+    forcings = {
+        "constant": lambda x, y, tt: c,
+        "smooth": lambda x, y, tt: 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y),
+        "time-dependent": lambda x, y, tt: c * np.exp(-tt) * x * (1 - y) + np.cos(tt * y),
+    }
+    g = build_grids(coarse_n, refine)
+    f = forcings[kind]
+    assert np.array_equal(load_vector(g, f, t), _load_vector_add_at(g, f, t))
+
+
 # ----------------------------------------------------------------------- raster
 
 def test_raster_round_trip_exact(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfmultiscale.grid import (GridHierarchy, build_grids,
                                element_interior_dofs, oversample)
@@ -115,3 +116,16 @@ def test_element_interior_dof_union_disjoint():
     all_dofs = np.concatenate([element_interior_dofs(g, i)
                                for i in range(g.n_coarse_elems)])
     assert len(all_dofs) == len(np.unique(all_dofs))
+
+
+@settings(max_examples=15, deadline=None)
+@given(coarse_n=st.integers(2, 4), refine=st.integers(2, 5))
+def test_geometry_built_once_and_read_only(coarse_n, refine):
+    g = build_grids(coarse_n, refine)
+    for get in (g.node_coords, g.cell_nodes, g.interior_nodes):
+        a = get()
+        assert get() is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1

@@ -5,14 +5,16 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from tfmultiscale import assembly, cli, spaces
+from tfmultiscale import assembly, cli, harness, spaces
 from tfmultiscale.grid import build_grids
 from tfmultiscale.harness import (ExperimentConfig, _field_from_config,
                                   channel_geometry, error_series,
                                   experiment_config, gen_field, gen_forcing,
                                   run_experiment)
-from tfmultiscale.schemes import Trajectory
+from tfmultiscale.schemes import Trajectory, load_trajectory, reduce
 
 
 # -------------------------------------------------------------------- fields
@@ -146,6 +148,61 @@ def test_error_series_incompatible_grids():
         error_series(traj, None, ref, np.eye(3), np.eye(3))
 
 
+def _error_series_loop(traj, basis, reference, A, M):
+    """Oracle: lift and compare one coarse time level at a time."""
+    stride = round(reference.n_steps / traj.n_steps)
+    n = traj.states.shape[0]
+    err_l2, err_en = np.zeros(n), np.zeros(n)
+    absolute = np.zeros(n, dtype=bool)
+    for k in range(n):
+        uf = traj.states[k] if basis is None else basis.R @ traj.states[k]
+        ref = reference.states[k * stride]
+        d = uf - ref
+        dl2 = np.sqrt(max(d @ (M @ d), 0.0))
+        den = np.sqrt(max(ref @ (M @ ref), 0.0))
+        dan = np.sqrt(max(d @ (A @ d), 0.0))
+        dena = np.sqrt(max(ref @ (A @ ref), 0.0))
+        if den == 0.0 or dena == 0.0:
+            absolute[k] = True
+            err_l2[k], err_en[k] = dl2, dan
+        else:
+            err_l2[k], err_en[k] = dl2 / den, dan / dena
+    return err_l2, err_en, absolute
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_fine=st.integers(2, 12), n_coarse=st.integers(1, 5),
+       n_steps=st.integers(1, 6), stride=st.integers(1, 3),
+       lifted=st.booleans(), sparse=st.booleans())
+def test_error_series_matches_per_step_loop(data, n_fine, n_coarse, n_steps,
+                                            stride, lifted, sparse):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.standard_normal((n_fine, n_fine))
+    A = B @ B.T + n_fine * np.eye(n_fine)
+    M = np.diag(rng.uniform(0.5, 2.0, n_fine))
+    if sparse:
+        A, M = sp.csr_matrix(A), sp.csr_matrix(M)
+    basis = None
+    width = n_fine
+    if lifted:
+        width = n_coarse
+        basis = spaces.ReducedBasis(R=rng.standard_normal((n_fine, n_coarse)),
+                                    col_elem=np.zeros(n_coarse, dtype=int),
+                                    col_index=np.arange(n_coarse),
+                                    tags=np.array(["cem"] * n_coarse))
+    ref_states = rng.standard_normal((n_steps * stride + 1, n_fine))
+    zero = data.draw(st.lists(st.integers(0, n_steps), max_size=3))
+    ref_states[[k * stride for k in zero]] = 0.0
+    traj = _traj(rng.standard_normal((n_steps + 1, width)), dt=0.1 * stride)
+    ref = _traj(ref_states, dt=0.1)
+    es = error_series(traj, basis, ref, A, M)
+    err_l2, err_en, absolute = _error_series_loop(traj, basis, ref, A, M)
+    np.testing.assert_allclose(es.err_l2, err_l2, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(es.err_energy, err_en, rtol=1e-12, atol=0)
+    assert np.array_equal(es.absolute, absolute)
+    assert absolute[zero].all()
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_json_round_trip(tmp_path):
@@ -236,6 +293,62 @@ def test_run_experiment_assembles_each_matrix_once(tmp_path, monkeypatch):
                         kinds.append(weight) or assemble(grid, field, weight))
     run_experiment(_tiny_config(tmp_path / "run"))
     assert sorted(kinds) == ["mass", "stiffness", "weighted_mass"]
+
+
+def test_run_experiment_fine_dump_holds_coarse_levels(tmp_path):
+    cfg = _tiny_config(tmp_path / "run")
+    assert cfg.stride > 1
+    result = run_experiment(cfg)
+    fine = result.trajectories["fine"]
+    assert fine.states.shape[0] == cfg.n_steps * cfg.stride + 1
+    dump = load_trajectory(tmp_path / "run" / "trajectory_fine.txt")
+    assert dump.states.shape[0] == cfg.n_steps + 1
+    assert dump.dt == cfg.dt
+    assert np.array_equal(dump.states, fine.states[::cfg.stride])
+
+
+def _record_tiny_run(tmp_path, monkeypatch):
+    """Run the tiny experiment; return its spaces and run_scheme's arguments
+    per space."""
+    built, runs = [], {}
+    build_spaces, run_scheme = spaces.build_spaces, harness.run_scheme
+    monkeypatch.setattr(spaces, "build_spaces",
+                        lambda *a: built.append(build_spaces(*a)) or built[-1])
+
+    def record(scheme, sys_r, kernel, u0, forcing, space=""):
+        runs[space] = (sys_r, forcing)
+        return run_scheme(scheme, sys_r, kernel, u0, forcing, space=space)
+
+    monkeypatch.setattr(harness, "run_scheme", record)
+    cfg = _tiny_config(tmp_path / "run")
+    run_experiment(cfg)
+    return cfg, built[0], runs
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_run_experiment_cem_system_is_its_own_reduction(tmp_path, monkeypatch):
+    cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
+    sys_cem = runs["cem"][0]
+    oracle = reduce(cs.A, cs.M, cs.basis1)
+    assert (sys_cem.n1, sys_cem.n2) == (oracle.n1, oracle.n2) == (cs.basis1.n, 0)
+    assert _rel(sys_cem.M, oracle.M) <= 1e-12
+    assert _rel(sys_cem.A, oracle.A) <= 1e-12
+
+
+def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
+    cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
+    grid = build_grids(cfg.coarse_n, cfg.refine)
+    forcing = harness._forcing_from_config(cfg)
+    for name, basis in (("cem", cs.basis1), ("tildeU", cs.combined),
+                        ("scem", cs.combined)):
+        F = runs[name][1]
+        assert F.shape == (cfg.n_steps, basis.n)
+        for k in range(cfg.n_steps):
+            oracle = basis.R.T @ assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
+            assert _rel(F[k], oracle) <= 1e-12
 
 
 def test_run_experiment_scheme_subset(tmp_path):

@@ -313,16 +313,42 @@ def test_fine_reference_zero_data():
 
 # ------------------------------------------------------------------- trajectory
 
+def _round_trip(traj, path):
+    traj.save(path)
+    back = load_trajectory(path)
+    assert back.space == traj.space
+    assert back.alpha == traj.alpha
+    assert back.dt == traj.dt
+    assert back.diverged == traj.diverged
+    assert back.diverged_step == traj.diverged_step
+    assert np.array_equal(back.states, traj.states)  # %.17g is exact
+    return back
+
+
 def test_trajectory_save_load_round_trip(tmp_path):
     sys_r = scalar_system(2.0)
     k = make_kernel(0.3, 0.02, 8)
     traj = run_scheme("implicit", sys_r, k, np.array([1.0]),
                       lambda _: np.ones(1), space="cem")
-    p = tmp_path / "traj.txt"
-    traj.save(p)
-    back = load_trajectory(p)
-    assert back.space == "cem"
-    assert back.alpha == traj.alpha
-    assert back.dt == traj.dt
+    back = _round_trip(traj, tmp_path / "traj.txt")
     assert not back.diverged
-    assert np.allclose(back.states, traj.states, rtol=1e-15)
+    assert back.diverged_step == -1
+
+
+def test_trajectory_save_load_round_trip_diverged(tmp_path):
+    # explicit far above its step bound: blows up within a few steps
+    sys_r = scalar_system(1e6)
+    k = make_kernel(0.5, 0.1, 50)
+    traj = run_scheme("explicit", sys_r, k, np.array([1.0]),
+                      lambda _: np.zeros(1), space="scem")
+    assert traj.diverged and 0 < traj.diverged_step < 50
+    back = _round_trip(traj, tmp_path / "traj.txt")
+    assert back.n_steps == traj.diverged_step
+
+
+def test_load_trajectory_without_diverged_step(tmp_path):
+    p = tmp_path / "old.txt"
+    p.write_text("# space=cem alpha=0.5 dt=0.1 diverged=0\n1 2\n3 4\n")
+    back = load_trajectory(p)
+    assert back.diverged_step == -1
+    assert np.array_equal(back.states, [[1.0, 2.0], [3.0, 4.0]])
