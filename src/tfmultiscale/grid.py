@@ -41,6 +41,31 @@ class OversamplePatch:
 
 
 @dataclass(frozen=True)
+class IndexMaps:
+    """Index maps of one grid and one oversampling depth, as read-only arrays.
+
+    ``interior[e]`` holds coarse element e's interior DOFs in ascending
+    order.  ``boundary[e]`` holds the DOFs of its 4r perimeter nodes in
+    lexicographic node order, -1 where the node lies on the outer boundary
+    (``boundary_mask`` is False there).  The skeleton is the set of DOFs on
+    coarse-element edges, ascending; ``skeleton_pos`` gives each DOF's
+    position in it or -1.  Patch i (element i enlarged by ``layers`` rings)
+    has DOFs ``patch_dofs[i]`` (ascending, strictly inside the patch), of
+    which those on the skeleton sit at positions ``patch_skeleton[i]``;
+    ``in_patch[i, e]`` tells whether element e lies in patch i.
+    """
+
+    interior: np.ndarray
+    boundary: np.ndarray
+    boundary_mask: np.ndarray
+    skeleton: np.ndarray
+    skeleton_pos: np.ndarray
+    patch_dofs: tuple
+    patch_skeleton: tuple
+    in_patch: np.ndarray
+
+
+@dataclass(frozen=True)
 class GridHierarchy:
     """Uniform coarse/fine mesh pair with DOF maps.
 
@@ -124,6 +149,69 @@ class GridHierarchy:
         """Fine node ids carrying a DOF, in DOF order (read-only)."""
         return self._geometry[2]
 
+    @cached_property
+    def _element_maps(self) -> tuple:
+        """Interior and padded boundary DOFs of every coarse element, and the
+        skeleton with each DOF's position in it (see :class:`IndexMaps`)."""
+        cn, r, nn = self.coarse_n, self.refine, self.n_nodes_side
+        ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
+        on_perimeter = (lx % r == 0) | (ly % r == 0)
+        cy, cx = np.divmod(np.arange(cn * cn), cn)
+        nodes = (cy[:, None] * r + ly) * nn + cx[:, None] * r + lx
+        closure = self.fine_dof_map[nodes]
+        interior = np.ascontiguousarray(closure[:, ~on_perimeter])
+        boundary = np.ascontiguousarray(closure[:, on_perimeter])
+        dof_nodes = self.interior_nodes()
+        skeleton = np.flatnonzero((dof_nodes % nn % r == 0)
+                                  | (dof_nodes // nn % r == 0))
+        skeleton_pos = np.full(self.n_dofs, -1)
+        skeleton_pos[skeleton] = np.arange(len(skeleton))
+        out = (interior, boundary, boundary >= 0, skeleton, skeleton_pos)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    def index_maps(self, layers: int) -> IndexMaps:
+        """The element, skeleton and patch index maps for ``layers`` rings of
+        oversampling, built with numpy on first use and cached per value."""
+        if layers < 0:
+            raise ValueError(f"layers must be >= 0, got {layers}")
+        cache = self.__dict__.setdefault("_index_maps", {})
+        if layers not in cache:
+            cache[layers] = self._build_index_maps(layers)
+        return cache[layers]
+
+    def _build_index_maps(self, layers: int) -> IndexMaps:
+        cn, r = self.coarse_n, self.refine
+        interior, boundary, mask, skeleton, skeleton_pos = self._element_maps
+        # Interior DOFs form an (n_fine - 1)^2 grid, x fastest; patch i's
+        # DOFs are a rectangle of it, listed row by row.
+        dof_grid = np.arange(self.n_dofs).reshape(self.n_fine - 1, -1)
+        c = np.arange(cn)
+        lo = np.maximum(c - layers, 0)
+        hi = np.minimum(c + layers, cn - 1)
+        patch_dofs, patch_skeleton = [], []
+        for i in range(cn * cn):
+            cy, cx = divmod(i, cn)
+            dofs = dof_grid[lo[cy] * r:(hi[cy] + 1) * r - 1,
+                            lo[cx] * r:(hi[cx] + 1) * r - 1].ravel()
+            pos = skeleton_pos[dofs]
+            pos = pos[pos >= 0]
+            for a in (dofs, pos):
+                a.flags.writeable = False
+            patch_dofs.append(dofs)
+            patch_skeleton.append(pos)
+        near = np.abs(c[:, None] - c[None, :]) <= layers
+        in_patch = (near[:, None, :, None] & near[None, :, None, :]).reshape(
+            cn * cn, cn * cn)
+        in_patch.flags.writeable = False
+        return IndexMaps(interior=interior, boundary=boundary,
+                         boundary_mask=mask, skeleton=skeleton,
+                         skeleton_pos=skeleton_pos,
+                         patch_dofs=tuple(patch_dofs),
+                         patch_skeleton=tuple(patch_skeleton),
+                         in_patch=in_patch)
+
 
 def build_grids(coarse_n: int, refine: int) -> GridHierarchy:
     """Build the nested hierarchy; rejects degenerate decompositions."""
@@ -158,18 +246,9 @@ def build_grids(coarse_n: int, refine: int) -> GridHierarchy:
 
 
 def element_interior_dofs(grid: GridHierarchy, i: int) -> np.ndarray:
-    """Global DOF ids of fine nodes strictly inside coarse element i."""
-    cn = grid.coarse_n
-    r = grid.refine
-    nn = grid.n_nodes_side
-    cy, cx = divmod(i, cn)
-    gx = np.arange(cx * r + 1, (cx + 1) * r)
-    gy = np.arange(cy * r + 1, (cy + 1) * r)
-    GX, GY = np.meshgrid(gx, gy, indexing="xy")
-    nodes = (GY * nn + GX).ravel()
-    dofs = grid.fine_dof_map[nodes]
-    assert np.all(dofs >= 0)
-    return dofs
+    """Global DOF ids of fine nodes strictly inside coarse element i
+    (ascending, read-only)."""
+    return grid._element_maps[0][i]
 
 
 def oversample(grid: GridHierarchy, i: int, layers: int) -> OversamplePatch:
@@ -177,26 +256,10 @@ def oversample(grid: GridHierarchy, i: int, layers: int) -> OversamplePatch:
     cn = grid.coarse_n
     if not (0 <= i < grid.n_coarse_elems):
         raise IndexError(f"coarse element index {i} out of range")
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
-
+    maps = grid.index_maps(layers)
     cy, cx = divmod(i, cn)
-    cx0 = max(cx - layers, 0)
-    cx1 = min(cx + layers, cn - 1)
-    cy0 = max(cy - layers, 0)
-    cy1 = min(cy + layers, cn - 1)
-    EX, EY = np.meshgrid(np.arange(cx0, cx1 + 1), np.arange(cy0, cy1 + 1), indexing="xy")
-    elements = (EY * cn + EX).ravel()
-
-    r = grid.refine
-    nn = grid.n_nodes_side
-    gx = np.arange(cx0 * r + 1, (cx1 + 1) * r)
-    gy = np.arange(cy0 * r + 1, (cy1 + 1) * r)
-    GX, GY = np.meshgrid(gx, gy, indexing="xy")
-    nodes = (GY * nn + GX).ravel()
-    dofs = grid.fine_dof_map[nodes]
-    dofs = dofs[dofs >= 0]
-
-    return OversamplePatch(center=i, layers=layers, cx0=cx0, cx1=cx1,
-                           cy0=cy0, cy1=cy1, elements=elements,
-                           local_dofs=np.sort(dofs))
+    return OversamplePatch(center=i, layers=layers,
+                           cx0=max(cx - layers, 0), cx1=min(cx + layers, cn - 1),
+                           cy0=max(cy - layers, 0), cy1=min(cy + layers, cn - 1),
+                           elements=np.flatnonzero(maps.in_patch[i]),
+                           local_dofs=maps.patch_dofs[i])

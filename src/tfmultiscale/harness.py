@@ -6,6 +6,7 @@ CSV and raster outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from importlib import resources
@@ -39,6 +40,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("T", "dt", "dt_fine"):
+            _require_finite_positive(name, getattr(self, name))
+        if "contrast" in self.field:
+            _require_finite_positive("field contrast", self.field["contrast"])
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-9 * max(n, 1):
             raise ValueError("dt must divide T")
@@ -78,6 +83,15 @@ class ExperimentConfig:
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
+
+
+def _require_finite_positive(name: str, value) -> None:
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def gen_field(kind: str, nx: int = 100, ny: int = 100, contrast: float = 1e5,
@@ -134,10 +148,19 @@ def channel_geometry(nx: int, ny: int, seed: int = 0, n_channels: int = 4,
 def gen_forcing(kind: str, values=None, square=(0.3, 0.7), levels=(0.0, 1.0)):
     """Space-time forcing callables f(x, y, t).
 
-    smooth: 2 pi^2 sin(pi x) sin(pi y), time-independent.
+    smooth: 2 pi^2 sin(pi x) sin(pi y).
     discontinuous: two-level indicator on an axis-aligned square.
-    custom: a user raster of nodal values, time-independent.
+    custom: a user raster of nodal values.
+
+    None of them depends on t, and each is marked so with a true
+    ``time_independent`` attribute: a run then builds its load once.
     """
+    f = _forcing(kind, values, square, levels)
+    f.time_independent = True
+    return f
+
+
+def _forcing(kind, values, square, levels):
     if kind == "smooth":
         def f(x, y, t):
             return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -273,9 +296,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ) if name in cfg.schemes}
     if runs:
         kernel = make_kernel(cfg.alpha, cfg.dt, N)
-        loads = np.stack([assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
-                          for k in range(N)])
-        F = loads @ cs.combined.R
+        if getattr(forcing, "time_independent", False):
+            load = assembly.load_vector(grid, forcing, cfg.dt)
+            F = np.broadcast_to(load @ cs.combined.R, (N, cs.combined.n))
+        else:
+            loads = np.stack([assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
+                              for k in range(N)])
+            F = loads @ cs.combined.R
     for name, (scheme, basis, sys_r) in runs.items():
         u0 = np.zeros(basis.n)
         trajectories[name] = run_scheme(scheme, sys_r, kernel, u0,

@@ -201,13 +201,21 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
 def fine_reference(grid: GridHierarchy, A, M, alpha: float, dt_fine: float,
                    forcing, u0, n_steps: int) -> Trajectory:
     """Implicit reference run on the full fine space at step dt_fine, with
-    the fine stiffness ``A`` and mass ``M``."""
+    the fine stiffness ``A`` and mass ``M``.  A forcing with a true
+    ``time_independent`` attribute has its load built at the first step and
+    reused; any other forcing gets one load per step."""
     sys = ReducedSystem(M=M, A=A, n1=grid.n_dofs, n2=0)
     kernel = make_kernel(alpha, dt_fine, n_steps)
     if u0 is None:
         u0 = np.zeros(grid.n_dofs)
+    constant = getattr(forcing, "time_independent", False)
+    built = []
 
     def loads(k):
-        return assembly.load_vector(grid, forcing, (k + 1) * dt_fine)
+        if not constant:
+            return assembly.load_vector(grid, forcing, (k + 1) * dt_fine)
+        if not built:
+            built.append(assembly.load_vector(grid, forcing, dt_fine))
+        return built[0]
 
     return run_scheme("implicit", sys, kernel, u0, loads, space="fine")

@@ -19,14 +19,20 @@ Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
 (static condensation, :func:`_condense`); a patch then solves only a sparse
-SPD system on the fine DOFs of the coarse edges inside it, and every column
-is checked against the residuals of its full patch saddle system.
+SPD system on the fine DOFs of the coarse edges inside it.  The columns of
+a basis are then lifted to the fine space and checked against the
+residuals of their full patch saddle systems, a chunk of columns at a time.
+
+Element, skeleton and patch index sets come from the grid's cached
+:meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
+read from its compressed structure in one gather (:func:`_blocks`), and
+every patch block in one extraction (:func:`_principal`), instead of by
+chained scipy fancy indexing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import assembly
-from .grid import GridHierarchy, element_interior_dofs, oversample
+from .grid import GridHierarchy, IndexMaps
 from .linalg import SolveError, _sparse_lu
 
 DEFAULT_LAYERS = 2
@@ -140,19 +146,23 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
     auxiliary space).  The kernel is spanned by an explicit null-space basis
-    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.
+    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.  Every
+    element block is taken from the grid's index maps in one gather per
+    matrix.
     """
-    values, rows, cols, data = [], [], [], []
-    for i in range(grid.n_coarse_elems):
-        dofs = element_interior_dofs(grid, i)
-        Aloc = A[dofs][:, dofs].toarray()
-        Bloc = B[dofs][:, dofs].toarray()
+    interior = grid.index_maps(0).interior      # the same for every layers
+    ne, ni = interior.shape
+    A_blocks, B_blocks = _blocks(A, interior, interior), _blocks(B, interior, interior)
+    if constraint is not None:
+        own = _by_element(constraint.col_elem, ne)
+        V_blocks = _blocks(constraint.vectors.T, own, interior)
+        W_blocks = _blocks(constraint.weight, interior, interior)
+    values, data = [], np.empty((ne, ni, k))
+    for i in range(ne):
+        Aloc, Bloc = A_blocks[i], B_blocks[i]
         try:
             if constraint is not None:
-                own = np.flatnonzero(constraint.col_elem == i)
-                Cloc = (constraint.vectors[dofs][:, own].toarray().T
-                        @ constraint.weight[dofs][:, dofs].toarray())
-                Z = sla.null_space(Cloc)
+                Z = sla.null_space(V_blocks[i] @ W_blocks[i])
                 if Z.shape[1] < k:
                     raise SolveError(
                         f"element {i}: requested {k} constrained eigenpairs, "
@@ -163,24 +173,90 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
             raise SolveError(f"local eigenproblem failed on coarse element "
                              f"{i} ({exc})") from exc
         values.append(vals)
-        rows.append(np.repeat(dofs, k))
-        cols.append(np.tile(np.arange(i * k, (i + 1) * k), len(dofs)))
-        data.append((vecs if constraint is None else Z @ vecs).ravel())
-    ne = grid.n_coarse_elems
-    vectors = sp.csc_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                    np.concatenate(cols))),
+        data[i] = vecs if constraint is None else Z @ vecs
+    cols = np.arange(ne)[:, None] * k + np.tile(np.arange(k), ni)
+    vectors = sp.csc_matrix((data.ravel(), (np.repeat(interior.ravel(), k),
+                                            cols.ravel())),
                             shape=(grid.n_dofs, ne * k))
     return AuxSpace(values=values, vectors=vectors, weight=B, A=A,
                     col_elem=np.repeat(np.arange(ne), k),
                     col_index=np.tile(np.arange(k), ne))
 
 
+def _by_element(labels, n_elems: int) -> np.ndarray:
+    """Per element e, the ascending indices of ``labels == e``, padded with -1
+    to an (n_elems, most) table."""
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=n_elems)
+    order = np.argsort(labels, kind="stable")
+    table = np.full((n_elems, counts.max(initial=0)), -1)
+    table[labels[order], np.arange(len(labels))
+          - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    return table
+
+
+def _row_entries(X, rows):
+    """Positions in ``X.indices``/``X.data`` of every entry of the compressed
+    rows (CSR) or columns (CSC) ``rows``, one after another, and each one's
+    entry count."""
+    start = X.indptr[rows]
+    count = X.indptr[rows + 1] - start
+    return (np.repeat(start - np.cumsum(count) + count, count)
+            + np.arange(count.sum())), count
+
+
+def _blocks(X, rows, cols) -> np.ndarray:
+    """Dense blocks ``X[rows[e]][:, cols[e]]`` stacked over e, read from the
+    sparse structure of X (without duplicate entries) in one gather; an
+    index of -1 pads with zeros.  The column indices of each block must be
+    distinct."""
+    X = sp.csr_matrix(X)
+    n = X.shape[1]
+    out = np.zeros((len(rows), rows.shape[1], cols.shape[1]))
+    e, p = np.nonzero(rows >= 0)
+    ce, cq = np.nonzero(cols >= 0)
+    if not len(e) or not len(ce):
+        return out
+    k, count = _row_entries(X, rows[e, p])
+    e, p = np.repeat(e, count), np.repeat(p, count)
+    # Locate each entry's column in its own block's column list.
+    keys = ce * n + cols[ce, cq]
+    order = np.argsort(keys)
+    keys, cq = keys[order], cq[order]
+    probe = e * n + X.indices[k]
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    hit = keys[at] == probe
+    out[e[hit], p[hit], cq[at[hit]]] = X.data[k[hit]]
+    return out
+
+
+def _principal(X, idx):
+    """The principal submatrix ``X[idx][:, idx]`` of a square canonical CSR
+    or CSC matrix for ascending ``idx``, in the same format; its arrays are
+    those scipy's indexing would give."""
+    k, count = _row_entries(X, idx)
+    where = np.full(X.shape[0], -1, dtype=X.indices.dtype)
+    where[idx] = np.arange(len(idx))
+    q = where[X.indices[k]]
+    keep = np.flatnonzero(q >= 0)
+    # Entries kept per row: count those before each row's end.
+    indptr = np.zeros(len(idx) + 1, dtype=keep.dtype)
+    indptr[1:] = np.searchsorted(keep, np.cumsum(count))
+    return type(X)((X.data[k[keep]], q[keep], indptr),
+                   shape=(len(idx), len(idx)))
+
+
 def _moments(aux: AuxSpace):
     """Constraint rows (weight @ vectors)^T of an auxiliary space, and per
-    element the moments of its own functions against its own rows."""
+    element the moments of its own functions against its own rows.
+
+    Each function lives on its element's interior and each row on its
+    element's closure, so the moment matrix is block diagonal and one
+    product gives every element's block.
+    """
     WV = (aux.weight @ aux.vectors).tocsc()
-    own = [np.flatnonzero(aux.col_elem == i) for i in range(len(aux.values))]
-    return WV.T, [(aux.vectors[:, o].T @ WV[:, o]).toarray() for o in own]
+    own = _by_element(aux.col_elem, len(aux.values))
+    return WV.T, list(_blocks(aux.vectors.T @ WV, own, own))
 
 
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -212,8 +288,8 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     """
     C1 = (aux1.weight @ aux1.vectors).tocsc().T
     C2, moments = _moments(aux2)
-    targets = [np.vstack([np.zeros((np.count_nonzero(aux1.col_elem == i),
-                                    g.shape[1])), g])
+    first = np.bincount(aux1.col_elem, minlength=len(moments))
+    targets = [np.vstack([np.zeros((first[i], g.shape[1])), g])
                for i, g in enumerate(moments)]
     row_elem = np.concatenate([aux1.col_elem, aux2.col_elem])
     try:
@@ -224,6 +300,11 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     return ReducedBasis(R=R, col_elem=aux2.col_elem.copy(),
                         col_index=aux2.col_index.copy(),
                         tags=np.array(["v2"] * aux2.total))
+
+
+# Columns lifted and checked together: the checks hold a few
+# (n_dofs, CHECK_COLUMNS) arrays.
+CHECK_COLUMNS = 64
 
 
 def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
@@ -240,13 +321,15 @@ def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
-    A patch then only factors the skeleton operator S on its interior
-    skeleton (SPD) by :func:`linalg._sparse_lu`, solves its right-hand sides
-    as one block with one refinement step and lifts x = E x_S + Z_i.  Each
-    column's constraint and stationarity residuals on the full patch saddle
-    system are then checked, and the first failing column is reported.
+    Patch i then factors the skeleton operator S on its interior skeleton
+    (SPD) by :func:`linalg._sparse_lu`, in element order, and solves its
+    right-hand sides as one block with one refinement step.  The skeleton
+    solutions of all patches are then lifted, x = E x_S + Z_i, and every
+    column's constraint and stationarity residuals on its full patch saddle
+    system are checked, a chunk of columns at a time; the first failing
+    column in element-major order is reported.
     """
-    n = grid.n_dofs
+    maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
     C = sp.csr_matrix(C)
     row_elem = np.asarray(row_elem)
@@ -255,127 +338,163 @@ def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
     if np.any(norms <= 0):
         bad = int(np.flatnonzero(norms <= 0)[0])
         raise SolveError(f"on element {row_elem[bad]}: zero constraint row {bad}")
-    pos, S, E, F, parts = _condense(grid, A, (sp.diags(1.0 / norms) @ C).tocsr(),
-                                    row_elem, targets, norms)
+    start = np.concatenate([[0], np.cumsum([np.shape(g)[1] for g in targets])])
+    # R is allocated before the condensation's large temporaries: allocated
+    # after them, it keeps their freed heap resident (on experiment 1 the
+    # process peak RSS rose by about 18 MB).
+    R = np.zeros((grid.n_dofs, start[-1]))
+    Cs = C.copy()
+    Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
+    rows, S, E, F, Z, WZ = _condense(maps, A, Cs, row_elem, targets, norms)
 
+    XS = np.zeros((S.shape[0], start[-1]))
+    S = S.tocsc()
+    for i, sk in enumerate(maps.patch_skeleton):
+        if not len(sk):
+            continue
+        # Element i's boundary skeleton carries its right-hand sides; take
+        # the part inside the patch's skeleton (all of it when layers >= 1).
+        b = maps.skeleton_pos[maps.boundary[i][maps.boundary_mask[i]]]
+        at = np.minimum(np.searchsorted(sk, b), len(sk) - 1)
+        hit = sk[at] == b
+        rhs = np.zeros((len(sk), WZ[i].shape[1]))
+        rhs[at[hit]] = -WZ[i][hit]
+        SP = _principal(S, sk)
+        lu = _sparse_lu(SP)
+        xs = lu.solve(rhs)
+        xs += lu.solve(rhs - SP @ xs)
+        XS[sk, start[i]:start[i + 1]] = xs
+
+    # Lift and check the columns of a few elements at a time, so that no
+    # (n_dofs, total) array but R is held.
+    nI = maps.interior.shape[1]
     diag = np.abs(A.diagonal())
-    R = np.zeros((n, sum(np.shape(g)[1] for g in targets)))
-    col = 0
-    for i, (interior, rows, Z, bpos, WZ) in enumerate(parts):
-        patch = oversample(grid, i, layers)
-        dofs = patch.local_dofs
-        sk = pos[dofs]
-        sk = sk[sk >= 0]
-        k = Z.shape[1]
-        rhs = np.zeros((S.shape[0], k))
-        rhs[bpos] = -WZ
-        xs = np.zeros_like(rhs)
-        if len(sk):
-            SP = S[sk][:, sk]
-            lu = _sparse_lu(SP)
-            xs[sk] = lu.solve(rhs[sk])
-            xs[sk] += lu.solve(rhs[sk] - SP @ xs[sk])
-        X = E @ xs
-        mu = F @ xs
-        X[interior] += Z[:len(interior)]
-        mu[rows] += Z[len(interior):]
-
-        # Residuals of the full patch saddle system, rows equilibrated on
-        # the patch.  X vanishes outside the patch, so global products equal
-        # the patch ones.
-        prow = np.isin(row_elem, patch.elements)
-        inside = np.zeros(n)
-        inside[dofs] = 1.0
-        pnorms = np.sqrt(C2 @ inside)[prow][:, None]
+    ne = len(targets)
+    col_elem = np.repeat(np.arange(ne), np.diff(start))
+    step = max(1, CHECK_COLUMNS // max(int(np.diff(start).max()), 1))
+    for e0 in range(0, ne, step):
+        e1 = min(e0 + step, ne)
+        c0, c1 = start[e0], start[e1]
+        R[:, c0:c1] = E @ XS[:, c0:c1]
+        mu = F @ XS[:, c0:c1]
         G = np.zeros_like(mu)
-        G[rows] = targets[i]
-        Gs = G[prow] / pnorms
-        res = np.linalg.norm((C @ X)[prow] / pnorms - Gs, axis=0)
-        lam = np.where(prow[:, None], mu / norms[:, None], 0.0)
-        res2 = np.linalg.norm((A @ X + C.T @ lam)[dofs], axis=0)
+        inside = np.zeros((grid.n_dofs, c1 - c0))
+        diag_max = np.empty(c1 - c0)
+        for e in range(e0, e1):
+            cols = slice(start[e] - c0, start[e + 1] - c0)
+            r = rows[e][rows[e] >= 0]
+            R[maps.interior[e], start[e]:start[e + 1]] += Z[e][:nI]
+            mu[r, cols] += Z[e][nI:]
+            G[r, cols] = targets[e]
+            inside[maps.patch_dofs[e], cols] = 1.0
+            diag_max[cols] = diag[maps.patch_dofs[e]].max()
+        X = R[:, c0:c1]
+        # Rows of the elements in each column's patch, equilibrated on the
+        # patch.  X vanishes outside its patch, so global products equal
+        # the patch ones.
+        prow = maps.in_patch[col_elem[c0:c1]][:, row_elem].T
+        pn = np.sqrt(C2 @ inside)
+        Gs = np.divide(G, pn, out=np.zeros_like(G), where=prow)
+        res = np.linalg.norm(np.divide(C @ X, pn, out=np.zeros_like(G),
+                                       where=prow) - Gs, axis=0)
+        lam = np.where(prow, mu / norms[:, None], 0.0)
+        res2 = np.linalg.norm(np.where(inside > 0, A @ X + C.T @ lam, 0.0),
+                              axis=0)
         scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
-        stat_scale = np.maximum(scale, diag[dofs].max())
+        stat_scale = np.maximum(scale, diag_max)
         # Tested as "within tolerance" so that a NaN residual fails too.
         ok = (res <= tol * scale) & (res2 <= tol * stat_scale)
         if not ok.all():
-            j = int(np.flatnonzero(~ok)[0])
-            raise SolveError(f"on element {i}: column {j}: constraint residual "
-                             f"{res[j]:.3e}, stationarity residual {res2[j]:.3e}, "
+            j = c0 + int(np.flatnonzero(~ok)[0])
+            i = col_elem[j]
+            raise SolveError(f"on element {i}: column {j - start[i]}: "
+                             f"constraint residual {res[j - c0]:.3e}, "
+                             f"stationarity residual {res2[j - c0]:.3e}, "
                              f"above {tol:.1e}")
-        R[:, col:col + k] = X
-        col += k
     return R
 
 
-def _condense(grid: GridHierarchy, A, Cs, row_elem, targets, norms):
+def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
     interior DOFs I and multipliers are coupled to the rest only through its
     boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated by a
-    dense LU of its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  Returns
-    the skeleton, the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e,
-    the maps E (skeleton values to the full vector, the identity on the
-    skeleton) and F (skeleton values to multipliers), and per element
-    (I, its rows, Z_e, B's skeleton positions, W_e^T Z_e), where Z_e solves
-    K_e Z_e = [0; g_e] for the element's own equilibrated targets.  The
-    skeleton is given as ``pos``, each DOF's position in it or -1.
-    """
-    n = grid.n_dofs
-    nodes = grid.interior_nodes()
-    nn, r = grid.n_nodes_side, grid.refine
-    on_skel = (nodes % nn % r == 0) | (nodes // nn % r == 0)
-    skel = np.flatnonzero(on_skel)
-    pos = np.full(n, -1)
-    pos[skel] = np.arange(len(skel))
+    dense LU of its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  The
+    blocks of A and of the equilibrated constraints ``Cs`` on every element
+    are gathered in one go through the grid's index maps, each K_e is
+    factored and solved in element order, and S, E and F are each assembled
+    from the stacked results once.
 
-    S_tri, E_tri, F_tri = ([], [], []), ([], [], []), ([], [], [])
-    parts = []
-    for e in range(grid.n_coarse_elems):
-        rows = np.flatnonzero(row_elem == e)
-        I = element_interior_dofs(grid, e)
-        closure = grid.fine_dof_map[grid.elem_maps[e][1]]
-        B = closure[np.isin(closure, skel)]
-        D = np.concatenate([I, B])
-        nI, m = len(I), len(rows)
-        AD = A[D][:, D].toarray()
-        CD = Cs[rows][:, D].toarray()
-        K = np.zeros((nI + m, nI + m))
-        K[:nI, :nI] = AD[:nI, :nI]
-        K[:nI, nI:] = CD[:, :nI].T
-        K[nI:, :nI] = CD[:, :nI]
-        W = np.vstack([AD[:nI, nI:], CD[:, nI:]])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sla.LinAlgWarning)
-                lu = sla.lu_factor(K)
-        except sla.LinAlgWarning as exc:
+    Returns each element's rows (an -1-padded table), the skeleton operator
+    S = A_SS - sum_e W_e^T K_e^-1 W_e, the maps E (skeleton values to the
+    full vector, the identity on the skeleton) and F (skeleton values to
+    multipliers), and per element Z_e, which solves K_e Z_e = [0; g_e] for
+    the element's own equilibrated targets, and W_e^T Z_e.
+    """
+    interior, boundary, mask = maps.interior, maps.boundary, maps.boundary_mask
+    skel, pos = maps.skeleton, maps.skeleton_pos
+    ne, nI = interior.shape
+    nb = boundary.shape[1]
+    rows = _by_element(row_elem, ne)
+    D = np.hstack([interior, boundary])
+    AD = _blocks(A, interior, D)
+    CD = _blocks(Cs, rows, D)
+
+    # LAPACK's LU, as scipy.linalg.lu_factor and lu_solve call it.
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (AD,))
+    S_blocks = np.zeros((ne, nb, nb))
+    E_blocks = np.zeros((ne, nI, nb))
+    F_blocks = np.zeros((ne, rows.shape[1], nb))
+    Z, WZ = [], []
+    for e in range(ne):
+        r = rows[e][rows[e] >= 0]
+        m, b = len(r), mask[e]
+        CI = CD[e, :m, :nI]
+        K = np.zeros((nI + m, nI + m), order="F")
+        K[:nI, :nI] = AD[e, :, :nI]
+        K[:nI, nI:] = CI.T
+        K[nI:, :nI] = CI
+        # C order, as BLAS rounds W^T Y differently for other layouts.
+        W = np.ascontiguousarray(np.vstack([AD[e, :, nI:], CD[e, :m, nI:]])[:, b])
+        lu, piv, info = getrf(K, overwrite_a=True)
+        if info > 0:
             raise SolveError(f"on element {e}: singular local saddle block "
-                             f"({exc})") from exc
-        Y = sla.lu_solve(lu, W)
-        g = np.asarray(targets[e], dtype=float) / norms[rows][:, None]
+                             f"(diagonal number {info} is exactly zero)")
+        Y = getrs(lu, piv, W)[0]
+        g = np.asarray(targets[e], dtype=float) / norms[r][:, None]
         # Non-finite targets are left to the residual check, which names
         # the column.
-        Z = sla.lu_solve(lu, np.vstack([np.zeros((nI, g.shape[1])), g]),
-                         check_finite=False)
-        b = pos[B]
-        for tri, rr, vals in ((S_tri, b, -(W.T @ Y)), (E_tri, I, -Y[:nI]),
-                              (F_tri, rows, -Y[nI:])):
-            tri[0].append(np.repeat(rr, len(b)))
-            tri[1].append(np.tile(b, len(rr)))
-            tri[2].append(vals.ravel())
-        parts.append((I, rows, Z, b, W.T @ Z))
+        Ze = getrs(lu, piv, np.vstack([np.zeros((nI, g.shape[1])), g]))[0]
+        S_blocks[e][np.ix_(b, b)] = -(W.T @ Y)
+        E_blocks[e][:, b] = -Y[:nI]
+        F_blocks[e, :m][:, b] = -Y[nI:]
+        Z.append(Ze)
+        WZ.append(W.T @ Ze)
 
-    def assemble(tri, shape):
-        return sp.csr_matrix((np.concatenate(tri[2]), (np.concatenate(tri[0]),
-                              np.concatenate(tri[1]))), shape=shape)
+    bpos = pos[boundary]
+
+    def assemble(blocks, block_rows, valid, shape, first=((), (), ())):
+        # Entries element by element, each block row-major, after ``first``.
+        full = (ne,) + blocks.shape[1:]
+        keep = np.broadcast_to(valid, full)
+        return sp.csr_matrix((
+            np.concatenate([first[0], blocks[keep]]),
+            (np.concatenate([first[1], np.broadcast_to(block_rows[:, :, None],
+                                                       full)[keep]]),
+             np.concatenate([first[2], np.broadcast_to(bpos[:, None, :],
+                                                       full)[keep]]))),
+            shape=shape)
 
     ns = len(skel)
-    S = (A[skel][:, skel] + assemble(S_tri, (ns, ns))).tocsr()
-    identity = sp.csr_matrix((np.ones(ns), (skel, np.arange(ns))), shape=(n, ns))
-    E = identity + assemble(E_tri, (n, ns))
-    F = assemble(F_tri, (Cs.shape[0], ns))
-    return pos, S, E, F, parts
+    S = (_principal(A, skel) + assemble(S_blocks, bpos, mask[:, :, None]
+                                     & mask[:, None, :], (ns, ns))).tocsr()
+    # The identity on the skeleton shares no entry with the interior rows.
+    E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),
+                 first=(np.ones(ns), skel, np.arange(ns)))
+    F = assemble(F_blocks, rows, (rows >= 0)[:, :, None] & mask[:, None, :],
+                 (Cs.shape[0], ns))
+    return rows, S, E, F, Z, WZ
 
 
 def field_checksum(field_: assembly.PermeabilityField) -> str:

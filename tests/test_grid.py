@@ -129,3 +129,56 @@ def test_geometry_built_once_and_read_only(coarse_n, refine):
             a[0] = a[-1]
         with pytest.raises(ValueError, match="read-only"):
             a += 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(coarse_n=st.integers(2, 5), refine=st.integers(2, 6),
+       layers=st.integers(0, 3))
+def test_index_maps_match_direct_construction(coarse_n, refine, layers):
+    g = build_grids(coarse_n, refine)
+    maps = g.index_maps(layers)
+    nn, r = g.n_nodes_side, refine
+    nodes = g.interior_nodes()
+    x, y = nodes % nn, nodes // nn
+    on_skel = (x % r == 0) | (y % r == 0)
+    assert np.array_equal(maps.skeleton, np.flatnonzero(on_skel))
+    pos = np.full(g.n_dofs, -1)
+    pos[on_skel] = np.arange(on_skel.sum())
+    assert np.array_equal(maps.skeleton_pos, pos)
+    assert maps.boundary.shape == (g.n_coarse_elems, 4 * r)
+    assert np.array_equal(maps.boundary_mask, maps.boundary >= 0)
+    for i in range(g.n_coarse_elems):
+        cy, cx = divmod(i, coarse_n)
+        inside = (x > cx * r) & (x < (cx + 1) * r) & (y > cy * r) & (y < (cy + 1) * r)
+        assert np.array_equal(maps.interior[i], np.flatnonzero(inside))
+        assert np.array_equal(element_interior_dofs(g, i), np.flatnonzero(inside))
+        closure = g.fine_dof_map[g.elem_maps[i][1]]
+        assert np.array_equal(maps.boundary[i][maps.boundary_mask[i]],
+                              closure[np.isin(closure, np.flatnonzero(on_skel))])
+        x0, x1 = max(cx - layers, 0), min(cx + layers, coarse_n - 1)
+        y0, y1 = max(cy - layers, 0), min(cy + layers, coarse_n - 1)
+        dofs = np.flatnonzero((x > x0 * r) & (x < (x1 + 1) * r)
+                              & (y > y0 * r) & (y < (y1 + 1) * r))
+        assert np.array_equal(maps.patch_dofs[i], dofs)
+        assert np.array_equal(oversample(g, i, layers).local_dofs, dofs)
+        assert np.array_equal(maps.patch_skeleton[i], pos[dofs][pos[dofs] >= 0])
+        ey, ex = np.divmod(np.arange(g.n_coarse_elems), coarse_n)
+        assert np.array_equal(maps.in_patch[i], (abs(ex - cx) <= layers)
+                              & (abs(ey - cy) <= layers))
+    arrays = (maps.interior, maps.boundary, maps.boundary_mask, maps.skeleton,
+              maps.skeleton_pos, maps.in_patch) + maps.patch_dofs + maps.patch_skeleton
+    for a in arrays:
+        assert not a.flags.writeable
+    for a in arrays[:6] + maps.patch_dofs[:1]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+    assert g.index_maps(layers) is maps
+    other = g.index_maps(layers + 1)
+    assert other is not maps
+    assert np.array_equal(other.patch_dofs[0], oversample(g, 0, layers + 1).local_dofs)
+    assert g.index_maps(layers) is maps and g.index_maps(layers + 1) is other
+
+
+def test_index_maps_reject_negative_layers():
+    with pytest.raises(ValueError, match="layers"):
+        build_grids(3, 3).index_maps(-1)

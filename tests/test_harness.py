@@ -228,6 +228,12 @@ def test_config_rejects_bad_time_grid():
     ("coarse_n", 1), ("refine", 1), ("L", 0), ("J", 0),
     ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
     ("schemes", ("fine", "bogus")),
+    ("T", -0.01), ("T", float("inf")), ("dt", 0.0), ("dt", float("nan")),
+    ("dt", -2e-5), ("dt_fine", 0.0), ("dt_fine", float("nan")),
+    ("field", {"kind": "channels", "contrast": -1}),
+    ("field", {"kind": "channels", "contrast": 0.0}),
+    ("field", {"kind": "channels", "contrast": float("nan")}),
+    ("field", {"kind": "channels", "contrast": float("inf")}),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -349,6 +355,40 @@ def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
         for k in range(cfg.n_steps):
             oracle = basis.R.T @ assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
             assert _rel(F[k], oracle) <= 1e-12
+
+
+def test_time_independent_load_built_once(tmp_path, monkeypatch):
+    """A marked forcing gets one fine and one coarse load; an unmarked one
+    gets one per step, with a bit-identical fine reference."""
+    times = []
+    load_vector = assembly.load_vector
+    monkeypatch.setattr(assembly, "load_vector",
+                        lambda grid, f, t: times.append(t) or load_vector(grid, f, t))
+    cfg = _tiny_config(tmp_path / "marked")
+    assert harness._forcing_from_config(cfg).time_independent
+    marked = run_experiment(cfg)
+    assert times == [cfg.dt_fine, cfg.dt]
+
+    forcing = harness._forcing_from_config(cfg)
+    monkeypatch.setattr(harness, "_forcing_from_config",
+                        lambda cfg: lambda x, y, t: forcing(x, y, t))
+    times.clear()
+    plain = run_experiment(_tiny_config(tmp_path / "plain"))
+    N = cfg.n_steps
+    assert len(times) == N * cfg.stride + N
+    assert np.array_equal(plain.trajectories["fine"].states,
+                          marked.trajectories["fine"].states)
+    for name in ("cem", "tildeU", "scem"):
+        assert _rel(plain.trajectories[name].states[-1],
+                    marked.trajectories[name].states[-1]) <= 1e-12
+
+
+def test_gen_forcing_kinds_marked_time_independent():
+    for f in (gen_forcing("smooth"), gen_forcing("discontinuous"),
+              gen_forcing("custom", values=np.arange(16.0))):
+        assert f.time_independent
+        x = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(f(x, x, 0.0), f(x, x, 3.5))
 
 
 def test_run_experiment_scheme_subset(tmp_path):

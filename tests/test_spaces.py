@@ -298,6 +298,23 @@ def test_residual_failure_names_element(monkeypatch):
         v2_basis(g, fld, aux1, aux2, 1)
 
 
+def test_residual_failure_names_its_own_patch(monkeypatch):
+    """Only element 4's patch is factored as 2K: the batched check must map
+    the failing column back to element 4, not to the first element."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    factored = []
+
+    def lu(K):
+        factored.append(K)
+        return _sparse_lu(2.0 * K if len(factored) == 5 else K)
+
+    monkeypatch.setattr(spaces, "_sparse_lu", lu)
+    with pytest.raises(SolveError,
+                       match="CEM basis solve failed on element 4: column 0"):
+        cem_basis(g, fld, aux1, 1)
+    assert len(factored) == g.n_coarse_elems
+
+
 def _cem_localize_inputs():
     """``_localize`` arguments of the CEM basis on a 3x3 coarse grid."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
