@@ -1,4 +1,4 @@
-"""Command line entry points: solve, basis, stability, experiment."""
+"""Command line entry points: solve, stability, experiment."""
 
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="run all configured schemes")
     _add_config_arg(p_solve)
-
-    p_basis = sub.add_parser("basis", help="construct and cache the coarse bases")
-    _add_config_arg(p_basis)
-    p_basis.add_argument("--out", required=True, help="basis cache file (.npz)")
 
     p_stab = sub.add_parser("stability", help="emit the stability report")
     _add_config_arg(p_stab)
@@ -58,19 +54,10 @@ def main(argv=None) -> int:
 
     cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
 
-    if args.command == "basis":
-        spaces.save_basis(args.out, cs.combined, grid, field_, L=cfg.L,
-                          J=cfg.J, layers=cfg.layers)
-        print(f"cached {cs.combined.n} basis columns to {args.out}")
-        return 0
-
-    if args.command == "stability":
-        rep = stability.build_report(reduce(cs.A, cs.M, cs.combined), cfg.alpha)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "stability_report.txt")
-        rep.save(path)
-        print(rep.to_text(), end="")
-        print(f"written to {path}")
-        return 0
-
-    return 1
+    rep = stability.build_report(reduce(cs.A, cs.M, cs.combined), cfg.alpha)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, "stability_report.txt")
+    rep.save(path)
+    print(rep.to_text(), end="")
+    print(f"written to {path}")
+    return 0

@@ -35,10 +35,6 @@ class OversamplePatch:
     elements: np.ndarray
     local_dofs: np.ndarray
 
-    def contains_element(self, j: int, coarse_n: int) -> bool:
-        cy, cx = divmod(j, coarse_n)
-        return self.cx0 <= cx <= self.cx1 and self.cy0 <= cy <= self.cy1
-
 
 @dataclass(frozen=True)
 class IndexMaps:

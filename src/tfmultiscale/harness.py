@@ -55,6 +55,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < least or value != int(value):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.L + self.J > (self.refine - 1) ** 2:
+            raise ValueError(
+                f"L + J = {self.L + self.J} local eigenpairs exceed the "
+                f"{(self.refine - 1) ** 2} interior DOFs of a coarse element "
+                f"at refine={self.refine}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import assembly
 from .fractional import L1Kernel, history_rhs, make_kernel
 from .grid import GridHierarchy
-from .linalg import SolveError, _sparse_lu
+from .linalg import SolveError, _check_backward_error, _sparse_lu
 from .spaces import ReducedBasis
 
 DIVERGENCE_FACTOR = 1e12
@@ -54,9 +55,16 @@ class ReducedSystem:
         return self._factors[key](rhs)
 
     def solver(self, matrix):
-        """Factor a (dense or sparse) matrix once; returns a solve closure."""
+        """Factor a (dense or sparse) matrix once; returns a solve closure.
+        Sparse (fine-space) solves have their backward error checked."""
         if sp.issparse(matrix):
-            return _sparse_lu(matrix).solve
+            lu, norm = _sparse_lu(matrix), spla.norm(matrix, 1)
+
+            def solve(b):
+                x = lu.solve(b)
+                _check_backward_error(matrix, norm, x, b)
+                return x
+            return solve
         lu, piv = sla.lu_factor(np.asarray(matrix))
         return lambda b: sla.lu_solve((lu, piv), b)
 

@@ -18,10 +18,11 @@ supported inside its oversampling patch.
 Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
-(static condensation, :func:`_condense`); a patch then solves only a sparse
-SPD system on the fine DOFs of the coarse edges inside it.  The columns of
-a basis are then lifted to the fine space and checked against the
-residuals of their full patch saddle systems, a chunk of columns at a time.
+(static condensation, :func:`_condense`, one :func:`linalg.kkt_solve` per
+element); a patch then solves only a sparse SPD system on the fine DOFs of
+the coarse edges inside it.  The columns of a basis are then lifted to the
+fine space and checked against the residuals of their full patch saddle
+systems, a chunk of columns at a time.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
@@ -32,7 +33,6 @@ chained scipy fancy indexing.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 
 from . import assembly
 from .grid import GridHierarchy, IndexMaps
-from .linalg import SolveError, _sparse_lu
+from .linalg import SolveError, _sparse_lu, kkt_solve
 
 DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
@@ -146,7 +146,8 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
     auxiliary space).  The kernel is spanned by an explicit null-space basis
-    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.  Every
+    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.  A
+    space of dimension below k raises SolveError naming the element.  Every
     element block is taken from the grid's index maps in one gather per
     matrix.
     """
@@ -163,11 +164,10 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
         try:
             if constraint is not None:
                 Z = sla.null_space(V_blocks[i] @ W_blocks[i])
-                if Z.shape[1] < k:
-                    raise SolveError(
-                        f"element {i}: requested {k} constrained eigenpairs, "
-                        f"space has dimension {Z.shape[1]}")
                 Aloc, Bloc = Z.T @ Aloc @ Z, Z.T @ Bloc @ Z
+            if len(Aloc) < k:
+                raise SolveError(f"element {i}: requested {k} eigenpairs, "
+                                 f"space has dimension {len(Aloc)}")
             vals, vecs = sla.eigh(Aloc, Bloc, subset_by_index=(0, k - 1))
         except sla.LinAlgError as exc:
             raise SolveError(f"local eigenproblem failed on coarse element "
@@ -419,11 +419,13 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
     interior DOFs I and multipliers are coupled to the rest only through its
-    boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated by a
-    dense LU of its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  The
-    blocks of A and of the equilibrated constraints ``Cs`` on every element
-    are gathered in one go through the grid's index maps, each K_e is
-    factored and solved in element order, and S, E and F are each assembled
+    boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated
+    through its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  The blocks
+    of A and of the equilibrated constraints ``Cs`` on every element are
+    gathered in one go through the grid's index maps.  In element order,
+    the targets are checked to be finite and one :func:`linalg.kkt_solve`
+    solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under its backward-error
+    contract; a failure names the element.  S, E and F are each assembled
     from the stacked results once.
 
     Returns each element's rows (an -1-padded table), the skeleton operator
@@ -441,8 +443,6 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     AD = _blocks(A, interior, D)
     CD = _blocks(Cs, rows, D)
 
-    # LAPACK's LU, as scipy.linalg.lu_factor and lu_solve call it.
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (AD,))
     S_blocks = np.zeros((ne, nb, nb))
     E_blocks = np.zeros((ne, nI, nb))
     F_blocks = np.zeros((ne, rows.shape[1], nb))
@@ -450,22 +450,21 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     for e in range(ne):
         r = rows[e][rows[e] >= 0]
         m, b = len(r), mask[e]
-        CI = CD[e, :m, :nI]
-        K = np.zeros((nI + m, nI + m), order="F")
-        K[:nI, :nI] = AD[e, :, :nI]
-        K[:nI, nI:] = CI.T
-        K[nI:, :nI] = CI
-        # C order, as BLAS rounds W^T Y differently for other layouts.
-        W = np.ascontiguousarray(np.vstack([AD[e, :, nI:], CD[e, :m, nI:]])[:, b])
-        lu, piv, info = getrf(K, overwrite_a=True)
-        if info > 0:
-            raise SolveError(f"on element {e}: singular local saddle block "
-                             f"(diagonal number {info} is exactly zero)")
-        Y = getrs(lu, piv, W)[0]
         g = np.asarray(targets[e], dtype=float) / norms[r][:, None]
-        # Non-finite targets are left to the residual check, which names
-        # the column.
-        Ze = getrs(lu, piv, np.vstack([np.zeros((nI, g.shape[1])), g]))[0]
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=0))
+        if len(bad):
+            raise SolveError(f"on element {e}: column {bad[0]}: non-finite target")
+        AB, CB = AD[e, :, nI:][:, b], CD[e, :m, nI:][:, b]
+        k = AB.shape[1]
+        try:
+            x, mu = kkt_solve(AD[e, :, :nI], CD[e, :m, :nI],
+                              np.hstack([AB, np.zeros((nI, g.shape[1]))]),
+                              np.hstack([CB, g]))
+        except SolveError as exc:
+            raise SolveError(f"on element {e}: {exc}") from exc
+        W = np.vstack([AB, CB])
+        Y = np.vstack([x[:, :k], mu[:, :k]])
+        Ze = np.vstack([x[:, k:], mu[:, k:]])
         S_blocks[e][np.ix_(b, b)] = -(W.T @ Y)
         E_blocks[e][:, b] = -Y[:nI]
         F_blocks[e, :m][:, b] = -Y[nI:]
@@ -496,42 +495,3 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
                  (Cs.shape[0], ns))
     return rows, S, E, F, Z, WZ
 
-
-def field_checksum(field_: assembly.PermeabilityField) -> str:
-    return hashlib.sha256(np.ascontiguousarray(field_.values).tobytes()).hexdigest()
-
-
-BASIS_FORMAT = 2
-
-
-def save_basis(path, basis: ReducedBasis, grid: GridHierarchy,
-               field_: assembly.PermeabilityField, *, L: int, J: int,
-               layers: int) -> None:
-    """Cache a basis to disk, keyed on everything that shapes its columns."""
-    np.savez_compressed(
-        path, R=basis.R, col_elem=basis.col_elem, col_index=basis.col_index,
-        tags=basis.tags, version=BASIS_FORMAT, coarse_n=grid.coarse_n,
-        refine=grid.refine, L=L, J=J, layers=layers,
-        checksum=field_checksum(field_))
-
-
-def load_basis(path, grid: GridHierarchy, field_: assembly.PermeabilityField,
-               *, L: int, J: int, layers: int) -> ReducedBasis:
-    """Reload a cached basis after checking its format and every key."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"]) if "version" in data else 1
-        if version != BASIS_FORMAT:
-            raise ValueError(f"basis cache has format version {version}, "
-                             f"expected {BASIS_FORMAT}")
-        for name, want in (("coarse_n", grid.coarse_n), ("refine", grid.refine)):
-            if int(data[name]) != want:
-                raise ValueError(f"basis cache was built for a different grid: "
-                                 f"{name}={int(data[name])}, expected {want}")
-        for name, want in (("L", L), ("J", J), ("layers", layers)):
-            if int(data[name]) != want:
-                raise ValueError(f"basis cache was built with "
-                                 f"{name}={int(data[name])}, expected {name}={want}")
-        if str(data["checksum"]) != field_checksum(field_):
-            raise ValueError("basis cache was built for a different field")
-        return ReducedBasis(R=data["R"], col_elem=data["col_elem"],
-                            col_index=data["col_index"], tags=data["tags"])

@@ -234,10 +234,23 @@ def test_config_rejects_bad_time_grid():
     ("field", {"kind": "channels", "contrast": 0.0}),
     ("field", {"kind": "channels", "contrast": float("nan")}),
     ("field", {"kind": "channels", "contrast": float("inf")}),
+    ("L", 81), ("J", 81), ("refine", 2),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_limits_local_eigenpairs_to_element_interior():
+    """An element of refine 3 has 4 interior DOFs: L + J = 4 builds both
+    spaces, L + J = 5 is rejected when the config is built."""
+    cfg = ExperimentConfig(coarse_n=3, refine=3, L=3, J=1, layers=1)
+    grid = build_grids(cfg.coarse_n, cfg.refine)
+    cs = spaces.build_spaces(grid, _field_from_config(cfg), cfg.L, cfg.J,
+                             cfg.layers)
+    assert cs.combined.n == grid.n_coarse_elems * 4
+    with pytest.raises(ValueError, match="L \\+ J = 5 .*refine=3"):
+        ExperimentConfig(coarse_n=3, refine=3, L=3, J=2)
 
 
 def test_config_single_step():
@@ -421,22 +434,6 @@ def test_cli_stability(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dt_max_partial" in out
     assert (tmp_path / "out" / "stability_report.txt").exists()
-
-
-def test_cli_basis(tmp_path, capsys):
-    p, cfg = _write_cfg(tmp_path)
-    cache = tmp_path / "basis.npz"
-    assert cli.main(["basis", "--config", str(p), "--out", str(cache)]) == 0
-    assert cache.exists()
-    assert "basis columns" in capsys.readouterr().out
-    grid = build_grids(cfg.coarse_n, cfg.refine)
-    field_ = _field_from_config(cfg)
-    basis = spaces.load_basis(cache, grid, field_, L=cfg.L, J=cfg.J,
-                              layers=cfg.layers)
-    assert basis.n == grid.n_coarse_elems * (cfg.L + cfg.J)
-    with pytest.raises(ValueError, match="layers"):
-        spaces.load_basis(cache, grid, field_, L=cfg.L, J=cfg.J,
-                          layers=cfg.layers + 1)
 
 
 def test_cli_experiment_rejects_bad_number():

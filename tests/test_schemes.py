@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
-from tfmultiscale import assembly, spaces
+from tfmultiscale import assembly, schemes, spaces
 from tfmultiscale.fractional import make_kernel
-from tfmultiscale.linalg import SolveError, gamma_fn
+from tfmultiscale.linalg import SolveError, _sparse_lu, gamma_fn
 from tfmultiscale.schemes import (ReducedSystem, fine_reference,
                                   load_trajectory, reduce,
                                   run_scheme, step_explicit, step_implicit,
@@ -309,6 +309,19 @@ def test_fine_reference_zero_data():
     ref = fine_reference(g, A, M, 0.5, 1e-3, lambda x, y, tt: np.zeros_like(x),
                          None, 5)
     assert np.allclose(ref.states, 0.0)
+
+
+def test_fine_reference_rejects_a_wrong_factorization(monkeypatch):
+    """A factorization of 2K solves every step to a backward error near 1/2,
+    which the fine solve's contract must reject."""
+    g = t.build_grids(2, 3)
+    fld = assembly.PermeabilityField(np.ones(g.n_cells))
+    A = assembly.assemble(g, fld, "stiffness")
+    M = assembly.assemble(g, None, "mass")
+    f = lambda x, y, tt: np.sin(np.pi * x) * np.sin(np.pi * y)
+    monkeypatch.setattr(schemes, "_sparse_lu", lambda K: _sparse_lu(2.0 * K))
+    with pytest.raises(SolveError, match="column 0: backward error"):
+        fine_reference(g, A, M, 0.5, 1e-3, f, None, 3)
 
 
 # ------------------------------------------------------------------- trajectory

@@ -1,22 +1,17 @@
 """Tests for the auxiliary spectral problems and the two localized coarse
 bases."""
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
 from tfmultiscale.grid import oversample
 from tfmultiscale.linalg import SolveError, _sparse_lu
 from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
-                                 field_checksum, load_basis, save_basis,
                                  v2_aux_spectral, v2_basis)
 
 
@@ -155,6 +150,15 @@ def test_v2_aux_first_eig_contrast_robust():
     lo = np.minimum(np.minimum(firsts[1e2], firsts[1e4]), firsts[1e6])
     hi = np.maximum(np.maximum(firsts[1e2], firsts[1e4]), firsts[1e6])
     assert np.max(hi / lo) < 2.0
+
+
+def test_aux_too_many_requested_names_element():
+    g = t.build_grids(2, 3)
+    fld = channel_field(g)
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    with pytest.raises(SolveError,
+                       match="element 0: requested 5 eigenpairs, space has dimension 4"):
+        aux_spectral(g, fld, kt, 5)
 
 
 def test_v2_aux_too_many_requested():
@@ -315,6 +319,20 @@ def test_residual_failure_names_its_own_patch(monkeypatch):
     assert len(factored) == g.n_coarse_elems
 
 
+def test_singular_element_block_names_element_and_constraint():
+    """Element 4's first aux function is overwritten by its second, so the
+    LU of its saddle block meets an exactly zero pivot: the element solve
+    names element 4 and the dependent constraint."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    V = aux1.vectors.tolil()
+    V[:, 8] = V[:, 9]
+    aux1.vectors = V.tocsc()
+    with pytest.raises(SolveError, match="CEM basis solve failed on element 4: "
+                       "constraint matrix is rank deficient .rank 1 of 2.; "
+                       "first dependent constraint index 1"):
+        cem_basis(g, fld, aux1, 1)
+
+
 def _cem_localize_inputs():
     """``_localize`` arguments of the CEM basis on a 3x3 coarse grid."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
@@ -387,76 +405,3 @@ def test_combined_basis_full_rank():
     assert w.min() > 1e-10 * w.max()
     assert np.all(both.tags[: both.n - g.n_coarse_elems * 2] == "cem")
 
-
-def test_basis_cache_round_trip(tmp_path):
-    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2, J=1)
-    b1 = cem_basis(g, fld, aux1, 1)
-    p = tmp_path / "basis.npz"
-    save_basis(p, b1, g, fld, L=2, J=1, layers=1)
-    back = load_basis(p, g, fld, L=2, J=1, layers=1)
-    assert np.array_equal(back.R, b1.R)
-    assert np.array_equal(back.col_elem, b1.col_elem)
-    assert np.array_equal(back.tags, b1.tags)
-
-
-@settings(max_examples=15, deadline=None)
-@given(data=st.data(), coarse_n=st.integers(2, 3), refine=st.integers(2, 3),
-       n_cols=st.integers(1, 5), L=st.integers(1, 4), J=st.integers(1, 4),
-       layers=st.integers(0, 3))
-def test_basis_cache_round_trip_exact_on_random_bases(data, coarse_n, refine,
-                                                      n_cols, L, J, layers):
-    g = t.build_grids(coarse_n, refine)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    fld = assembly.PermeabilityField(
-        data.draw(arrays(np.float64, g.n_cells, elements=st.floats(1.0, 1e6))))
-    basis = spaces.ReducedBasis(
-        R=data.draw(arrays(np.float64, (g.n_dofs, n_cols), elements=finite)),
-        col_elem=data.draw(arrays(np.int64, n_cols,
-                                  elements=st.integers(0, g.n_coarse_elems - 1))),
-        col_index=data.draw(arrays(np.int64, n_cols, elements=st.integers(0, 3))),
-        tags=np.array(data.draw(st.lists(st.sampled_from(["cem", "v2"]),
-                                         min_size=n_cols, max_size=n_cols))))
-    with tempfile.TemporaryDirectory() as tmp:
-        p = os.path.join(tmp, "basis.npz")
-        save_basis(p, basis, g, fld, L=L, J=J, layers=layers)
-        back = load_basis(p, g, fld, L=L, J=J, layers=layers)
-    for name in ("R", "col_elem", "col_index", "tags"):
-        assert np.array_equal(getattr(back, name), getattr(basis, name))
-        assert getattr(back, name).dtype == getattr(basis, name).dtype
-
-
-def test_basis_cache_rejects_mismatch(tmp_path):
-    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
-    b1 = cem_basis(g, fld, aux1, 1)
-    p = tmp_path / "basis.npz"
-    save_basis(p, b1, g, fld, L=2, J=2, layers=1)
-    with pytest.raises(ValueError, match="grid"):
-        load_basis(p, t.build_grids(3, 4), fld, L=2, J=2, layers=1)
-    other = assembly.PermeabilityField(2.0 * fld.values)
-    with pytest.raises(ValueError, match="field"):
-        load_basis(p, g, other, L=2, J=2, layers=1)
-    assert field_checksum(fld) != field_checksum(other)
-
-
-def test_basis_cache_rejects_other_settings(tmp_path):
-    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
-    b1 = cem_basis(g, fld, aux1, 1)
-    p = tmp_path / "basis.npz"
-    save_basis(p, b1, g, fld, L=2, J=1, layers=1)
-    with pytest.raises(ValueError, match="layers=1, expected layers=2"):
-        load_basis(p, g, fld, L=2, J=1, layers=2)
-    with pytest.raises(ValueError, match="L=2, expected L=3"):
-        load_basis(p, g, fld, L=3, J=1, layers=1)
-    with pytest.raises(ValueError, match="J=1, expected J=2"):
-        load_basis(p, g, fld, L=2, J=2, layers=1)
-
-
-def test_basis_cache_rejects_unversioned_file(tmp_path):
-    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=3, L=2)
-    b1 = cem_basis(g, fld, aux1, 1)
-    p = tmp_path / "old.npz"
-    np.savez_compressed(p, R=b1.R, col_elem=b1.col_elem, col_index=b1.col_index,
-                        tags=b1.tags, coarse_n=g.coarse_n, refine=g.refine,
-                        checksum=field_checksum(fld))
-    with pytest.raises(ValueError, match="format version 1"):
-        load_basis(p, g, fld, L=2, J=1, layers=1)
