@@ -4,7 +4,7 @@ high-contrast media."""
 from .assembly import (PermeabilityField, WeightedField, assemble,
                        kappa_tilde, load_vector, msfem_partition)
 from .fractional import L1Kernel, caputo_apply, history_rhs, make_kernel
-from .grid import GridHierarchy, OversamplePatch, build_grids, oversample
+from .grid import GridHierarchy, build_grids
 from .harness import (ExperimentConfig, error_series, experiment_config,
                       gen_field, gen_forcing, run_experiment)
 from .schemes import (ReducedSystem, Trajectory, fine_reference, reduce,

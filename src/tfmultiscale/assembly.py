@@ -144,9 +144,9 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     rows_i = []
     rows_j = []
     rows_v = []
-    for e in range(grid.n_coarse_elems):
-        cells, nodes = grid.elem_maps[e]
-        kap = field.values[cells]
+    elem_cells, elem_nodes = grid.element_cells_nodes()
+    for e, nodes in enumerate(elem_nodes):
+        kap = field.values[elem_cells[e]]
         blocks = kap[:, None, None] * _STIFF_REF[None, :, :]
         ii = np.repeat(conn, 4, axis=1).ravel()
         jj = np.tile(conn, (1, 4)).ravel()

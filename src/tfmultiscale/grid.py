@@ -1,8 +1,11 @@
 """Nested coarse/fine rectangular meshes on the unit square.
 
 The coarse mesh splits [0,1]^2 into ``coarse_n x coarse_n`` square elements;
-each coarse element is refined into ``refine x refine`` fine cells.  All
-sizes are stored as integer counts so that h * refine = H holds exactly.
+each coarse element is refined into ``refine x refine`` fine cells.  The
+hierarchy is those two integer counts, so that h * refine = H holds exactly;
+every map (node coordinates, cell connectivity, DOF numbering, element cells
+and nodes, element, skeleton and patch index sets) is a read-only numpy table
+derived from them on first use and cached.
 
 Node and cell numbering is lexicographic with x running fastest.  Nodes on
 the outer boundary carry no degree of freedom (homogeneous Dirichlet).
@@ -10,30 +13,11 @@ the outer boundary carry no degree of freedom (homogeneous Dirichlet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class OversamplePatch:
-    """A coarse element enlarged by ``layers`` rings of coarse neighbours.
-
-    ``elements`` lists the coarse element ids forming the (clipped) rectangle
-    [cx0, cx1] x [cy0, cy1] in coarse coordinates.  ``local_dofs`` holds the
-    global fine DOF ids strictly interior to the patch (zero trace on the
-    patch boundary).
-    """
-
-    center: int
-    layers: int
-    cx0: int
-    cx1: int
-    cy0: int
-    cy1: int
-    elements: np.ndarray
-    local_dofs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,20 +47,18 @@ class IndexMaps:
 
 @dataclass(frozen=True)
 class GridHierarchy:
-    """Uniform coarse/fine mesh pair with DOF maps.
-
-    Attributes
-    ----------
-    coarse_n : coarse elements per side.
-    refine : fine cells per coarse cell per side.
-    fine_dof_map : per fine node, the interior DOF index or -1 on the boundary.
-    elem_maps : per coarse element, (fine cell ids, fine node ids).
-    """
+    """Uniform coarse/fine mesh pair: ``coarse_n`` coarse elements per side,
+    each refined into ``refine`` fine cells per side.  Both counts must be
+    integers >= 2."""
 
     coarse_n: int
     refine: int
-    fine_dof_map: np.ndarray = field(repr=False)
-    elem_maps: list = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("coarse_n", "refine"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
     @property
     def H(self) -> float:
@@ -127,7 +109,7 @@ class GridHierarchy:
         cx, cy = np.meshgrid(np.arange(nf), np.arange(nf), indexing="xy")
         n0 = cy.ravel() * nn + cx.ravel()
         conn = np.column_stack([n0, n0 + 1, n0 + nn + 1, n0 + nn])
-        interior = np.flatnonzero(self.fine_dof_map >= 0)
+        interior = (np.arange(1, nf)[:, None] * nn + np.arange(1, nf)).ravel()
         for a in (coords, conn, interior):
             a.flags.writeable = False
         return coords, conn, interior
@@ -147,25 +129,37 @@ class GridHierarchy:
 
     @cached_property
     def _element_maps(self) -> tuple:
-        """Interior and padded boundary DOFs of every coarse element, and the
-        skeleton with each DOF's position in it (see :class:`IndexMaps`)."""
+        """Fine cells and nodes of every coarse element, its interior and
+        padded boundary DOFs, and the skeleton with each DOF's position in it
+        (see :class:`IndexMaps`)."""
         cn, r, nn = self.coarse_n, self.refine, self.n_nodes_side
+        cy, cx = np.divmod(np.arange(cn * cn), cn)
+        fy, fx = np.divmod(np.arange(r * r), r)
+        cells = (cy[:, None] * r + fy) * self.n_fine + cx[:, None] * r + fx
         ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
         on_perimeter = (lx % r == 0) | (ly % r == 0)
-        cy, cx = np.divmod(np.arange(cn * cn), cn)
         nodes = (cy[:, None] * r + ly) * nn + cx[:, None] * r + lx
-        closure = self.fine_dof_map[nodes]
+        dof_nodes = self.interior_nodes()
+        dof_map = np.full(self.n_nodes, -1)
+        dof_map[dof_nodes] = np.arange(self.n_dofs)
+        closure = dof_map[nodes]
         interior = np.ascontiguousarray(closure[:, ~on_perimeter])
         boundary = np.ascontiguousarray(closure[:, on_perimeter])
-        dof_nodes = self.interior_nodes()
         skeleton = np.flatnonzero((dof_nodes % nn % r == 0)
                                   | (dof_nodes // nn % r == 0))
         skeleton_pos = np.full(self.n_dofs, -1)
         skeleton_pos[skeleton] = np.arange(len(skeleton))
-        out = (interior, boundary, boundary >= 0, skeleton, skeleton_pos)
+        out = (cells, nodes, interior, boundary, boundary >= 0, skeleton,
+               skeleton_pos)
         for a in out:
             a.flags.writeable = False
         return out
+
+    def element_cells_nodes(self) -> tuple:
+        """Per coarse element, its ``refine**2`` fine cell ids and its
+        ``(refine + 1)**2`` fine node ids, x fastest, as two read-only
+        (n_coarse_elems, .) tables."""
+        return self._element_maps[:2]
 
     def index_maps(self, layers: int) -> IndexMaps:
         """The element, skeleton and patch index maps for ``layers`` rings of
@@ -179,7 +173,7 @@ class GridHierarchy:
 
     def _build_index_maps(self, layers: int) -> IndexMaps:
         cn, r = self.coarse_n, self.refine
-        interior, boundary, mask, skeleton, skeleton_pos = self._element_maps
+        interior, boundary, mask, skeleton, skeleton_pos = self._element_maps[2:]
         # Interior DOFs form an (n_fine - 1)^2 grid, x fastest; patch i's
         # DOFs are a rectangle of it, listed row by row.
         dof_grid = np.arange(self.n_dofs).reshape(self.n_fine - 1, -1)
@@ -211,51 +205,4 @@ class GridHierarchy:
 
 def build_grids(coarse_n: int, refine: int) -> GridHierarchy:
     """Build the nested hierarchy; rejects degenerate decompositions."""
-    if coarse_n < 2:
-        raise ValueError(f"coarse_n must be >= 2, got {coarse_n}")
-    if refine < 2:
-        raise ValueError(f"refine must be >= 2, got {refine}")
-
-    nf = coarse_n * refine
-    nn = nf + 1
-    ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
-    interior = (ix.ravel() > 0) & (ix.ravel() < nf) & (iy.ravel() > 0) & (iy.ravel() < nf)
-    dof_map = np.full(nn * nn, -1, dtype=np.int64)
-    dof_map[interior] = np.arange(interior.sum())
-
-    elem_maps = []
-    r = refine
-    for cy in range(coarse_n):
-        for cx in range(coarse_n):
-            fx = np.arange(cx * r, (cx + 1) * r)
-            fy = np.arange(cy * r, (cy + 1) * r)
-            FX, FY = np.meshgrid(fx, fy, indexing="xy")
-            cells = (FY * nf + FX).ravel()
-            gx = np.arange(cx * r, (cx + 1) * r + 1)
-            gy = np.arange(cy * r, (cy + 1) * r + 1)
-            GX, GY = np.meshgrid(gx, gy, indexing="xy")
-            nodes = (GY * nn + GX).ravel()
-            elem_maps.append((cells, nodes))
-
-    return GridHierarchy(coarse_n=coarse_n, refine=refine,
-                         fine_dof_map=dof_map, elem_maps=elem_maps)
-
-
-def element_interior_dofs(grid: GridHierarchy, i: int) -> np.ndarray:
-    """Global DOF ids of fine nodes strictly inside coarse element i
-    (ascending, read-only)."""
-    return grid._element_maps[0][i]
-
-
-def oversample(grid: GridHierarchy, i: int, layers: int) -> OversamplePatch:
-    """Oversampled patch around coarse element i (layers=0 is the element)."""
-    cn = grid.coarse_n
-    if not (0 <= i < grid.n_coarse_elems):
-        raise IndexError(f"coarse element index {i} out of range")
-    maps = grid.index_maps(layers)
-    cy, cx = divmod(i, cn)
-    return OversamplePatch(center=i, layers=layers,
-                           cx0=max(cx - layers, 0), cx1=min(cx + layers, cn - 1),
-                           cy0=max(cy - layers, 0), cy1=min(cy + layers, cn - 1),
-                           elements=np.flatnonzero(maps.in_patch[i]),
-                           local_dofs=maps.patch_dofs[i])
+    return GridHierarchy(coarse_n=coarse_n, refine=refine)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from importlib import resources
@@ -53,8 +54,10 @@ class ExperimentConfig:
         for name, least in (("coarse_n", 2), ("refine", 2), ("layers", 0),
                             ("L", 1), ("J", 1)):
             value = getattr(self, name)
-            if value < least or value != int(value):
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()
+                    and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))
         if self.L + self.J > (self.refine - 1) ** 2:
             raise ValueError(
                 f"L + J = {self.L + self.J} local eigenpairs exceed the "

@@ -45,10 +45,6 @@ class ReducedSystem:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    @property
-    def sparse(self) -> bool:
-        return sp.issparse(self.M)
-
     def _solve_with(self, key, build, rhs):
         if key not in self._factors:
             self._factors[key] = build()

@@ -13,7 +13,9 @@ spectral problems share one element loop, :func:`_local_eigs`; each
 matrix is assembled once.
 
 All vectors are expressed on interior fine DOFs; every basis column is
-supported inside its oversampling patch.
+supported inside its oversampling patch.  Every element carries the same
+number of local functions (L for V_{H,1}, J for V_{H,2}), so an element's
+functions, constraint rows and targets are rows of fixed-width tables.
 
 Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
@@ -34,6 +36,7 @@ chained scipy fancy indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,27 +50,45 @@ DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuxSpace:
     """Per-element local eigenpairs, ``weight``-orthonormal within each element.
 
-    ``vectors`` stacks all eigenvectors as sparse columns ordered by
-    (element, local index).  For the first space ``weight`` is S, the
-    kappa_tilde-weighted mass realizing the s-bilinear form; for the second
-    it is the mass M and every vector lies in the Pi-kernel.  ``A`` is the
-    stiffness the local problems were solved against.
+    Every element carries the same number k of functions.  ``vectors``
+    stacks all eigenvectors as sparse columns, element-major: column
+    e * k + j is function j of element e.  For the first space ``weight`` is
+    S, the kappa_tilde-weighted mass realizing the s-bilinear form; for the
+    second it is the mass M and every vector lies in the Pi-kernel.  ``A`` is
+    the stiffness the local problems were solved against.
     """
 
     values: list            # per element, ascending eigenvalues
     vectors: sp.csc_matrix  # (n_dofs, total)
     weight: sp.csr_matrix
     A: sp.csr_matrix
-    col_elem: np.ndarray    # element id per column
-    col_index: np.ndarray
 
     @property
     def total(self) -> int:
         return self.vectors.shape[1]
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(n_elements, k) table of each element's column ids."""
+        return np.arange(self.total).reshape(len(self.values), -1)
+
+    @property
+    def col_elem(self) -> np.ndarray:
+        return np.arange(self.total) // self.columns.shape[1]
+
+    @property
+    def col_index(self) -> np.ndarray:
+        return np.arange(self.total) % self.columns.shape[1]
+
+    @cached_property
+    def weighted(self) -> sp.csc_matrix:
+        """``weight @ vectors``, formed once: the transposed constraint rows
+        (moments against every function of the space)."""
+        return (self.weight @ self.vectors).tocsc()
 
 
 @dataclass
@@ -155,8 +176,7 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     ne, ni = interior.shape
     A_blocks, B_blocks = _blocks(A, interior, interior), _blocks(B, interior, interior)
     if constraint is not None:
-        own = _by_element(constraint.col_elem, ne)
-        V_blocks = _blocks(constraint.vectors.T, own, interior)
+        V_blocks = _blocks(constraint.vectors.T, constraint.columns, interior)
         W_blocks = _blocks(constraint.weight, interior, interior)
     values, data = [], np.empty((ne, ni, k))
     for i in range(ne):
@@ -178,21 +198,7 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     vectors = sp.csc_matrix((data.ravel(), (np.repeat(interior.ravel(), k),
                                             cols.ravel())),
                             shape=(grid.n_dofs, ne * k))
-    return AuxSpace(values=values, vectors=vectors, weight=B, A=A,
-                    col_elem=np.repeat(np.arange(ne), k),
-                    col_index=np.tile(np.arange(k), ne))
-
-
-def _by_element(labels, n_elems: int) -> np.ndarray:
-    """Per element e, the ascending indices of ``labels == e``, padded with -1
-    to an (n_elems, most) table."""
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=n_elems)
-    order = np.argsort(labels, kind="stable")
-    table = np.full((n_elems, counts.max(initial=0)), -1)
-    table[labels[order], np.arange(len(labels))
-          - np.repeat(np.cumsum(counts) - counts, counts)] = order
-    return table
+    return AuxSpace(values=values, vectors=vectors, weight=B, A=A)
 
 
 def _row_entries(X, rows):
@@ -207,18 +213,17 @@ def _row_entries(X, rows):
 
 def _blocks(X, rows, cols) -> np.ndarray:
     """Dense blocks ``X[rows[e]][:, cols[e]]`` stacked over e, read from the
-    sparse structure of X (without duplicate entries) in one gather; an
-    index of -1 pads with zeros.  The column indices of each block must be
-    distinct."""
+    sparse structure of X (without duplicate entries) in one gather; a
+    column index of -1 pads with zeros.  The column indices of each block
+    must be distinct."""
     X = sp.csr_matrix(X)
     n = X.shape[1]
-    out = np.zeros((len(rows), rows.shape[1], cols.shape[1]))
-    e, p = np.nonzero(rows >= 0)
+    out = np.zeros(rows.shape + cols.shape[1:])
     ce, cq = np.nonzero(cols >= 0)
-    if not len(e) or not len(ce):
+    if not len(ce):
         return out
-    k, count = _row_entries(X, rows[e, p])
-    e, p = np.repeat(e, count), np.repeat(p, count)
+    k, count = _row_entries(X, rows.ravel())
+    e, p = np.divmod(np.repeat(np.arange(rows.size), count), rows.shape[1])
     # Locate each entry's column in its own block's column list.
     keys = ce * n + cols[ce, cq]
     order = np.argsort(keys)
@@ -246,17 +251,16 @@ def _principal(X, idx):
                    shape=(len(idx), len(idx)))
 
 
-def _moments(aux: AuxSpace):
-    """Constraint rows (weight @ vectors)^T of an auxiliary space, and per
-    element the moments of its own functions against its own rows.
+def _moments(aux: AuxSpace) -> np.ndarray:
+    """Per element, the (k, k) moments of its own functions against its own
+    constraint rows.
 
     Each function lives on its element's interior and each row on its
     element's closure, so the moment matrix is block diagonal and one
     product gives every element's block.
     """
-    WV = (aux.weight @ aux.vectors).tocsc()
-    own = _by_element(aux.col_elem, len(aux.values))
-    return WV.T, list(_blocks(aux.vectors.T @ WV, own, own))
+    own = aux.columns
+    return _blocks(aux.vectors.T @ aux.weighted, own, own)
 
 
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -267,13 +271,12 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     against every patch aux function equal to those of aux function (i, j).
     The stiffness is ``aux.A``; ``field_`` is unused.
     """
-    C, targets = _moments(aux)
     try:
-        R = _localize(grid, aux.A, C, aux.col_elem, targets, layers)
+        R = _localize(grid, aux.A, aux.weighted.T, aux.columns, _moments(aux),
+                      layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
-    return ReducedBasis(R=R, col_elem=aux.col_elem.copy(),
-                        col_index=aux.col_index.copy(),
+    return ReducedBasis(R=R, col_elem=aux.col_elem, col_index=aux.col_index,
                         tags=np.array(["cem"] * aux.total))
 
 
@@ -286,19 +289,17 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     against all patch aux1 functions and prescribed L2 moments against the
     patch aux2 functions.  The stiffness is ``aux1.A``; ``field_`` is unused.
     """
-    C1 = (aux1.weight @ aux1.vectors).tocsc().T
-    C2, moments = _moments(aux2)
-    first = np.bincount(aux1.col_elem, minlength=len(moments))
-    targets = [np.vstack([np.zeros((first[i], g.shape[1])), g])
-               for i, g in enumerate(moments)]
-    row_elem = np.concatenate([aux1.col_elem, aux2.col_elem])
+    moments = _moments(aux2)
+    ne, L = aux1.columns.shape
+    targets = np.concatenate([np.zeros((ne, L, moments.shape[2])), moments],
+                             axis=1)
+    rows = np.hstack([aux1.columns, aux1.total + aux2.columns])
     try:
-        R = _localize(grid, aux1.A, sp.vstack([C1, C2]), row_elem, targets,
-                      layers)
+        R = _localize(grid, aux1.A, sp.vstack([aux1.weighted.T, aux2.weighted.T]),
+                      rows, targets, layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
-    return ReducedBasis(R=R, col_elem=aux2.col_elem.copy(),
-                        col_index=aux2.col_index.copy(),
+    return ReducedBasis(R=R, col_elem=aux2.col_elem, col_index=aux2.col_index,
                         tags=np.array(["v2"] * aux2.total))
 
 
@@ -307,17 +308,19 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
 CHECK_COLUMNS = 64
 
 
-def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
+def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
               tol: float = 1e-9) -> np.ndarray:
     """Constrained energy minimizers on every oversampled patch.
 
-    ``C`` holds one constraint row per auxiliary function; row r is a moment
-    against a function supported in coarse element ``row_elem[r]``, so it
-    lives on that element's closure.  ``targets[i]`` gives, for each basis
-    column of element i, its moments against element i's rows (in row
-    order); its moments against every other row are zero.  Column j of
-    element i minimizes x^T A x on the patch around i subject to C_P x = g_P.
-    Columns are returned element-major as an (n_dofs, total) array.
+    ``C`` holds one constraint row per auxiliary function; the (ne, m) table
+    ``rows`` lists each coarse element's rows, every row of C exactly once.
+    A row of element e is a moment against a function supported in e, so it
+    lives on e's closure.  In the (ne, m, k) array ``targets``,
+    ``targets[i]`` gives, for each of the k basis columns of element i, its
+    moments against element i's rows (in ``rows[i]`` order); its moments
+    against every other row are zero.  Column j of element i minimizes x^T A x on the patch around i
+    subject to C_P x = g_P.  Columns are returned element-major as an
+    (n_dofs, ne * k) array.
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
@@ -332,22 +335,23 @@ def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
     maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
     C = sp.csr_matrix(C)
-    row_elem = np.asarray(row_elem)
+    ne, _, k = targets.shape
+    row_elem = np.empty(C.shape[0], dtype=int)
+    row_elem[rows] = np.arange(ne)[:, None]
     C2 = C.multiply(C).tocsr()
     norms = np.sqrt(np.asarray(C2.sum(axis=1)).ravel())
     if np.any(norms <= 0):
         bad = int(np.flatnonzero(norms <= 0)[0])
         raise SolveError(f"on element {row_elem[bad]}: zero constraint row {bad}")
-    start = np.concatenate([[0], np.cumsum([np.shape(g)[1] for g in targets])])
     # R is allocated before the condensation's large temporaries: allocated
     # after them, it keeps their freed heap resident (on experiment 1 the
     # process peak RSS rose by about 18 MB).
-    R = np.zeros((grid.n_dofs, start[-1]))
+    R = np.zeros((grid.n_dofs, ne * k))
     Cs = C.copy()
     Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
-    rows, S, E, F, Z, WZ = _condense(maps, A, Cs, row_elem, targets, norms)
+    S, E, F, Z, WZ = _condense(maps, A, Cs, rows, targets, norms)
 
-    XS = np.zeros((S.shape[0], start[-1]))
+    XS = np.zeros((S.shape[0], ne * k))
     S = S.tocsc()
     for i, sk in enumerate(maps.patch_skeleton):
         if not len(sk):
@@ -357,35 +361,33 @@ def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
         b = maps.skeleton_pos[maps.boundary[i][maps.boundary_mask[i]]]
         at = np.minimum(np.searchsorted(sk, b), len(sk) - 1)
         hit = sk[at] == b
-        rhs = np.zeros((len(sk), WZ[i].shape[1]))
+        rhs = np.zeros((len(sk), k))
         rhs[at[hit]] = -WZ[i][hit]
         SP = _principal(S, sk)
         lu = _sparse_lu(SP)
         xs = lu.solve(rhs)
         xs += lu.solve(rhs - SP @ xs)
-        XS[sk, start[i]:start[i + 1]] = xs
+        XS[sk, i * k:(i + 1) * k] = xs
 
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, total) array but R is held.
     nI = maps.interior.shape[1]
     diag = np.abs(A.diagonal())
-    ne = len(targets)
-    col_elem = np.repeat(np.arange(ne), np.diff(start))
-    step = max(1, CHECK_COLUMNS // max(int(np.diff(start).max()), 1))
+    col_elem = np.repeat(np.arange(ne), k)
+    step = max(1, CHECK_COLUMNS // max(k, 1))
     for e0 in range(0, ne, step):
         e1 = min(e0 + step, ne)
-        c0, c1 = start[e0], start[e1]
+        c0, c1 = e0 * k, e1 * k
         R[:, c0:c1] = E @ XS[:, c0:c1]
         mu = F @ XS[:, c0:c1]
         G = np.zeros_like(mu)
         inside = np.zeros((grid.n_dofs, c1 - c0))
         diag_max = np.empty(c1 - c0)
         for e in range(e0, e1):
-            cols = slice(start[e] - c0, start[e + 1] - c0)
-            r = rows[e][rows[e] >= 0]
-            R[maps.interior[e], start[e]:start[e + 1]] += Z[e][:nI]
-            mu[r, cols] += Z[e][nI:]
-            G[r, cols] = targets[e]
+            cols = slice(e * k - c0, (e + 1) * k - c0)
+            R[maps.interior[e], e * k:(e + 1) * k] += Z[e][:nI]
+            mu[rows[e], cols] += Z[e][nI:]
+            G[rows[e], cols] = targets[e]
             inside[maps.patch_dofs[e], cols] = 1.0
             diag_max[cols] = diag[maps.patch_dofs[e]].max()
         X = R[:, c0:c1]
@@ -407,14 +409,14 @@ def _localize(grid: GridHierarchy, A, C, row_elem, targets, layers: int,
         if not ok.all():
             j = c0 + int(np.flatnonzero(~ok)[0])
             i = col_elem[j]
-            raise SolveError(f"on element {i}: column {j - start[i]}: "
+            raise SolveError(f"on element {i}: column {j - i * k}: "
                              f"constraint residual {res[j - c0]:.3e}, "
                              f"stationarity residual {res2[j - c0]:.3e}, "
                              f"above {tol:.1e}")
     return R
 
 
-def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
+def _condense(maps: IndexMaps, A, Cs, rows, targets, norms):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -428,17 +430,16 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     contract; a failure names the element.  S, E and F are each assembled
     from the stacked results once.
 
-    Returns each element's rows (an -1-padded table), the skeleton operator
-    S = A_SS - sum_e W_e^T K_e^-1 W_e, the maps E (skeleton values to the
-    full vector, the identity on the skeleton) and F (skeleton values to
-    multipliers), and per element Z_e, which solves K_e Z_e = [0; g_e] for
-    the element's own equilibrated targets, and W_e^T Z_e.
+    Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e, the
+    maps E (skeleton values to the full vector, the identity on the
+    skeleton) and F (skeleton values to multipliers), and per element Z_e,
+    which solves K_e Z_e = [0; g_e] for the element's own equilibrated
+    targets, and W_e^T Z_e.
     """
     interior, boundary, mask = maps.interior, maps.boundary, maps.boundary_mask
     skel, pos = maps.skeleton, maps.skeleton_pos
     ne, nI = interior.shape
     nb = boundary.shape[1]
-    rows = _by_element(row_elem, ne)
     D = np.hstack([interior, boundary])
     AD = _blocks(A, interior, D)
     CD = _blocks(Cs, rows, D)
@@ -448,16 +449,15 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     F_blocks = np.zeros((ne, rows.shape[1], nb))
     Z, WZ = [], []
     for e in range(ne):
-        r = rows[e][rows[e] >= 0]
-        m, b = len(r), mask[e]
-        g = np.asarray(targets[e], dtype=float) / norms[r][:, None]
+        b = mask[e]
+        g = targets[e] / norms[rows[e]][:, None]
         bad = np.flatnonzero(~np.isfinite(g).all(axis=0))
         if len(bad):
             raise SolveError(f"on element {e}: column {bad[0]}: non-finite target")
-        AB, CB = AD[e, :, nI:][:, b], CD[e, :m, nI:][:, b]
+        AB, CB = AD[e, :, nI:][:, b], CD[e, :, nI:][:, b]
         k = AB.shape[1]
         try:
-            x, mu = kkt_solve(AD[e, :, :nI], CD[e, :m, :nI],
+            x, mu = kkt_solve(AD[e, :, :nI], CD[e, :, :nI],
                               np.hstack([AB, np.zeros((nI, g.shape[1]))]),
                               np.hstack([CB, g]))
         except SolveError as exc:
@@ -467,7 +467,7 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
         Ze = np.vstack([x[:, k:], mu[:, k:]])
         S_blocks[e][np.ix_(b, b)] = -(W.T @ Y)
         E_blocks[e][:, b] = -Y[:nI]
-        F_blocks[e, :m][:, b] = -Y[nI:]
+        F_blocks[e][:, b] = -Y[nI:]
         Z.append(Ze)
         WZ.append(W.T @ Ze)
 
@@ -491,7 +491,6 @@ def _condense(maps: IndexMaps, A, Cs, row_elem, targets, norms):
     # The identity on the skeleton shares no entry with the interior rows.
     E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),
                  first=(np.ones(ns), skel, np.arange(ns)))
-    F = assemble(F_blocks, rows, (rows >= 0)[:, :, None] & mask[:, None, :],
-                 (Cs.shape[0], ns))
-    return rows, S, E, F, Z, WZ
+    F = assemble(F_blocks, rows, mask[:, None, :], (Cs.shape[0], ns))
+    return S, E, F, Z, WZ
 

@@ -1,11 +1,42 @@
-"""Tests for the nested grid hierarchy and oversampling patches."""
+"""Tests for the nested grid hierarchy and its index maps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfmultiscale.grid import (GridHierarchy, build_grids,
-                               element_interior_dofs, oversample)
+from tfmultiscale.grid import GridHierarchy, build_grids
+
+
+def _dof_map_oracle(coarse_n, refine):
+    """Per fine node, its interior DOF index or -1 on the outer boundary."""
+    nf = coarse_n * refine
+    nn = nf + 1
+    ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
+    interior = (ix.ravel() > 0) & (ix.ravel() < nf) & (iy.ravel() > 0) & (iy.ravel() < nf)
+    dof_map = np.full(nn * nn, -1, dtype=np.int64)
+    dof_map[interior] = np.arange(interior.sum())
+    return dof_map
+
+
+def _element_maps_oracle(coarse_n, refine):
+    """Per coarse element, (fine cell ids, fine node ids), built one element
+    at a time."""
+    nf = coarse_n * refine
+    nn = nf + 1
+    elem_maps = []
+    r = refine
+    for cy in range(coarse_n):
+        for cx in range(coarse_n):
+            fx = np.arange(cx * r, (cx + 1) * r)
+            fy = np.arange(cy * r, (cy + 1) * r)
+            FX, FY = np.meshgrid(fx, fy, indexing="xy")
+            cells = (FY * nf + FX).ravel()
+            gx = np.arange(cx * r, (cx + 1) * r + 1)
+            gy = np.arange(cy * r, (cy + 1) * r + 1)
+            GX, GY = np.meshgrid(gx, gy, indexing="xy")
+            nodes = (GY * nn + GX).ravel()
+            elem_maps.append((cells, nodes))
+    return elem_maps
 
 
 def test_build_grids_paper_sizes():
@@ -24,7 +55,7 @@ def test_build_grids_small():
 
 def test_element_maps_counts():
     g = build_grids(10, 10)
-    for cells, nodes in g.elem_maps:
+    for cells, nodes in zip(*g.element_cells_nodes()):
         assert len(cells) == 100
         assert len(nodes) == 121
 
@@ -36,17 +67,55 @@ def test_degenerate_rejected():
         build_grids(10, 1)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((1, 3), "coarse_n"), ((3, 1), "refine"), ((3, 2.5), "refine"),
+    ((3.0, 4), "coarse_n"), ((3, "4"), "refine"), ((None, 4), "coarse_n")])
+def test_grid_rejects_invalid_counts(counts, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 2"):
+        GridHierarchy(*counts)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 2"):
+        build_grids(*counts)
+
+
+def test_grid_is_its_two_counts():
+    g = build_grids(np.int64(3), 4)
+    assert g == GridHierarchy(3, 4) and hash(g) == hash(GridHierarchy(3, 4))
+    assert g != GridHierarchy(4, 3)
+
+
 def test_partition_of_cells():
     g = build_grids(4, 3)
-    seen = np.concatenate([cells for cells, _ in g.elem_maps])
+    seen = g.element_cells_nodes()[0].ravel()
     assert len(seen) == g.n_cells
     assert np.array_equal(np.sort(seen), np.arange(g.n_cells))
 
 
 def test_node_cover():
     g = build_grids(3, 4)
-    union = np.unique(np.concatenate([nodes for _, nodes in g.elem_maps]))
+    union = np.unique(g.element_cells_nodes()[1])
     assert np.array_equal(union, np.arange(g.n_nodes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(coarse_n=st.integers(2, 5), refine=st.integers(2, 6))
+def test_element_tables_match_loop_oracle(coarse_n, refine):
+    g = build_grids(coarse_n, refine)
+    cells, nodes = g.element_cells_nodes()
+    oracle = _element_maps_oracle(coarse_n, refine)
+    assert cells.shape == (g.n_coarse_elems, refine ** 2)
+    assert nodes.shape == (g.n_coarse_elems, (refine + 1) ** 2)
+    for e, (oc, on) in enumerate(oracle):
+        assert np.array_equal(cells[e], oc)
+        assert np.array_equal(nodes[e], on)
+    # The cells of the elements partition the fine cells, and their nodes
+    # cover the fine nodes.
+    assert np.array_equal(np.sort(cells.ravel()), np.arange(g.n_cells))
+    assert np.array_equal(np.unique(nodes), np.arange(g.n_nodes))
+    for a in (cells, nodes):
+        assert not a.flags.writeable
+    assert g.element_cells_nodes()[0] is cells
+    dof_map = _dof_map_oracle(coarse_n, refine)
+    assert np.array_equal(g.interior_nodes(), np.flatnonzero(dof_map >= 0))
 
 
 def test_every_node_in_1_to_4_cells():
@@ -56,65 +125,72 @@ def test_every_node_in_1_to_4_cells():
     assert counts.max() <= 4
 
 
+def _patch(g, i, layers):
+    """Coarse elements and fine DOFs of element i's patch."""
+    maps = g.index_maps(layers)
+    return np.flatnonzero(maps.in_patch[i]), maps.patch_dofs[i]
+
+
 def test_oversample_interior_one_layer():
     g = build_grids(5, 4)
     # element (2,2) is interior
     i = 2 * 5 + 2
-    p = oversample(g, i, 1)
-    assert len(p.elements) == 9
+    elements, _ = _patch(g, i, 1)
+    assert len(elements) == 9
 
 
 def test_oversample_corner_one_layer():
     g = build_grids(5, 4)
-    p = oversample(g, 0, 1)
-    assert len(p.elements) == 4
+    elements, _ = _patch(g, 0, 1)
+    assert len(elements) == 4
 
 
 def test_oversample_zero_layers_is_element():
     g = build_grids(5, 4)
     for i in (0, 7, 24):
-        p = oversample(g, i, 0)
-        assert np.array_equal(p.elements, [i])
-        assert np.array_equal(np.sort(p.local_dofs),
-                              np.sort(element_interior_dofs(g, i)))
+        elements, dofs = _patch(g, i, 0)
+        assert np.array_equal(elements, [i])
+        assert np.array_equal(np.sort(dofs),
+                              np.sort(g.index_maps(0).interior[i]))
 
 
 def test_oversample_monotone_nesting():
     g = build_grids(6, 3)
     for i in (0, 14, 35):
-        prev = oversample(g, i, 0)
+        prev = _patch(g, i, 0)
         for k in (1, 2, 3):
-            cur = oversample(g, i, k)
-            assert set(prev.elements) <= set(cur.elements)
-            assert set(prev.local_dofs) <= set(cur.local_dofs)
+            cur = _patch(g, i, k)
+            assert set(prev[0]) <= set(cur[0])
+            assert set(prev[1]) <= set(cur[1])
             prev = cur
 
 
 def test_oversample_local_dofs_strictly_interior():
     g = build_grids(4, 5)
-    p = oversample(g, 5, 1)
+    _, dofs = _patch(g, 5, 1)
+    cy, cx = divmod(5, 4)
+    cx0, cx1, cy0, cy1 = max(cx - 1, 0), min(cx + 1, 3), max(cy - 1, 0), min(cy + 1, 3)
     nn = g.n_nodes_side
     r = g.refine
     interior = g.interior_nodes()
-    nodes = interior[p.local_dofs]
+    nodes = interior[dofs]
     x = nodes % nn
     y = nodes // nn
-    assert x.min() > p.cx0 * r and x.max() < (p.cx1 + 1) * r
-    assert y.min() > p.cy0 * r and y.max() < (p.cy1 + 1) * r
+    assert x.min() > cx0 * r and x.max() < (cx1 + 1) * r
+    assert y.min() > cy0 * r and y.max() < (cy1 + 1) * r
 
 
 def test_oversample_index_validation():
     g = build_grids(3, 3)
     with pytest.raises(IndexError):
-        oversample(g, 9, 1)
+        _patch(g, 9, 1)
     with pytest.raises(ValueError):
-        oversample(g, 0, -1)
+        _patch(g, 0, -1)
 
 
 def test_element_interior_dof_union_disjoint():
     g = build_grids(4, 4)
-    all_dofs = np.concatenate([element_interior_dofs(g, i)
-                               for i in range(g.n_coarse_elems)])
+    all_dofs = g.index_maps(0).interior.ravel()
     assert len(all_dofs) == len(np.unique(all_dofs))
 
 
@@ -137,6 +213,8 @@ def test_geometry_built_once_and_read_only(coarse_n, refine):
 def test_index_maps_match_direct_construction(coarse_n, refine, layers):
     g = build_grids(coarse_n, refine)
     maps = g.index_maps(layers)
+    dof_map = _dof_map_oracle(coarse_n, refine)
+    elem_maps = _element_maps_oracle(coarse_n, refine)
     nn, r = g.n_nodes_side, refine
     nodes = g.interior_nodes()
     x, y = nodes % nn, nodes // nn
@@ -151,8 +229,7 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
         cy, cx = divmod(i, coarse_n)
         inside = (x > cx * r) & (x < (cx + 1) * r) & (y > cy * r) & (y < (cy + 1) * r)
         assert np.array_equal(maps.interior[i], np.flatnonzero(inside))
-        assert np.array_equal(element_interior_dofs(g, i), np.flatnonzero(inside))
-        closure = g.fine_dof_map[g.elem_maps[i][1]]
+        closure = dof_map[elem_maps[i][1]]
         assert np.array_equal(maps.boundary[i][maps.boundary_mask[i]],
                               closure[np.isin(closure, np.flatnonzero(on_skel))])
         x0, x1 = max(cx - layers, 0), min(cx + layers, coarse_n - 1)
@@ -160,7 +237,6 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
         dofs = np.flatnonzero((x > x0 * r) & (x < (x1 + 1) * r)
                               & (y > y0 * r) & (y < (y1 + 1) * r))
         assert np.array_equal(maps.patch_dofs[i], dofs)
-        assert np.array_equal(oversample(g, i, layers).local_dofs, dofs)
         assert np.array_equal(maps.patch_skeleton[i], pos[dofs][pos[dofs] >= 0])
         ey, ex = np.divmod(np.arange(g.n_coarse_elems), coarse_n)
         assert np.array_equal(maps.in_patch[i], (abs(ex - cx) <= layers)
@@ -175,7 +251,6 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
     assert g.index_maps(layers) is maps
     other = g.index_maps(layers + 1)
     assert other is not maps
-    assert np.array_equal(other.patch_dofs[0], oversample(g, 0, layers + 1).local_dofs)
     assert g.index_maps(layers) is maps and g.index_maps(layers + 1) is other
 
 

@@ -235,6 +235,7 @@ def test_config_rejects_bad_time_grid():
     ("field", {"kind": "channels", "contrast": float("nan")}),
     ("field", {"kind": "channels", "contrast": float("inf")}),
     ("L", 81), ("J", 81), ("refine", 2),
+    ("refine", 4.5), ("coarse_n", float("nan")), ("layers", "1"),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -425,6 +426,21 @@ def test_cli_solve(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(p)]) == 0
     out = capsys.readouterr().out
     assert "scem: ok" in out
+    assert (tmp_path / "out" / "errors.csv").exists()
+
+
+def test_cli_solve_accepts_integral_float_counts(tmp_path, capsys):
+    """JSON written by other tools may carry counts as 3.0: the config
+    stores them as ints, so the run does not fail inside numpy."""
+    p, _ = _write_cfg(tmp_path)
+    data = json.loads(p.read_text())
+    data.update(coarse_n=3.0, refine=4.0, layers=1.0, L=2.0, J=1.0)
+    p.write_text(json.dumps(data))
+    cfg = ExperimentConfig.from_json(p)
+    for name in ("coarse_n", "refine", "layers", "L", "J"):
+        assert type(getattr(cfg, name)) is int
+    assert cli.main(["solve", "--config", str(p)]) == 0
+    assert "scem: ok" in capsys.readouterr().out
     assert (tmp_path / "out" / "errors.csv").exists()
 
 

@@ -1,6 +1,8 @@
 """Tests for the auxiliary spectral problems and the two localized coarse
 bases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
-from tfmultiscale.grid import oversample
 from tfmultiscale.linalg import SolveError, _sparse_lu
 from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
                                  v2_aux_spectral, v2_basis)
@@ -85,13 +86,12 @@ def test_cem_constraint_gram_identity():
 
 
 def test_cem_support_inside_patch():
-    from tfmultiscale.grid import oversample
     g, fld, _, aux1 = setup_spaces()
     layers = 1
     b1 = cem_basis(g, fld, aux1, layers)
+    patch_dofs = g.index_maps(layers).patch_dofs
     for j in range(b1.n):
-        patch = oversample(g, int(b1.col_elem[j]), layers)
-        outside = np.setdiff1d(np.arange(g.n_dofs), patch.local_dofs)
+        outside = np.setdiff1d(np.arange(g.n_dofs), patch_dofs[int(b1.col_elem[j])])
         assert np.allclose(b1.R[outside, j], 0.0)
 
 
@@ -200,9 +200,9 @@ def test_v2_nearly_a_orthogonal_to_cem():
 def _cem_patch_system(g, fld, aux1, i, layers):
     """Stiffness, constraints and target moments of element i's CEM patch."""
     A = assembly.assemble(g, fld, "stiffness")
-    patch = oversample(g, i, layers)
-    dofs = patch.local_dofs
-    acols = np.flatnonzero(np.isin(aux1.col_elem, patch.elements))
+    maps = g.index_maps(layers)
+    dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
+    acols = np.flatnonzero(np.isin(aux1.col_elem, elements))
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
     own = np.flatnonzero(aux1.col_elem[acols] == i)
@@ -213,10 +213,10 @@ def _cem_patch_system(g, fld, aux1, i, layers):
 def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     """Stiffness, constraints and target moments of element i's V2 patch."""
     A = assembly.assemble(g, fld, "stiffness")
-    patch = oversample(g, i, layers)
-    dofs = patch.local_dofs
-    a1 = np.flatnonzero(np.isin(aux1.col_elem, patch.elements))
-    a2 = np.flatnonzero(np.isin(aux2.col_elem, patch.elements))
+    maps = g.index_maps(layers)
+    dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
+    a1 = np.flatnonzero(np.isin(aux1.col_elem, elements))
+    a2 = np.flatnonzero(np.isin(aux2.col_elem, elements))
     MXi = (aux2.weight @ aux2.vectors).tocsc()
     C = sp.vstack([(aux1.weight @ aux1.vectors)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
     own = np.flatnonzero(aux2.col_elem[a2] == i)
@@ -241,7 +241,7 @@ def _worst_patch_error(g, fld, aux1, aux2, layers):
     for basis, system in ((b1, lambda i: _cem_patch_system(g, fld, aux1, i, layers)),
                           (b2, lambda i: _v2_patch_system(g, fld, aux1, aux2, i, layers))):
         for i in range(g.n_coarse_elems):
-            dofs = oversample(g, i, layers).local_dofs
+            dofs = g.index_maps(layers).patch_dofs[i]
             cols = np.flatnonzero(basis.col_elem == i)
             dense = _dense_patch_solve(*system(i))
             err = np.linalg.norm(basis.R[dofs][:, cols] - dense, axis=0)
@@ -285,7 +285,7 @@ def test_zero_constraint_row_names_element():
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     keep = np.ones(aux1.total)
     keep[0] = 0.0                      # first aux function of element 0
-    aux1.vectors = (aux1.vectors @ sp.diags(keep)).tocsc()
+    aux1 = dataclasses.replace(aux1, vectors=(aux1.vectors @ sp.diags(keep)).tocsc())
     with pytest.raises(SolveError,
                        match="CEM basis solve failed on element 0: zero constraint row"):
         cem_basis(g, fld, aux1, 1)
@@ -326,7 +326,7 @@ def test_singular_element_block_names_element_and_constraint():
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     V = aux1.vectors.tolil()
     V[:, 8] = V[:, 9]
-    aux1.vectors = V.tocsc()
+    aux1 = dataclasses.replace(aux1, vectors=V.tocsc())
     with pytest.raises(SolveError, match="CEM basis solve failed on element 4: "
                        "constraint matrix is rank deficient .rank 1 of 2.; "
                        "first dependent constraint index 1"):
@@ -338,26 +338,28 @@ def _cem_localize_inputs():
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     A = assembly.assemble(g, fld, "stiffness")
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
-    targets = [(aux1.vectors[:, own].T @ SPsi[:, own]).toarray()
-               for own in (np.flatnonzero(aux1.col_elem == i)
-                           for i in range(g.n_coarse_elems))]
-    return g, A, SPsi.T.tocsr(), aux1.col_elem, targets
+    rows = np.arange(aux1.total).reshape(g.n_coarse_elems, -1)
+    targets = np.array([(aux1.vectors[:, own].T @ SPsi[:, own]).toarray()
+                        for own in rows])
+    return g, A, SPsi.T.tocsr(), rows, targets
 
 
 def test_localize_rejects_inconsistent_targets():
-    g, A, C, row_elem, targets = _cem_localize_inputs()
-    first = np.flatnonzero(row_elem == 4)[0]
-    C2 = sp.vstack([C, C[first]]).tocsr()      # element 4's first row twice,
-    targets[4] = np.vstack([targets[4], targets[4][:1] + 1.0])  # other target
+    g, A, C, rows, targets = _cem_localize_inputs()
+    first, second = rows[4]
+    order = np.arange(C.shape[0])
+    order[second] = first
+    C2 = C[order]                         # element 4's first row twice,
+    targets[4][1] = targets[4][0] + 1.0   # with another target
     with pytest.raises(SolveError, match="element 4"):
-        spaces._localize(g, A, C2, np.append(row_elem, 4), targets, 1)
+        spaces._localize(g, A, C2, rows, targets, 1)
 
 
 def test_localize_rejects_nonfinite_targets():
-    g, A, C, row_elem, targets = _cem_localize_inputs()
+    g, A, C, rows, targets = _cem_localize_inputs()
     targets[4][0, 1] = np.nan
     with pytest.raises(SolveError, match="on element 4: column 1"):
-        spaces._localize(g, A, C, row_elem, targets, 1)
+        spaces._localize(g, A, C, rows, targets, 1)
 
 
 @settings(max_examples=8, deadline=None)
