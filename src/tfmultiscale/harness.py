@@ -43,6 +43,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("T", "dt", "dt_fine"):
             _require_finite_positive(name, getattr(self, name))
+        _check_spec("field", self.field)
+        _check_spec("forcing", self.forcing)
         if "contrast" in self.field:
             _require_finite_positive("field contrast", self.field["contrast"])
         n = self.T / self.dt
@@ -63,8 +65,8 @@ class ExperimentConfig:
                 f"L + J = {self.L + self.J} local eigenpairs exceed the "
                 f"{(self.refine - 1) ** 2} interior DOFs of a coarse element "
                 f"at refine={self.refine}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must be a real in (0, 1), got {self.alpha!r}")
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
             raise ValueError(f"schemes: unknown {unknown}, expected names from "
@@ -91,6 +93,28 @@ class ExperimentConfig:
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
+
+
+# Per kind, the keys a field or forcing spec takes; those of "file" and
+# "custom" are required.  A spec without "kind" has the first kind listed.
+_GENERATED = {"contrast", "seed", "nx", "ny", "n_channels", "n_inclusions"}
+_KINDS = {"field": {"channels": _GENERATED, "inclusions": _GENERATED,
+                    "file": {"path"}, "bundled": {"name"}},
+          "forcing": {"smooth": set(), "discontinuous": {"square", "levels"},
+                      "custom": {"values"}}}
+_REQUIRED = {"file": {"path"}, "custom": {"values"}}
+
+
+def _check_spec(name: str, spec) -> None:
+    kinds = _KINDS[name]
+    kind = spec.get("kind", next(iter(kinds))) if isinstance(spec, dict) else None
+    if kind not in kinds:
+        raise ValueError(f"{name} {spec!r}: expected a dict whose kind is one "
+                         f"of {sorted(kinds)}")
+    keys, accepted = set(spec) - {"kind"}, kinds[kind]
+    if keys - accepted or _REQUIRED.get(kind, set()) - keys:
+        raise ValueError(f"{name}: kind {kind!r} takes the keys {sorted(accepted)}"
+                         f"{' (required)' * (kind in _REQUIRED)}, got {sorted(keys)}")
 
 
 def _require_finite_positive(name: str, value) -> None:

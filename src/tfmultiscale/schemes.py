@@ -1,10 +1,10 @@
 """Time steppers on reduced (or fine) spaces.
 
-Three schemes share the L1 history machinery: fully implicit, fully
-explicit (stiffness lagged one step), and the partially explicit splitting
-where only the first block's stiffness is treated implicitly.  System
-matrices are step-independent, so each scheme factors its left-hand matrix
-once per run.
+The schemes are one partially explicit splitting step on the L1 history,
+:func:`_step`: the stiffness of the first block of columns is implicit, that
+of the rest lagged one step.  The fully implicit and fully explicit schemes
+are its end points.  System matrices are step-independent, so each scheme
+factors its left-hand matrix once per run.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ from .spaces import ReducedBasis
 
 DIVERGENCE_FACTOR = 1e12
 
-SCHEMES = ("implicit", "explicit", "partial")
-
 
 @dataclass
 class ReducedSystem:
     """Galerkin-projected mass/stiffness pair with an optional block split.
 
     n1 columns belong to the implicitly treated space, the remaining n2 to
-    the explicitly treated one.  Factorizations are cached per scheme.
+    the explicitly treated one.  Factorizations are cached per split and a0.
     """
 
     M: object
@@ -44,11 +42,6 @@ class ReducedSystem:
     @property
     def n(self) -> int:
         return self.n1 + self.n2
-
-    def _solve_with(self, key, build, rhs):
-        if key not in self._factors:
-            self._factors[key] = build()
-        return self._factors[key](rhs)
 
     def solver(self, matrix):
         """Factor a (dense or sparse) matrix once; returns a solve closure.
@@ -114,55 +107,44 @@ def load_trajectory(path) -> Trajectory:
                       diverged_step=int(meta.get("diverged_step", "-1")))
 
 
-def _implicit_matrix(sys: ReducedSystem, alpha0: float):
-    return sys.M + alpha0 * sys.A
+def _step(sys: ReducedSystem, kernel: L1Kernel, history, load: np.ndarray,
+          n_imp: int) -> np.ndarray:
+    """One splitting step with the stiffness of the first ``n_imp`` columns
+    implicit and that of the rest lagged: ``n_imp`` = n is the implicit
+    scheme (left matrix M + a0 A, sparse included), 0 the explicit one.  The
+    left matrix is factored once per (``n_imp``, a0)."""
+    a0 = kernel.alpha0
+    rhs = sys.M @ history_rhs(kernel, history)
+    if n_imp < sys.n:
+        rhs = rhs - a0 * (sys.A[:, n_imp:] @ np.asarray(history)[-1, n_imp:])
+    rhs = rhs + a0 * load
+    key = (n_imp, a0)
+    if key not in sys._factors:
+        if n_imp == sys.n:
+            left = sys.M + a0 * sys.A
+        else:
+            left = sys.M.copy()
+            left[:, :n_imp] += a0 * sys.A[:, :n_imp]
+        sys._factors[key] = sys.solver(left)
+    return sys._factors[key](rhs)
 
 
 def step_implicit(sys: ReducedSystem, kernel: L1Kernel, history,
                   load: np.ndarray) -> np.ndarray:
     """One step of (M + alpha0 A) u^{k+1} = M w + alpha0 F^{k+1}."""
-    w = history_rhs(kernel, history)
-    rhs = sys.M @ w + kernel.alpha0 * load
-    key = ("implicit", kernel.alpha0)
-    return sys._solve_with(key, lambda: sys.solver(_implicit_matrix(sys, kernel.alpha0)), rhs)
+    return _step(sys, kernel, history, load, sys.n)
 
 
 def step_explicit(sys: ReducedSystem, kernel: L1Kernel, history,
                   load: np.ndarray) -> np.ndarray:
     """One step of M u^{k+1} = M w - alpha0 A u^k + alpha0 F^{k+1}."""
-    w = history_rhs(kernel, history)
-    uk = np.asarray(history)[-1]
-    rhs = sys.M @ w - kernel.alpha0 * (sys.A @ uk) + kernel.alpha0 * load
-    return sys._solve_with(("mass",), lambda: sys.solver(sys.M), rhs)
+    return _step(sys, kernel, history, load, 0)
 
 
 def step_partial(sys: ReducedSystem, kernel: L1Kernel, history,
                  load: np.ndarray) -> np.ndarray:
-    """One splitting step: block-1 stiffness implicit, block-2 lagged.
-
-    Left matrix [[M11 + a0 A11, M12], [M21 + a0 A21, M22]] is constant in
-    time and factored once.
-    """
-    n1, n2 = sys.n1, sys.n2
-    if n2 == 0:
-        return step_implicit(sys, kernel, history, load)
-    if n1 == 0:
-        return step_explicit(sys, kernel, history, load)
-    a0 = kernel.alpha0
-    w = history_rhs(kernel, history)
-    uk = np.asarray(history)[-1]
-    u2k = uk[n1:]
-
-    def build():
-        M = np.asarray(sys.M)
-        A = np.asarray(sys.A)
-        left = M.copy()
-        left[:, :n1] += a0 * A[:, :n1]
-        return sys.solver(left)
-
-    A2 = np.asarray(sys.A)[:, n1:]
-    rhs = sys.M @ w - a0 * (A2 @ u2k) + a0 * load
-    return sys._solve_with(("partial", a0), build, rhs)
+    """One splitting step: block-1 stiffness implicit, block-2 lagged."""
+    return _step(sys, kernel, history, load, sys.n1)
 
 
 _STEPPERS = {"implicit": step_implicit, "explicit": step_explicit,
@@ -178,7 +160,8 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
     a divergence guard and reported on the trajectory, not raised.
     """
     if scheme not in _STEPPERS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
+                         f"{tuple(_STEPPERS)}")
     stepper = _STEPPERS[scheme]
     N = kernel.steps
     n = sys.n

@@ -28,9 +28,9 @@ systems, a chunk of columns at a time.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
-read from its compressed structure in one gather (:func:`_blocks`), and
-every patch block in one extraction (:func:`_principal`), instead of by
-chained scipy fancy indexing.
+read from its compressed structure in one gather (:func:`_blocks`), every
+patch block by scipy's ``X[idx][:, idx]``.  Element eigenproblems are solved
+by :func:`linalg._eig_smallest`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from . import assembly
 from .grid import GridHierarchy, IndexMaps
-from .linalg import SolveError, _sparse_lu, kkt_solve
+from .linalg import SolveError, _eig_smallest, _sparse_lu, kkt_solve
 
 DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
@@ -167,10 +167,10 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
     auxiliary space).  The kernel is spanned by an explicit null-space basis
-    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w.  A
-    space of dimension below k raises SolveError naming the element.  Every
-    element block is taken from the grid's index maps in one gather per
-    matrix.
+    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w, by
+    :func:`linalg._eig_smallest`, whose failures are raised naming the
+    element.  Every element block is taken from the grid's index maps in one
+    gather per matrix.
     """
     interior = grid.index_maps(0).interior      # the same for every layers
     ne, ni = interior.shape
@@ -181,17 +181,13 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     values, data = [], np.empty((ne, ni, k))
     for i in range(ne):
         Aloc, Bloc = A_blocks[i], B_blocks[i]
+        if constraint is not None:
+            Z = sla.null_space(V_blocks[i] @ W_blocks[i])
+            Aloc, Bloc = Z.T @ Aloc @ Z, Z.T @ Bloc @ Z
         try:
-            if constraint is not None:
-                Z = sla.null_space(V_blocks[i] @ W_blocks[i])
-                Aloc, Bloc = Z.T @ Aloc @ Z, Z.T @ Bloc @ Z
-            if len(Aloc) < k:
-                raise SolveError(f"element {i}: requested {k} eigenpairs, "
-                                 f"space has dimension {len(Aloc)}")
-            vals, vecs = sla.eigh(Aloc, Bloc, subset_by_index=(0, k - 1))
-        except sla.LinAlgError as exc:
-            raise SolveError(f"local eigenproblem failed on coarse element "
-                             f"{i} ({exc})") from exc
+            vals, vecs = _eig_smallest(Aloc, Bloc, k)
+        except SolveError as exc:
+            raise SolveError(f"on element {i}: {exc}") from exc
         values.append(vals)
         data[i] = vecs if constraint is None else Z @ vecs
     cols = np.arange(ne)[:, None] * k + np.tile(np.arange(k), ni)
@@ -233,22 +229,6 @@ def _blocks(X, rows, cols) -> np.ndarray:
     hit = keys[at] == probe
     out[e[hit], p[hit], cq[at[hit]]] = X.data[k[hit]]
     return out
-
-
-def _principal(X, idx):
-    """The principal submatrix ``X[idx][:, idx]`` of a square canonical CSR
-    or CSC matrix for ascending ``idx``, in the same format; its arrays are
-    those scipy's indexing would give."""
-    k, count = _row_entries(X, idx)
-    where = np.full(X.shape[0], -1, dtype=X.indices.dtype)
-    where[idx] = np.arange(len(idx))
-    q = where[X.indices[k]]
-    keep = np.flatnonzero(q >= 0)
-    # Entries kept per row: count those before each row's end.
-    indptr = np.zeros(len(idx) + 1, dtype=keep.dtype)
-    indptr[1:] = np.searchsorted(keep, np.cumsum(count))
-    return type(X)((X.data[k[keep]], q[keep], indptr),
-                   shape=(len(idx), len(idx)))
 
 
 def _moments(aux: AuxSpace) -> np.ndarray:
@@ -363,7 +343,7 @@ def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
         hit = sk[at] == b
         rhs = np.zeros((len(sk), k))
         rhs[at[hit]] = -WZ[i][hit]
-        SP = _principal(S, sk)
+        SP = S[sk][:, sk]
         lu = _sparse_lu(SP)
         xs = lu.solve(rhs)
         xs += lu.solve(rhs - SP @ xs)
@@ -486,7 +466,7 @@ def _condense(maps: IndexMaps, A, Cs, rows, targets, norms):
             shape=shape)
 
     ns = len(skel)
-    S = (_principal(A, skel) + assemble(S_blocks, bpos, mask[:, :, None]
+    S = (A[skel][:, skel] + assemble(S_blocks, bpos, mask[:, :, None]
                                      & mask[:, None, :], (ns, ns))).tocsr()
     # The identity on the skeleton shares no entry with the interior rows.
     E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),

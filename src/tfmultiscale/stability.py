@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import assembly, spaces
 from .fractional import L1Kernel
 from .linalg import SolveError, gamma_fn
 from .schemes import ReducedSystem, Trajectory, reduce
-
-DENSE_LIMIT = 2000
 
 
 @dataclass
@@ -62,22 +58,10 @@ class StabilityReport:
             fh.write(self.to_text())
 
 
-def lambda_max(A, M, tol: float = 1e-8) -> float:
-    """Largest lambda of A v = lambda M v for symmetric A, SPD M."""
-    n = A.shape[0]
-    if n <= DENSE_LIMIT:
-        Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
-        Md = M.toarray() if sp.issparse(M) else np.asarray(M)
-        return float(sla.eigh(Ad, Md, eigvals_only=True,
-                              subset_by_index=(n - 1, n - 1))[0])
-    try:
-        vals = spla.eigsh(sp.csc_matrix(A), k=1, M=sp.csc_matrix(M),
-                          which="LA", tol=tol, maxiter=5000,
-                          return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise SolveError(
-            f"eigensolver did not converge ({exc})") from exc
-    return float(vals[0])
+def lambda_max(A, M) -> float:
+    """Largest lambda of the dense pencil A v = lambda M v (M SPD)."""
+    n = len(A)
+    return float(sla.eigh(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
 
 
 def estimate_gamma(M11, M12, M22) -> GammaEstimate:

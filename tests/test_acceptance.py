@@ -15,7 +15,7 @@ from tfmultiscale.assembly import PermeabilityField
 from tfmultiscale.fractional import caputo_apply, make_kernel
 from tfmultiscale.grid import build_grids
 from tfmultiscale.harness import channel_geometry, error_series, experiment_config, gen_forcing
-from tfmultiscale.linalg import gamma_fn, gen_eig_smallest, kkt_solve
+from tfmultiscale.linalg import _eig_smallest, gamma_fn, kkt_solve
 from tfmultiscale.schemes import ReducedSystem, fine_reference, reduce, run_scheme
 from tfmultiscale.stability import (build_report, contrast_sweep,
                                     dt_max_partial, energy_audit)
@@ -298,7 +298,7 @@ def test_criterion_10_oracle_equivalences():
     for n in (3, 6):
         A = random_spd(n, rng)
         B = random_spd(n, rng)
-        values, _ = gen_eig_smallest(A, B, n)
+        values, _ = _eig_smallest(A, B, n)
         oracle = charpoly_eigs_bisect(A, B)
         worst = max(worst, float(np.max(np.abs(values - oracle)
                                         / np.maximum(np.abs(oracle), 1.0))))

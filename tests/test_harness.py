@@ -236,10 +236,27 @@ def test_config_rejects_bad_time_grid():
     ("field", {"kind": "channels", "contrast": float("inf")}),
     ("L", 81), ("J", 81), ("refine", 2),
     ("refine", 4.5), ("coarse_n", float("nan")), ("layers", "1"),
+    ("field", {"kind": "perlin"}), ("field", {"kind": "channels", "sede": 1}),
+    ("field", {"kind": "file"}), ("field", "channels"),
+    ("forcing", {"kind": "wavy"}), ("forcing", {"kind": "custom"}),
+    ("forcing", {"kind": "smooth", "square": (0.2, 0.8)}), ("alpha", "0.9"),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_every_field_and_forcing_kind():
+    for field in ({"contrast": 10.0},
+                  {"kind": "inclusions", "seed": 2, "n_inclusions": 3},
+                  {"kind": "channels", "contrast": 1e3, "seed": 1, "nx": 40,
+                   "ny": 40, "n_channels": 2, "n_inclusions": 5},
+                  {"kind": "file", "path": "kappa.txt"}, {"kind": "bundled"}):
+        assert ExperimentConfig(field=field).field == field
+    for forcing in ({},
+                    {"kind": "discontinuous", "square": (0.2, 0.8), "levels": (0, 2)},
+                    {"kind": "custom", "values": [1.0, 2.0, 3.0, 4.0]}):
+        assert ExperimentConfig(forcing=forcing).forcing == forcing
 
 
 def test_config_limits_local_eigenpairs_to_element_interior():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, schemes, spaces
-from tfmultiscale.fractional import make_kernel
+from tfmultiscale.fractional import history_rhs, make_kernel
 from tfmultiscale.linalg import SolveError, _sparse_lu, gamma_fn
 from tfmultiscale.schemes import (ReducedSystem, fine_reference,
                                   load_trajectory, reduce,
@@ -227,6 +227,102 @@ def test_implicit_explicit_first_order_agreement():
         # difference in the M-metric sense; use the M^{-1}A spectral norm
         cond = np.linalg.norm(np.linalg.solve(M, A), 2)
         assert np.linalg.norm(ui - ue) <= 2 * k.alpha0 ** 2 * cond ** 2 * np.linalg.norm(u0)
+
+
+# Reference bodies of the three schemes, each written out on its own: the
+# splitting step must reproduce them bit for bit.  Each solves through
+# ReducedSystem.solver, as the steppers do.
+def _old_implicit(sys_r, k, hist, f):
+    w = history_rhs(k, hist)
+    rhs = sys_r.M @ w + k.alpha0 * f
+    return sys_r.solver(sys_r.M + k.alpha0 * sys_r.A)(rhs)
+
+
+def _old_explicit(sys_r, k, hist, f):
+    w = history_rhs(k, hist)
+    uk = np.asarray(hist)[-1]
+    rhs = sys_r.M @ w - k.alpha0 * (sys_r.A @ uk) + k.alpha0 * f
+    return sys_r.solver(sys_r.M)(rhs)
+
+
+def _old_partial(sys_r, k, hist, f):
+    n1 = sys_r.n1
+    if sys_r.n2 == 0:
+        return _old_implicit(sys_r, k, hist, f)
+    if n1 == 0:
+        return _old_explicit(sys_r, k, hist, f)
+    a0 = k.alpha0
+    w = history_rhs(k, hist)
+    u2k = np.asarray(hist)[-1][n1:]
+    left = np.asarray(sys_r.M).copy()
+    left[:, :n1] += a0 * np.asarray(sys_r.A)[:, :n1]
+    rhs = sys_r.M @ w - a0 * (np.asarray(sys_r.A)[:, n1:] @ u2k) + a0 * f
+    return sys_r.solver(left)(rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data(), alpha=st.floats(0.05, 0.95),
+       rows=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_splitting_step_equals_the_three_old_bodies(n, data, alpha, rows, seed):
+    """The one splitting step gives, bit for bit, what the separate
+    implicit, explicit and partially explicit bodies gave."""
+    n1 = data.draw(st.integers(0, n), label="n1")
+    rng = np.random.default_rng(seed)
+    B, C = rng.standard_normal((2, n, n))
+    M, A = B @ B.T + n * np.eye(n), C @ C.T + n * np.eye(n)
+    k = make_kernel(alpha, 10 ** rng.uniform(-4, -1), 6)
+    hist = rng.standard_normal((rows, n))
+    f = rng.standard_normal(n)
+    for step, old in ((step_implicit, _old_implicit),
+                      (step_explicit, _old_explicit),
+                      (step_partial, _old_partial)):
+        new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=n1, n2=n - n1) for _ in "ab")
+        assert np.array_equal(step(new_sys, k, hist, f), old(old_sys, k, hist, f))
+
+
+@pytest.mark.parametrize("step, old", [(step_implicit, _old_implicit),
+                                       (step_explicit, _old_explicit)])
+def test_splitting_step_equals_the_old_bodies_on_the_sparse_fine_space(step, old):
+    g = t.build_grids(3, 4)
+    rng = np.random.default_rng(8)
+    fld = assembly.PermeabilityField(np.where(rng.random(g.n_cells) < 0.3, 1e4, 1.0))
+    A = assembly.assemble(g, fld, "stiffness")
+    M = assembly.assemble(g, None, "mass")
+    k = make_kernel(0.7, 1e-3, 4)
+    hist = rng.standard_normal((3, g.n_dofs))
+    f = rng.standard_normal(g.n_dofs)
+    new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0) for _ in "ab")
+    assert np.array_equal(step(new_sys, k, hist, f), old(old_sys, k, hist, f))
+
+
+def test_one_factorization_per_split_and_alpha0(monkeypatch):
+    calls = []
+    solver = ReducedSystem.solver
+
+    def counting(self, matrix):
+        calls.append(matrix)
+        return solver(self, matrix)
+
+    monkeypatch.setattr(ReducedSystem, "solver", counting)
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((4, 4))
+    M, A = B @ B.T + 4 * np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0])
+    u0, zero = np.ones(4), (lambda _: np.zeros(4))
+    k1, k2 = make_kernel(0.5, 1e-3, 8), make_kernel(0.8, 1e-3, 8)
+    split = ReducedSystem(M=M, A=A, n1=2, n2=2)
+    for scheme in ("partial", "partial", "implicit", "explicit"):
+        run_scheme(scheme, split, k1, u0, zero)
+    assert len(calls) == 3          # one per split: n_imp = 2, 4 and 0
+    run_scheme("partial", split, k2, u0, zero)
+    assert len(calls) == 4          # a new alpha0 factors again
+    # A system without a second block: the splitting is the implicit scheme
+    # and reuses its factorization; one without a first block is explicit.
+    for n1, first in ((4, "implicit"), (0, "explicit")):
+        calls.clear()
+        sys_r = ReducedSystem(M=M, A=A, n1=n1, n2=4 - n1)
+        run_scheme(first, sys_r, k1, u0, zero)
+        run_scheme("partial", sys_r, k1, u0, zero)
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------------------- run_scheme

@@ -75,6 +75,22 @@ def test_aux_degenerate_s_names_element():
         aux_spectral(g, fld, kt, 2)
 
 
+def test_non_spd_local_weight_names_its_element():
+    """A weight whose block on one element interior is zero fails that
+    element's eigensolve, and the error names the element."""
+    g = t.build_grids(3, 4)
+    fld = channel_field(g)
+    A = assembly.assemble(g, fld, "stiffness")
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    S = assembly.assemble(g, kt, "weighted_mass")
+    keep = np.ones(g.n_dofs)
+    keep[g.index_maps(0).interior[4]] = 0.0
+    S = sp.diags(keep) @ S @ sp.diags(keep)
+    with pytest.raises(SolveError,
+                       match="on element 4: generalized eigenproblem failed"):
+        spaces._local_eigs(g, A, S, 2)
+
+
 # -------------------------------------------------------------------- cem_basis
 
 def test_cem_constraint_gram_identity():

@@ -41,17 +41,6 @@ def test_lambda_max_matches_dense_oracle():
     assert lambda_max(A, M) == pytest.approx(oracle, rel=1e-10)
 
 
-def test_lambda_max_sparse_path():
-    """Above the dense cut-over the iterative path must agree with dense."""
-    import scipy.sparse as sp
-    n = 2500
-    rng = np.random.default_rng(2)
-    d = rng.uniform(1.0, 100.0, n)
-    A = sp.diags(d, format="csc")
-    M = sp.identity(n, format="csc")
-    assert lambda_max(A, M) == pytest.approx(d.max(), rel=1e-6)
-
-
 # --------------------------------------------------------------- estimate_gamma
 
 def test_gamma_orthogonal_blocks():
