@@ -3,6 +3,11 @@
 Provides the mass matrix M, stiffness A(kappa), the weighted mass S built
 from the MsFEM partition-of-unity gradients, and load vectors.  kappa is
 piecewise constant per fine cell; all element integrals are exact.
+
+The partition of unity chi and kappa_tilde are computed for all coarse
+elements at once, and must stay bit-equal to the per-element loops: at
+contrast 1e6 a relative 1e-15 change in either moves the stability report by
+about 1e-6 (ROADMAP item 1), beyond the benchmark's 1e-9 references.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import GridHierarchy
+from .linalg import SolveError, _check_backward_error
 
 # Reference element matrices on an h x h square, nodes counterclockwise
 # from the SW corner.  Mass scales with h^2; stiffness is h-independent.
@@ -120,57 +126,64 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
 
     On each coarse element, chi_i solves the local Dirichlet problem with
     bilinear boundary data (1 at vertex i, 0 at the others, linear on edges).
+    The local stiffnesses are one block-diagonal COO, elements in order and
+    each one's entries in single-element order, so that duplicate entries
+    are summed in the order of one element at a time; its blocks and the
+    boundary-data product are taken once.  Each interior block is factored by SuperLU (COLAMD) and
+    solved on its own, and the backward errors are checked in one pass, a
+    failure naming the element.
     """
-    cn = grid.coarse_n
-    r = grid.refine
-    nn = grid.n_nodes_side
-    nvert = grid.n_coarse_vertices
-
-    # Local node grid of one coarse element: (r+1)^2 nodes, x fastest.
-    lx, ly = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="xy")
-    lx = lx.ravel() / r
-    ly = ly.ravel() / r
+    cn, r = grid.coarse_n, grid.refine
+    n = (r + 1) ** 2                    # local nodes of one element, x fastest
+    ly, lx = np.divmod(np.arange(n), r + 1)
+    lx, ly = lx / r, ly / r
     on_bdy = (lx == 0) | (lx == 1) | (ly == 0) | (ly == 1)
     bdy = np.flatnonzero(on_bdy)
     inner = np.flatnonzero(~on_bdy)
+    ni = len(inner)
     # Bilinear corner hats evaluated at local nodes; corner order SW,SE,NE,NW.
     hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
 
     # Local connectivity (cells within one coarse element).
-    cX, cY = np.meshgrid(np.arange(r), np.arange(r), indexing="xy")
-    c0 = cY.ravel() * (r + 1) + cX.ravel()
+    cY, cX = np.divmod(np.arange(r * r), r)
+    c0 = cY * (r + 1) + cX
     conn = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
 
-    rows_i = []
-    rows_j = []
-    rows_v = []
     elem_cells, elem_nodes = grid.element_cells_nodes()
-    for e, nodes in enumerate(elem_nodes):
-        kap = field.values[elem_cells[e]]
-        blocks = kap[:, None, None] * _STIFF_REF[None, :, :]
-        ii = np.repeat(conn, 4, axis=1).ravel()
-        jj = np.tile(conn, (1, 4)).ravel()
-        Aloc = sp.coo_matrix((blocks.ravel(), (ii, jj)),
-                             shape=((r + 1) ** 2, (r + 1) ** 2)).tocsc()
-        lu = spla.splu(Aloc[inner][:, inner].tocsc())
-        G = hats[bdy]                                 # boundary data, 4 corners
-        rhs = -Aloc[inner][:, bdy] @ G
-        sol = lu.solve(rhs)                           # (n_inner, 4)
-        vals = np.empty(((r + 1) ** 2, 4))
-        vals[bdy] = G
-        vals[inner] = sol
+    ne = len(elem_cells)
+    off = n * np.arange(ne)[:, None]
+    blocks = field.values[elem_cells][:, :, None, None] * _STIFF_REF
+    ii = np.repeat(conn, 4, axis=1).ravel() + off
+    jj = np.tile(conn, (1, 4)).ravel() + off
+    A = sp.coo_matrix((blocks.ravel(), (ii.ravel(), jj.ravel())),
+                      shape=(ne * n, ne * n)).tocsc()
+    A_in = A[(inner + off).ravel()]
+    A_ii = A_in[:, (inner + off).ravel()].tocsc()
+    G = hats[bdy]                                     # boundary data, 4 corners
+    rhs = -A_in[:, (bdy + off).ravel()] @ np.tile(G, (ne, 1))
+    sol = np.empty_like(rhs)
+    nnz = A_ii.nnz // ne                # all element blocks share one pattern
+    for e, data in enumerate(A_ii.data.reshape(ne, nnz)):
+        K = sp.csc_matrix((data, A_ii.indices[:nnz], A_ii.indptr[:ni + 1]), shape=(ni, ni))
+        sol[e * ni:(e + 1) * ni] = spla.splu(K).solve(rhs[e * ni:(e + 1) * ni])
+    norms = np.asarray(abs(A_ii).sum(axis=0)).reshape(ne, ni).max(axis=1)
+    try:
+        _check_backward_error((A_ii @ sol).reshape(ne, ni, 4), norms,
+                              sol.reshape(ne, ni, 4), rhs.reshape(ne, ni, 4))
+    except SolveError as exc:
+        raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
+    vals = np.empty((ne, n, 4))
+    vals[:, bdy] = G
+    vals[:, inner] = sol.reshape(ne, ni, 4)
 
-        cy, cx = divmod(e, cn)
-        corners = [cy * (cn + 1) + cx, cy * (cn + 1) + cx + 1,
-                   (cy + 1) * (cn + 1) + cx + 1, (cy + 1) * (cn + 1) + cx]
-        for c in range(4):
-            rows_i.append(np.full(len(nodes), corners[c]))
-            rows_j.append(nodes)
-            rows_v.append(vals[:, c])
-
-    chi = sp.coo_matrix((np.concatenate(rows_v),
-                         (np.concatenate(rows_i), np.concatenate(rows_j))),
-                        shape=(nvert, grid.n_nodes))
+    cy, cx = np.divmod(np.arange(ne), cn)
+    sw = cy * (cn + 1) + cx
+    corners = np.column_stack([sw, sw + 1, sw + cn + 2, sw + cn + 1])
+    shape = (ne, 4, n)
+    chi = sp.coo_matrix((vals.transpose(0, 2, 1).ravel(),
+                         (np.broadcast_to(corners[:, :, None], shape).ravel(),
+                          np.broadcast_to(elem_nodes[:, None, :], shape).ravel())),
+                        shape=(grid.n_coarse_vertices, grid.n_nodes))
     # Shared element edges are written once per adjacent element with identical
     # values; average duplicates instead of summing them.
     counts = sp.coo_matrix((np.ones(chi.nnz), (chi.row, chi.col)), shape=chi.shape).tocsr()
@@ -180,15 +193,18 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
 
 
 def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedField:
-    """kappa * sum_i |grad chi_i|^2, gradients at fine-cell midpoints."""
+    """kappa * sum_i |grad chi_i|^2, gradients at fine-cell midpoints.  On a
+    cell only the chi_i of its element's corners are nonzero; their terms
+    are summed in ascending vertex order (SW, SE, NW, NE), as over all i."""
     grid = pou.grid
     conn = grid.cell_nodes()
     h = grid.h
+    cn, r = grid.coarse_n, grid.refine
+    fy, fx = np.divmod(np.arange(grid.n_cells), grid.n_fine)
+    sw = fy // r * (cn + 1) + fx // r
     total = np.zeros(grid.n_cells)
-    chi = pou.chi
-    for i in range(chi.shape[0]):
-        row = chi.getrow(i).toarray().ravel()
-        u = row[conn]                    # (n_cells, 4)
+    for i in (sw, sw + 1, sw + cn + 1, sw + cn + 2):
+        u = np.asarray(pou.chi[np.repeat(i, 4), conn.ravel()]).reshape(-1, 4)
         gx = ((u[:, 1] - u[:, 0]) + (u[:, 2] - u[:, 3])) / (2 * h)
         gy = ((u[:, 3] - u[:, 0]) + (u[:, 2] - u[:, 1])) / (2 * h)
         total += gx * gx + gy * gy

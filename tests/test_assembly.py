@@ -10,12 +10,15 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from tfmultiscale import assembly
 from tfmultiscale.assembly import (PermeabilityField, WeightedField, assemble,
                                    element_mass, element_stiffness,
                                    kappa_tilde, load_vector, msfem_partition,
                                    read_raster, write_raster)
 from tfmultiscale.grid import build_grids
+from tfmultiscale.linalg import SolveError
 
 MASS_UNIT = np.array([[4, 2, 1, 2],
                       [2, 4, 2, 1],
@@ -187,6 +190,101 @@ def test_msfem_support():
             far = (np.abs(xy[:, 0] - vx * H) > H + 1e-12) | \
                   (np.abs(xy[:, 1] - vy * H) > H + 1e-12)
             assert np.allclose(chi[far], 0.0, atol=1e-12)
+
+
+def _msfem_partition_loop(grid, field):
+    """The element loop ``msfem_partition`` replaced: one local stiffness,
+    SuperLU factorization and solve per coarse element."""
+    cn, r = grid.coarse_n, grid.refine
+    lx, ly = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="xy")
+    lx = lx.ravel() / r
+    ly = ly.ravel() / r
+    on_bdy = (lx == 0) | (lx == 1) | (ly == 0) | (ly == 1)
+    bdy = np.flatnonzero(on_bdy)
+    inner = np.flatnonzero(~on_bdy)
+    hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
+    cX, cY = np.meshgrid(np.arange(r), np.arange(r), indexing="xy")
+    c0 = cY.ravel() * (r + 1) + cX.ravel()
+    conn = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
+    rows_i, rows_j, rows_v = [], [], []
+    elem_cells, elem_nodes = grid.element_cells_nodes()
+    for e, nodes in enumerate(elem_nodes):
+        kap = field.values[elem_cells[e]]
+        blocks = kap[:, None, None] * STIFF_UNIT[None, :, :]
+        ii = np.repeat(conn, 4, axis=1).ravel()
+        jj = np.tile(conn, (1, 4)).ravel()
+        Aloc = sp.coo_matrix((blocks.ravel(), (ii, jj)),
+                             shape=((r + 1) ** 2, (r + 1) ** 2)).tocsc()
+        lu = spla.splu(Aloc[inner][:, inner].tocsc())
+        G = hats[bdy]
+        rhs = -Aloc[inner][:, bdy] @ G
+        sol = lu.solve(rhs)
+        vals = np.empty(((r + 1) ** 2, 4))
+        vals[bdy] = G
+        vals[inner] = sol
+        cy, cx = divmod(e, cn)
+        corners = [cy * (cn + 1) + cx, cy * (cn + 1) + cx + 1,
+                   (cy + 1) * (cn + 1) + cx + 1, (cy + 1) * (cn + 1) + cx]
+        for c in range(4):
+            rows_i.append(np.full(len(nodes), corners[c]))
+            rows_j.append(nodes)
+            rows_v.append(vals[:, c])
+    chi = sp.coo_matrix((np.concatenate(rows_v),
+                         (np.concatenate(rows_i), np.concatenate(rows_j))),
+                        shape=(grid.n_coarse_vertices, grid.n_nodes))
+    counts = sp.coo_matrix((np.ones(chi.nnz), (chi.row, chi.col)), shape=chi.shape).tocsr()
+    chi = chi.tocsr()
+    chi.data /= counts.data
+    return chi
+
+
+def _kappa_tilde_loop(field, grid, chi):
+    """The vertex loop ``kappa_tilde`` replaced: every chi_i on every cell."""
+    conn = grid.cell_nodes()
+    h = grid.h
+    total = np.zeros(grid.n_cells)
+    for i in range(chi.shape[0]):
+        u = chi.getrow(i).toarray().ravel()[conn]
+        gx = ((u[:, 1] - u[:, 0]) + (u[:, 2] - u[:, 3])) / (2 * h)
+        gy = ((u[:, 3] - u[:, 0]) + (u[:, 2] - u[:, 1])) / (2 * h)
+        total += gx * gx + gy * gy
+    return field.values * total
+
+
+@settings(max_examples=25, deadline=None)
+@given(coarse_n=st.integers(2, 5), refine=st.integers(2, 7),
+       contrast=st.floats(1.0, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_partition_and_kappa_tilde_bit_equal_to_element_loops(coarse_n, refine,
+                                                               contrast, seed):
+    """The batched partition of unity and kappa_tilde feed the round-off
+    sensitive contrast-1e6 spectral problems, so they must equal the element
+    loops bit for bit, not just to a tolerance."""
+    g = build_grids(coarse_n, refine)
+    mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
+    fld = PermeabilityField(np.where(mask, contrast, 1.0))
+    chi = msfem_partition(g, fld).chi
+    oracle = _msfem_partition_loop(g, fld)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(chi, name), getattr(oracle, name))
+    assert np.array_equal(kappa_tilde(fld, msfem_partition(g, fld)).values,
+                          _kappa_tilde_loop(fld, g, oracle))
+
+
+def test_partition_rejects_a_wrong_factorization(monkeypatch):
+    """Only element 3's local Dirichlet block is factored as 2K: its
+    solutions' backward errors are near 1/2, and the check names element 3."""
+    g = build_grids(3, 4)
+    fld = PermeabilityField(np.ones(g.n_cells))
+    splu, factored = spla.splu, []
+
+    def lu(K):
+        factored.append(K)
+        return splu(2.0 * K if len(factored) == 4 else K)
+
+    monkeypatch.setattr(assembly.spla, "splu", lu)
+    with pytest.raises(SolveError, match="on element 3: column 0: backward error"):
+        msfem_partition(g, fld)
+    assert len(factored) == g.n_coarse_elems
 
 
 # ------------------------------------------------------------------ kappa_tilde

@@ -240,18 +240,36 @@ def test_config_rejects_bad_time_grid():
     ("field", {"kind": "file"}), ("field", "channels"),
     ("forcing", {"kind": "wavy"}), ("forcing", {"kind": "custom"}),
     ("forcing", {"kind": "smooth", "square": (0.2, 0.8)}), ("alpha", "0.9"),
+    ("field", {"kind": "channels", "nx": 7}), ("field", {"kind": "inclusions", "ny": 7}),
+    ("field", {"kind": "channels", "seed": "a"}), ("field", {"kind": "channels", "seed": -1}),
+    ("field", {"kind": "channels", "seed": 1.5}),
+    ("field", {"kind": "channels", "n_channels": -2}),
+    ("field", {"kind": "inclusions", "n_inclusions": 2.0}),
+    ("field", {"kind": "bundled", "name": "nope.txt"}),
+    ("field", {"kind": "file", "path": "no/such/kappa.txt"}),
+    ("forcing", {"kind": "discontinuous", "square": (0.2,)}),
+    ("forcing", {"kind": "discontinuous", "square": "ab"}),
+    ("forcing", {"kind": "discontinuous", "levels": (0.0, float("nan"))}),
+    ("forcing", {"kind": "discontinuous", "levels": (0.0, "1")}),
+    ("forcing", {"kind": "custom", "values": [1.0, 2.0, 3.0]}),
+    ("forcing", {"kind": "custom", "values": [1.0, float("inf"), 0.0, 0.0]}),
+    ("forcing", {"kind": "custom", "values": []}),
+    ("forcing", {"kind": "custom", "values": ["a", "b", "c", "d"]}),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
 
 
-def test_config_accepts_every_field_and_forcing_kind():
+def test_config_accepts_every_field_and_forcing_kind(tmp_path):
+    path = tmp_path / "kappa.txt"
+    path.write_text("1 1\n1.0\n")
     for field in ({"contrast": 10.0},
                   {"kind": "inclusions", "seed": 2, "n_inclusions": 3},
-                  {"kind": "channels", "contrast": 1e3, "seed": 1, "nx": 40,
-                   "ny": 40, "n_channels": 2, "n_inclusions": 5},
-                  {"kind": "file", "path": "kappa.txt"}, {"kind": "bundled"}):
+                  {"kind": "channels", "contrast": 1e3, "seed": 1,
+                   "n_channels": 2, "n_inclusions": 5},
+                  {"kind": "file", "path": str(path)}, {"kind": "bundled"},
+                  {"kind": "bundled", "name": "kappa_test2.txt"}):
         assert ExperimentConfig(field=field).field == field
     for forcing in ({},
                     {"kind": "discontinuous", "square": (0.2, 0.8), "levels": (0, 2)},

@@ -216,6 +216,57 @@ def test_kkt_singular_block_with_independent_constraints_raises():
     with pytest.raises(SolveError, match="singular saddle block"):
         kkt_solve(np.zeros((2, 2)), np.zeros((0, 2)), np.ones(2), np.zeros(0))
 
+
+def _saddle_stack(rng, s=5, n=7, m=2, c=3):
+    A = np.stack([random_spd(n, rng, scale=10.0 ** k) for k in range(s)])
+    return (A, rng.standard_normal((s, m, n)), rng.standard_normal((s, n, c)),
+            rng.standard_normal((s, m, c)))
+
+
+def test_kkt_stack_matches_per_block_solves():
+    A, C, B, G = _saddle_stack(np.random.default_rng(10))
+    X, MU = kkt_solve(A, C, B, G)
+    assert X.shape == B.shape and MU.shape == G.shape
+    for i in range(len(A)):
+        x, mu = kkt_solve(A[i], C[i], B[i], G[i])
+        assert np.allclose(X[i], x, rtol=1e-14, atol=0.0)
+        assert np.allclose(MU[i], mu, rtol=1e-14, atol=0.0)
+        x1, mu1 = kkt_solve(A[:i + 1], C[:i + 1], B[:i + 1, :, 0], G[:i + 1, :, 0])
+        assert np.allclose(x1[i], x[:, 0], rtol=1e-14, atol=0.0)
+        assert np.allclose(mu1[i], mu[:, 0], rtol=1e-14, atol=0.0)
+
+
+def test_kkt_stack_names_the_failing_block():
+    A, C, B, G = _saddle_stack(np.random.default_rng(11))
+    B[3, 1, 2] = np.nan
+    with pytest.raises(SolveError, match="block 3: column 2: backward error nan") as info:
+        kkt_solve(A, C, B, G)
+    assert info.value.block == 3 and info.value.reason.startswith("column 2")
+    A, C, B, G = _saddle_stack(np.random.default_rng(12))
+    A[2], C[2] = 0.0, np.eye(2, A.shape[1], 1)      # singular on null(C)
+    with pytest.raises(SolveError, match="block 2: singular saddle block"):
+        kkt_solve(A, C, B, G)
+    C[2], C[4, 1] = np.eye(2, A.shape[1]), 0.5 * C[4, 0]
+    with pytest.raises(SolveError, match="block 4: constraint matrix is rank "
+                       "deficient .rank 1 of 2.; first dependent constraint index 1"):
+        kkt_solve(A, C, B, G)
+
+
+def test_kkt_rejects_near_dependent_constraints_before_the_lu():
+    """A constraint row equal to another up to a relative 1e-12 is named as
+    an exactly repeated one is, whatever its target; rows 1e-6 apart pass."""
+    rng = np.random.default_rng(13)
+    A = random_spd(6, rng)
+    C = rng.standard_normal((3, 6))
+    C[2] = C[0] * (1.0 + 1e-12 * rng.standard_normal(6))
+    g = np.array([1.0, 0.0, 2.0])
+    with pytest.raises(SolveError, match="rank deficient .rank 2 of 3.; "
+                       "first dependent constraint index [02]"):
+        kkt_solve(A, C, np.zeros(6), g)
+    C[2] = C[0] + 1e-6 * rng.standard_normal(6)
+    x, _ = kkt_solve(A, C, np.zeros(6), g)
+    assert np.linalg.norm(C @ x - g) <= 1e-9 * np.linalg.norm(C) * np.linalg.norm(x)
+
 # ------------------------------------------------------------------- gamma_fn
 
 def test_gamma_known_values():

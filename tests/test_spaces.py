@@ -352,30 +352,69 @@ def test_singular_element_block_names_element_and_constraint():
 def _cem_localize_inputs():
     """``_localize`` arguments of the CEM basis on a 3x3 coarse grid."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
-    A = assembly.assemble(g, fld, "stiffness")
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
     rows = np.arange(aux1.total).reshape(g.n_coarse_elems, -1)
     targets = np.array([(aux1.vectors[:, own].T @ SPsi[:, own]).toarray()
                         for own in rows])
-    return g, A, SPsi.T.tocsr(), rows, targets
+    return g, aux1.A, aux1.A_blocks, SPsi.T.tocsr(), rows, targets
 
 
 def test_localize_rejects_inconsistent_targets():
-    g, A, C, rows, targets = _cem_localize_inputs()
+    g, A, AD, C, rows, targets = _cem_localize_inputs()
     first, second = rows[4]
     order = np.arange(C.shape[0])
     order[second] = first
     C2 = C[order]                         # element 4's first row twice,
     targets[4][1] = targets[4][0] + 1.0   # with another target
     with pytest.raises(SolveError, match="element 4"):
-        spaces._localize(g, A, C2, rows, targets, 1)
+        spaces._localize(g, A, AD, C2, rows, targets, 1)
+
+
+def test_localize_names_a_near_duplicate_constraint_row(monkeypatch):
+    """Element 4's second row is its first up to a relative 1e-13, with
+    another target: the element solve names element 4 and the row, also
+    when element 4 is block 1 of the second stack of three elements."""
+    monkeypatch.setattr(spaces, "SOLVE_ELEMENTS", 3)
+    g, A, AD, C, rows, targets = _cem_localize_inputs()
+    first, second = rows[4]
+    C = C.tolil()
+    C[second] = C[first] * (1.0 + 1e-13)
+    targets[4][1] = targets[4][0] + 1.0
+    with pytest.raises(SolveError, match="on element 4: constraint matrix is rank "
+                       "deficient .rank 1 of 2.; first dependent constraint index 1"):
+        spaces._localize(g, A, AD, C.tocsr(), rows, targets, 1)
+
+
+def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
+    """Both spectral problems and both condensations share one gather of the
+    stiffness's element blocks."""
+    gather, gathered = spaces._blocks, []
+
+    def blocks(X, rows, cols):
+        gathered.append(X)
+        return gather(X, rows, cols)
+
+    monkeypatch.setattr(spaces, "_blocks", blocks)
+    g = t.build_grids(3, 4)
+    cs = build_spaces(g, channel_field(g), 2, 1, 1)
+    assert sum(X is cs.A for X in gathered) == 1
+    assert cs.aux1.A_blocks is cs.aux2.A_blocks
+
+
+def test_condensation_chunks_leave_the_bases_unchanged(monkeypatch):
+    g = t.build_grids(3, 4)
+    fld = channel_field(g)
+    whole = build_spaces(g, fld, 2, 1, 1).combined.R
+    monkeypatch.setattr(spaces, "SOLVE_ELEMENTS", 2)
+    chunked = build_spaces(g, fld, 2, 1, 1).combined.R
+    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 def test_localize_rejects_nonfinite_targets():
-    g, A, C, rows, targets = _cem_localize_inputs()
+    g, A, AD, C, rows, targets = _cem_localize_inputs()
     targets[4][0, 1] = np.nan
     with pytest.raises(SolveError, match="on element 4: column 1"):
-        spaces._localize(g, A, C, rows, targets, 1)
+        spaces._localize(g, A, AD, C, rows, targets, 1)
 
 
 @settings(max_examples=8, deadline=None)
