@@ -74,15 +74,6 @@ def element_mass(h: float) -> np.ndarray:
     return (h * h) * _MASS_REF
 
 
-def element_stiffness(kappa_cell: float, h: float) -> np.ndarray:
-    """Exact 4x4 stiffness of Q1 shape functions with constant kappa."""
-    if kappa_cell <= 0:
-        raise ValueError("kappa must be positive")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    return kappa_cell * _STIFF_REF
-
-
 def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,
                     elem_ref: np.ndarray) -> sp.csr_matrix:
     """Assemble sum_c w_c * elem_ref over all fine cells, on all nodes."""

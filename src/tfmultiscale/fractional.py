@@ -59,20 +59,12 @@ def make_kernel(alpha: float, dt: float, steps: int) -> L1Kernel:
 def history_rhs(kernel: L1Kernel, history) -> np.ndarray:
     """Telescoped history term w = (1-b_1)u^k + ... + b_k u^0 at step k.
 
-    ``history`` holds u^0..u^k as rows (or a list of vectors / scalars).
+    ``history`` holds u^0..u^k as the rows of a 2-D array.
     """
     H = np.asarray(history, dtype=float)
-    if H.ndim == 1:
-        H = H[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     if H.shape[0] == 0:
         raise ValueError("history is empty")
-    k = H.shape[0] - 1
-    w = kernel.history_weights(k)
-    out = w @ H
-    return out[0] if squeeze and out.shape == (1,) else (out.ravel() if squeeze else out)
+    return kernel.history_weights(H.shape[0] - 1) @ H
 
 
 def caputo_apply(kernel: L1Kernel, samples) -> np.ndarray:

@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+import pathlib
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from importlib import resources
 
@@ -60,6 +61,14 @@ class ExperimentConfig:
                     and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             setattr(self, name, int(value))
+        raster, nf = _field_raster(self.field), self.coarse_n * self.refine
+        if raster is not None:
+            with raster.open() as fh:
+                size = fh.readline().split()
+            if size != [str(nf)] * 2:
+                key = "path" if self.field["kind"] == "file" else "name"
+                raise ValueError(f"field {key}: the raster is {' x '.join(size)} "
+                                 f"cells, the grid {nf} x {nf} (coarse_n * refine)")
         if self.L + self.J > (self.refine - 1) ** 2:
             raise ValueError(
                 f"L + J = {self.L + self.J} local eigenpairs exceed the "
@@ -164,8 +173,7 @@ def gen_field(kind: str, nx: int = 100, ny: int = 100, contrast: float = 1e5,
               n_inclusions: int = 12) -> PermeabilityField:
     """Binary permeability fields: background 1, features at ``contrast``."""
     if kind == "file":
-        fx, fy, vals = read_raster(path)
-        return PermeabilityField(values=vals)
+        return PermeabilityField(values=read_raster(path)[2])
     if kind == "channels":
         mask = channel_geometry(nx, ny, seed=seed, n_channels=n_channels,
                                 n_inclusions=n_inclusions)
@@ -211,21 +219,13 @@ def channel_geometry(nx: int, ny: int, seed: int = 0, n_channels: int = 4,
 
 
 def gen_forcing(kind: str, values=None, square=(0.3, 0.7), levels=(0.0, 1.0)):
-    """Space-time forcing callables f(x, y, t).
+    """Forcing callables f(x, y, t), none of which depends on t, so a run
+    builds its load once.
 
     smooth: 2 pi^2 sin(pi x) sin(pi y).
     discontinuous: two-level indicator on an axis-aligned square.
     custom: a user raster of nodal values.
-
-    None of them depends on t, and each is marked so with a true
-    ``time_independent`` attribute: a run then builds its load once.
     """
-    f = _forcing(kind, values, square, levels)
-    f.time_independent = True
-    return f
-
-
-def _forcing(kind, values, square, levels):
     if kind == "smooth":
         def f(x, y, t):
             return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -238,11 +238,10 @@ def _forcing(kind, values, square, levels):
             return np.where(inside, levels[1], levels[0])
         return f
     if kind == "custom":
-        raster = np.asarray(values, dtype=float)
-        side = int(np.sqrt(raster.size))
-        if side * side != raster.size:
-            raise ValueError("custom forcing raster must be square")
-        grid_vals = raster.reshape(side, side)
+        if not _is_raster(values):
+            raise ValueError(f"custom forcing values must be {_VALUES['values'][0]}")
+        side = math.isqrt(np.size(values))
+        grid_vals = np.asarray(values, dtype=float).reshape(side, side)
 
         def f(x, y, t):
             ix = np.clip((np.asarray(x) * (side - 1)).round().astype(int), 0, side - 1)
@@ -301,15 +300,21 @@ class ExperimentResult:
     out_dir: str
 
 
+def _field_raster(spec: dict):
+    """The raster file of a file or bundled field spec, else None."""
+    if spec.get("kind") == "file":
+        return pathlib.Path(spec["path"])
+    if spec.get("kind") == "bundled":
+        return resources.files("tfmultiscale.data") / spec.get("name", "kappa_test1.txt")
+
+
 def _field_from_config(cfg: ExperimentConfig) -> PermeabilityField:
+    raster = _field_raster(cfg.field)
+    if raster is not None:
+        with resources.as_file(raster) as p:
+            return gen_field("file", path=str(p))
     spec = dict(cfg.field)
     kind = spec.pop("kind", "channels")
-    if kind == "file":
-        return gen_field("file", path=spec["path"])
-    if kind == "bundled":
-        name = spec.get("name", "kappa_test1.txt")
-        with resources.as_file(resources.files("tfmultiscale.data") / name) as p:
-            return gen_field("file", path=str(p))
     nf = cfg.coarse_n * cfg.refine
     return gen_field(kind, nx=nf, ny=nf, **spec)
 
@@ -349,7 +354,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     trajectories = {}
     if "fine" in cfg.schemes:
         trajectories["fine"] = fine_reference(
-            grid, A, M, cfg.alpha, cfg.dt_fine, forcing, None, N * cfg.stride)
+            grid, A, M, cfg.alpha, cfg.dt_fine, forcing, N * cfg.stride)
 
     # cem's space is the leading block of the combined one, so its system
     # and its loads are the leading blocks of the combined ones.
@@ -363,16 +368,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ) if name in cfg.schemes}
     if runs:
         kernel = make_kernel(cfg.alpha, cfg.dt, N)
-        if getattr(forcing, "time_independent", False):
-            load = assembly.load_vector(grid, forcing, cfg.dt)
-            F = np.broadcast_to(load @ combined.R, (N, combined.n))
-        else:
-            loads = np.stack([assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
-                              for k in range(N)])
-            F = loads @ combined.R
+        load = assembly.load_vector(grid, forcing, cfg.dt) @ combined.R
+        F = np.broadcast_to(load, (N, combined.n))
     for name, (scheme, basis, sys_r) in runs.items():
-        u0 = np.zeros(basis.n)
-        trajectories[name] = run_scheme(scheme, sys_r, kernel, u0,
+        trajectories[name] = run_scheme(scheme, sys_r, kernel, np.zeros(basis.n),
                                         F[:, :basis.n], space=name)
 
     errors = {}

@@ -9,6 +9,7 @@ factors its left-hand matrix once per run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -68,8 +69,7 @@ def reduce(A, M, basis: ReducedBasis) -> ReducedSystem:
     w = sla.eigvalsh(Mr)
     if w.min() <= 1e-12 * w.max():
         raise SolveError("reduced mass matrix is not PD: basis is rank deficient")
-    n1 = int(np.sum(basis.tags != "v2"))
-    return ReducedSystem(M=Mr, A=Ar, n1=n1, n2=Mr.shape[0] - n1)
+    return ReducedSystem(M=Mr, A=Ar, n1=basis.n1, n2=Mr.shape[0] - basis.n1)
 
 
 @dataclass
@@ -186,23 +186,12 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
 
 
 def fine_reference(grid: GridHierarchy, A, M, alpha: float, dt_fine: float,
-                   forcing, u0, n_steps: int) -> Trajectory:
+                   forcing, n_steps: int) -> Trajectory:
     """Implicit reference run on the full fine space at step dt_fine, with
-    the fine stiffness ``A`` and mass ``M``.  A forcing with a true
-    ``time_independent`` attribute has its load built at the first step and
-    reused; any other forcing gets one load per step."""
+    the fine stiffness ``A`` and mass ``M``, from zero.  The forcing does
+    not depend on time: its one load is built at the first step."""
     sys = ReducedSystem(M=M, A=A, n1=grid.n_dofs, n2=0)
     kernel = make_kernel(alpha, dt_fine, n_steps)
-    if u0 is None:
-        u0 = np.zeros(grid.n_dofs)
-    constant = getattr(forcing, "time_independent", False)
-    built = []
-
-    def loads(k):
-        if not constant:
-            return assembly.load_vector(grid, forcing, (k + 1) * dt_fine)
-        if not built:
-            built.append(assembly.load_vector(grid, forcing, dt_fine))
-        return built[0]
-
-    return run_scheme("implicit", sys, kernel, u0, loads, space="fine")
+    load = functools.cache(lambda: assembly.load_vector(grid, forcing, dt_fine))
+    return run_scheme("implicit", sys, kernel, np.zeros(grid.n_dofs),
+                      lambda k: load(), space="fine")

@@ -79,14 +79,6 @@ class AuxSpace:
         """(n_elements, k) table of each element's column ids."""
         return np.arange(self.total).reshape(len(self.values), -1)
 
-    @property
-    def col_elem(self) -> np.ndarray:
-        return np.arange(self.total) // self.columns.shape[1]
-
-    @property
-    def col_index(self) -> np.ndarray:
-        return np.arange(self.total) % self.columns.shape[1]
-
     @cached_property
     def weighted(self) -> sp.csc_matrix:
         """``weight @ vectors``, formed once: the transposed constraint rows
@@ -96,12 +88,12 @@ class AuxSpace:
 
 @dataclass
 class ReducedBasis:
-    """Fine-DOF x n coefficient matrix with per-column (element, j, tag)."""
+    """Fine-DOF x n coefficient matrix, columns element-major (column j of a
+    single space belongs to element j // k); its first ``n1`` columns are
+    treated implicitly by the partially explicit scheme."""
 
     R: np.ndarray
-    col_elem: np.ndarray
-    col_index: np.ndarray
-    tags: np.ndarray
+    n1: int
 
     @property
     def n(self) -> int:
@@ -137,12 +129,7 @@ def build_spaces(grid: GridHierarchy, field_: assembly.PermeabilityField,
 
 
 def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
-    return ReducedBasis(
-        R=np.hstack([first.R, second.R]),
-        col_elem=np.concatenate([first.col_elem, second.col_elem]),
-        col_index=np.concatenate([first.col_index, second.col_index]),
-        tags=np.concatenate([first.tags, second.tags]),
-    )
+    return ReducedBasis(R=np.hstack([first.R, second.R]), n1=first.n)
 
 
 def aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -237,33 +224,23 @@ def _blocks(X, rows, cols) -> np.ndarray:
     return out
 
 
-def _moments(aux: AuxSpace) -> np.ndarray:
-    """Per element, the (k, k) moments of its own functions against its own
-    constraint rows.
-
-    Each function lives on its element's interior and each row on its
-    element's closure, so the moment matrix is block diagonal and one
-    product gives every element's block.
-    """
-    own = aux.columns
-    return _blocks(aux.vectors.T @ aux.weighted, own, own)
-
-
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
               aux: AuxSpace, layers: int = DEFAULT_LAYERS) -> ReducedBasis:
     """Localized constraint-energy minimizers on oversampled patches.
 
-    Column (i, j) minimizes energy on element i's patch subject to s-moments
-    against every patch aux function equal to those of aux function (i, j).
+    Column (i, j) minimizes energy on element i's patch subject to unit
+    s-moments: 1 against aux function (i, j), 0 against every other patch
+    aux function.  These are the moments of aux function (i, j) itself, the
+    aux functions being s-orthonormal.  All columns are implicit (n1 = n).
     The stiffness is ``aux.A``; ``field_`` is unused.
     """
+    ne, L = aux.columns.shape
     try:
         R = _localize(grid, aux.A, aux.A_blocks, aux.weighted.T, aux.columns,
-                      _moments(aux), layers)
+                      np.broadcast_to(np.eye(L), (ne, L, L)), layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
-    return ReducedBasis(R=R, col_elem=aux.col_elem, col_index=aux.col_index,
-                        tags=np.array(["cem"] * aux.total))
+    return ReducedBasis(R=R, n1=R.shape[1])
 
 
 def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -271,23 +248,23 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
              layers: int = DEFAULT_LAYERS) -> ReducedBasis:
     """Doubly-constrained localized basis of the second (Pi-kernel) space.
 
-    Each column minimizes energy on its patch subject to vanishing s-moments
-    against all patch aux1 functions and prescribed L2 moments against the
-    patch aux2 functions.  The stiffness is ``aux1.A``; ``field_`` is unused.
+    Column (i, j) minimizes energy on its patch subject to vanishing
+    s-moments against all patch aux1 functions and unit L2 moments against
+    the patch aux2 functions: 1 against aux2 function (i, j), 0 against the
+    others, the moments of that L2-orthonormal function itself.  All
+    columns are explicit (n1 = 0).  The stiffness is ``aux1.A``; ``field_``
+    is unused.
     """
-    moments = _moments(aux2)
-    ne, L = aux1.columns.shape
-    targets = np.concatenate([np.zeros((ne, L, moments.shape[2])), moments],
-                             axis=1)
+    (ne, L), J = aux1.columns.shape, aux2.columns.shape[1]
     rows = np.hstack([aux1.columns, aux1.total + aux2.columns])
     try:
         R = _localize(grid, aux1.A, aux1.A_blocks,
                       sp.vstack([aux1.weighted.T, aux2.weighted.T]), rows,
-                      targets, layers)
+                      np.broadcast_to(np.eye(L + J, J, -L), (ne, L + J, J)),
+                      layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
-    return ReducedBasis(R=R, col_elem=aux2.col_elem, col_index=aux2.col_index,
-                        tags=np.array(["v2"] * aux2.total))
+    return ReducedBasis(R=R, n1=0)
 
 
 # Columns lifted and checked together: the checks hold a few
@@ -309,7 +286,9 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
     lives on e's closure.  In the (ne, m, k) array ``targets``,
     ``targets[i]`` gives, for each of the k basis columns of element i, its
     moments against element i's rows (in ``rows[i]`` order); its moments
-    against every other row are zero.  Column j of element i minimizes x^T A x on the patch around i
+    against every other row are zero.  Both bases pass unit targets, a
+    column's moment being 1 against its own function and 0 against the
+    others.  Column j of element i minimizes x^T A x on the patch around i
     subject to C_P x = g_P.  Columns are returned element-major as an
     (n_dofs, ne * k) array.  ``AD`` holds A's element blocks (see
     :class:`AuxSpace`).

@@ -14,9 +14,8 @@ import scipy.sparse.linalg as spla
 
 from tfmultiscale import assembly
 from tfmultiscale.assembly import (PermeabilityField, WeightedField, assemble,
-                                   element_mass, element_stiffness,
-                                   kappa_tilde, load_vector, msfem_partition,
-                                   read_raster, write_raster)
+                                   element_mass, kappa_tilde, load_vector,
+                                   msfem_partition, read_raster, write_raster)
 from tfmultiscale.grid import build_grids
 from tfmultiscale.linalg import SolveError
 
@@ -47,19 +46,15 @@ def test_element_mass_scaling():
     assert np.allclose(element_mass(h), h * h * element_mass(1.0), rtol=1e-14)
 
 
-def test_element_stiffness_unit():
-    for h in (1.0, 0.37, 1 / 100):  # h-independent in 2D
-        assert np.allclose(element_stiffness(1.0, h), STIFF_UNIT, atol=1e-14)
-
-
-def test_element_stiffness_rows_sum_zero():
-    K = element_stiffness(3.3, 0.2)
-    assert np.allclose(K.sum(axis=1), 0.0, atol=1e-14)
-
-
-def test_element_stiffness_linear_in_kappa():
-    assert np.allclose(element_stiffness(1e5, 0.1),
-                       1e5 * element_stiffness(1.0, 0.1), rtol=1e-14)
+def test_stiffness_reference_element():
+    """``assemble`` scales one h-independent (2-D) reference stiffness by
+    each cell's kappa: the unit Q1 stiffness, with zero row sums."""
+    assert np.allclose(assembly._STIFF_REF, STIFF_UNIT, atol=1e-14)
+    assert np.allclose(assembly._STIFF_REF.sum(axis=1), 0.0, atol=1e-14)
+    g = build_grids(2, 3)
+    one = assemble(g, PermeabilityField(np.ones(g.n_cells)), "stiffness")
+    big = assemble(g, PermeabilityField(np.full(g.n_cells, 1e5)), "stiffness")
+    assert abs(big - 1e5 * one).max() <= 1e-14 * abs(big).max()
 
 
 # --------------------------------------------------------------------- assemble

@@ -187,9 +187,7 @@ def test_error_series_matches_per_step_loop(data, n_fine, n_coarse, n_steps,
     if lifted:
         width = n_coarse
         basis = spaces.ReducedBasis(R=rng.standard_normal((n_fine, n_coarse)),
-                                    col_elem=np.zeros(n_coarse, dtype=int),
-                                    col_index=np.arange(n_coarse),
-                                    tags=np.array(["cem"] * n_coarse))
+                                    n1=n_coarse)
     ref_states = rng.standard_normal((n_steps * stride + 1, n_fine))
     zero = data.draw(st.lists(st.integers(0, n_steps), max_size=3))
     ref_states[[k * stride for k in zero]] = 0.0
@@ -261,9 +259,26 @@ def test_config_rejects_invalid_field(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("nx, ny", [(32, 8), (10, 10)])
+def test_config_rejects_a_raster_file_of_another_size(tmp_path, nx, ny):
+    """A 32 x 8 raster has the 256 values of the 16 x 16 grid but not its
+    shape; a 10 x 10 one has neither."""
+    path = tmp_path / "kappa.txt"
+    assembly.write_raster(path, nx, ny, np.ones(nx * ny))
+    with pytest.raises(ValueError, match=f"field path: the raster is {nx} x {ny} "
+                       "cells, the grid 16 x 16"):
+        ExperimentConfig(coarse_n=4, refine=4, field={"kind": "file", "path": str(path)})
+
+
+def test_config_rejects_a_bundled_raster_on_another_grid():
+    with pytest.raises(ValueError, match="field name: the raster is 100 x 100 "
+                       "cells, the grid 16 x 16"):
+        ExperimentConfig(coarse_n=4, refine=4, field={"kind": "bundled"})
+
+
 def test_config_accepts_every_field_and_forcing_kind(tmp_path):
     path = tmp_path / "kappa.txt"
-    path.write_text("1 1\n1.0\n")
+    assembly.write_raster(path, 100, 100, np.ones(100 * 100))
     for field in ({"contrast": 10.0},
                   {"kind": "inclusions", "seed": 2, "n_inclusions": 3},
                   {"kind": "channels", "contrast": 1e3, "seed": 1,
@@ -407,35 +422,20 @@ def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
 
 
 def test_time_independent_load_built_once(tmp_path, monkeypatch):
-    """A marked forcing gets one fine and one coarse load; an unmarked one
-    gets one per step, with a bit-identical fine reference."""
+    """A run builds one fine load, for the fine reference's first step, and
+    one coarse load."""
     times = []
     load_vector = assembly.load_vector
     monkeypatch.setattr(assembly, "load_vector",
                         lambda grid, f, t: times.append(t) or load_vector(grid, f, t))
-    cfg = _tiny_config(tmp_path / "marked")
-    assert harness._forcing_from_config(cfg).time_independent
-    marked = run_experiment(cfg)
+    cfg = _tiny_config(tmp_path / "run")
+    run_experiment(cfg)
     assert times == [cfg.dt_fine, cfg.dt]
 
-    forcing = harness._forcing_from_config(cfg)
-    monkeypatch.setattr(harness, "_forcing_from_config",
-                        lambda cfg: lambda x, y, t: forcing(x, y, t))
-    times.clear()
-    plain = run_experiment(_tiny_config(tmp_path / "plain"))
-    N = cfg.n_steps
-    assert len(times) == N * cfg.stride + N
-    assert np.array_equal(plain.trajectories["fine"].states,
-                          marked.trajectories["fine"].states)
-    for name in ("cem", "tildeU", "scem"):
-        assert _rel(plain.trajectories[name].states[-1],
-                    marked.trajectories[name].states[-1]) <= 1e-12
 
-
-def test_gen_forcing_kinds_marked_time_independent():
+def test_gen_forcing_kinds_do_not_depend_on_time():
     for f in (gen_forcing("smooth"), gen_forcing("discontinuous"),
               gen_forcing("custom", values=np.arange(16.0))):
-        assert f.time_independent
         x = np.linspace(0.0, 1.0, 7)
         assert np.array_equal(f(x, x, 0.0), f(x, x, 3.5))
 

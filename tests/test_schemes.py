@@ -16,11 +16,8 @@ from tfmultiscale.schemes import (ReducedSystem, fine_reference,
 from tfmultiscale.spaces import ReducedBasis
 
 
-def make_basis(R, tags=None):
-    n = R.shape[1]
-    return ReducedBasis(R=R, col_elem=np.zeros(n, dtype=int),
-                        col_index=np.arange(n),
-                        tags=np.array(tags if tags is not None else ["cem"] * n))
+def make_basis(R, n1=None):
+    return ReducedBasis(R=R, n1=R.shape[1] if n1 is None else n1)
 
 
 def scalar_system(lam):
@@ -87,7 +84,7 @@ def test_reduce_symmetric_and_mass_positive_on_random_bases(coarse_n, refine,
     M = assembly.assemble(g, None, "mass")
     n_v2 = min(n_v2, n_cols)
     R = rng.standard_normal((g.n_dofs, n_cols))
-    sys_r = reduce(A, M, make_basis(R, ["cem"] * (n_cols - n_v2) + ["v2"] * n_v2))
+    sys_r = reduce(A, M, make_basis(R, n_cols - n_v2))
     assert np.array_equal(sys_r.A, sys_r.A.T)
     assert np.array_equal(sys_r.M, sys_r.M.T)
     np.linalg.cholesky(sys_r.M)        # raises unless M is positive definite
@@ -389,7 +386,7 @@ def test_fine_reference_matches_identity_run():
     M = assembly.assemble(g, None, "mass")
     f = lambda x, y, tt: np.sin(np.pi * x) * np.sin(np.pi * y)
     dt = 1e-3
-    ref = fine_reference(g, A, M, 0.5, dt, f, None, 10)
+    ref = fine_reference(g, A, M, 0.5, dt, f, 10)
     sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
     k = make_kernel(0.5, dt, 10)
     loads = lambda step: assembly.load_vector(g, f, (step + 1) * dt)
@@ -402,8 +399,7 @@ def test_fine_reference_zero_data():
     fld = assembly.PermeabilityField(np.ones(g.n_cells))
     A = assembly.assemble(g, fld, "stiffness")
     M = assembly.assemble(g, None, "mass")
-    ref = fine_reference(g, A, M, 0.5, 1e-3, lambda x, y, tt: np.zeros_like(x),
-                         None, 5)
+    ref = fine_reference(g, A, M, 0.5, 1e-3, lambda x, y, tt: np.zeros_like(x), 5)
     assert np.allclose(ref.states, 0.0)
 
 
@@ -417,7 +413,7 @@ def test_fine_reference_rejects_a_wrong_factorization(monkeypatch):
     f = lambda x, y, tt: np.sin(np.pi * x) * np.sin(np.pi * y)
     monkeypatch.setattr(schemes, "_sparse_lu", lambda K: _sparse_lu(2.0 * K))
     with pytest.raises(SolveError, match="column 0: backward error"):
-        fine_reference(g, A, M, 0.5, 1e-3, f, None, 3)
+        fine_reference(g, A, M, 0.5, 1e-3, f, 3)
 
 
 # ------------------------------------------------------------------- trajectory

@@ -106,8 +106,9 @@ def test_cem_support_inside_patch():
     layers = 1
     b1 = cem_basis(g, fld, aux1, layers)
     patch_dofs = g.index_maps(layers).patch_dofs
+    k = b1.n // g.n_coarse_elems       # columns are element-major
     for j in range(b1.n):
-        outside = np.setdiff1d(np.arange(g.n_dofs), patch_dofs[int(b1.col_elem[j])])
+        outside = np.setdiff1d(np.arange(g.n_dofs), patch_dofs[j // k])
         assert np.allclose(b1.R[outside, j], 0.0)
 
 
@@ -119,8 +120,7 @@ def test_cem_energy_decay_to_global():
     bases = {k: cem_basis(g, fld, aux1, k) for k in (0, 1, 2)}
 
     def col(b):
-        j = np.flatnonzero((b.col_elem == i) & (b.col_index == 0))[0]
-        return b.R[:, j]
+        return b.R[:, i * (b.n // g.n_coarse_elems)]
 
     glob = col(bases[2])  # whole-domain oracle
     errs = []
@@ -194,11 +194,8 @@ def test_v2_basis_constraints():
     M = aux2.weight
     G2 = aux2.vectors.T @ (M @ b2.R)
     XtMX = (aux2.vectors.T @ (M @ aux2.vectors)).toarray()
-    for j in range(b2.n):
-        i = int(b2.col_elem[j])
-        jj = int(b2.col_index[j])
-        target_col = np.flatnonzero((aux2.col_elem == i) & (aux2.col_index == jj))[0]
-        assert np.max(np.abs(G2[:, j] - XtMX[:, target_col])) <= 1e-8
+    for j in range(b2.n):   # V2 column j targets aux2 column j
+        assert np.max(np.abs(G2[:, j] - XtMX[:, j])) <= 1e-8
 
 
 def test_v2_nearly_a_orthogonal_to_cem():
@@ -218,10 +215,10 @@ def _cem_patch_system(g, fld, aux1, i, layers):
     A = assembly.assemble(g, fld, "stiffness")
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
-    acols = np.flatnonzero(np.isin(aux1.col_elem, elements))
+    acols = aux1.columns[elements].ravel()
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
-    own = np.flatnonzero(aux1.col_elem[acols] == i)
+    own = np.flatnonzero(np.isin(acols, aux1.columns[i]))
     G = (aux1.vectors[:, acols].T @ SPsi[:, acols[own]]).toarray()
     return A[dofs][:, dofs], C, G
 
@@ -231,11 +228,10 @@ def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     A = assembly.assemble(g, fld, "stiffness")
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
-    a1 = np.flatnonzero(np.isin(aux1.col_elem, elements))
-    a2 = np.flatnonzero(np.isin(aux2.col_elem, elements))
+    a1, a2 = aux1.columns[elements].ravel(), aux2.columns[elements].ravel()
     MXi = (aux2.weight @ aux2.vectors).tocsc()
     C = sp.vstack([(aux1.weight @ aux1.vectors)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
-    own = np.flatnonzero(aux2.col_elem[a2] == i)
+    own = np.flatnonzero(np.isin(a2, aux2.columns[i]))
     G2 = (aux2.vectors[:, a2].T @ MXi[:, a2[own]]).toarray()
     G = np.vstack([np.zeros((len(a1), len(own))), G2])
     return A[dofs][:, dofs], C, G
@@ -258,7 +254,8 @@ def _worst_patch_error(g, fld, aux1, aux2, layers):
                           (b2, lambda i: _v2_patch_system(g, fld, aux1, aux2, i, layers))):
         for i in range(g.n_coarse_elems):
             dofs = g.index_maps(layers).patch_dofs[i]
-            cols = np.flatnonzero(basis.col_elem == i)
+            k = basis.n // g.n_coarse_elems    # columns are element-major
+            cols = np.arange(i * k, (i + 1) * k)
             dense = _dense_patch_solve(*system(i))
             err = np.linalg.norm(basis.R[dofs][:, cols] - dense, axis=0)
             worst = max(worst, float(np.max(err / np.linalg.norm(dense, axis=0))))
@@ -443,6 +440,11 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
     fld = assembly.PermeabilityField(np.where(mask, contrast, 1.0))
     cs = build_spaces(g, fld, 2, 1, 1)
     aux1, aux2, b1, b2 = cs.aux1, cs.aux2, cs.basis1, cs.basis2
+    # Both bases take unit moments as their targets: each auxiliary space
+    # must be orthonormal in its weight.
+    for aux in (aux1, aux2):
+        gram = (aux.vectors.T @ (aux.weight @ aux.vectors)).toarray()
+        assert np.max(np.abs(gram - np.eye(aux.total))) <= 1e-12
     G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
     assert np.max(np.abs(G1 - np.eye(aux1.total))) <= 1e-9
     assert np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))) <= 1e-9
@@ -460,5 +462,5 @@ def test_combined_basis_full_rank():
     Mr = both.R.T @ (M @ both.R)
     w = np.linalg.eigvalsh(0.5 * (Mr + Mr.T))
     assert w.min() > 1e-10 * w.max()
-    assert np.all(both.tags[: both.n - g.n_coarse_elems * 2] == "cem")
+    assert both.n1 == cs.basis1.n == both.n - g.n_coarse_elems * 2
 
