@@ -46,11 +46,25 @@ def test_element_mass_scaling():
     assert np.allclose(element_mass(h), h * h * element_mass(1.0), rtol=1e-14)
 
 
-def test_stiffness_reference_element():
+def test_element_stiffness_unit():
     """``assemble`` scales one h-independent (2-D) reference stiffness by
-    each cell's kappa: the unit Q1 stiffness, with zero row sums."""
+    each cell's kappa: the unit Q1 stiffness, giving an interior diagonal
+    of 4 * 4/6 at kappa = 1 on every mesh size."""
     assert np.allclose(assembly._STIFF_REF, STIFF_UNIT, atol=1e-14)
+    for coarse_n, refine in ((2, 3), (4, 5), (10, 10)):
+        g = build_grids(coarse_n, refine)
+        A = assemble(g, PermeabilityField(np.ones(g.n_cells)), "stiffness")
+        assert np.allclose(A.diagonal(), 8 / 3, rtol=1e-14)
+
+
+def test_element_stiffness_rows_sum_zero():
     assert np.allclose(assembly._STIFF_REF.sum(axis=1), 0.0, atol=1e-14)
+    g = build_grids(2, 3)
+    K = assembly._assemble_nodes(g, np.full(g.n_cells, 3.3), assembly._STIFF_REF)
+    assert np.allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-13)
+
+
+def test_element_stiffness_linear_in_kappa():
     g = build_grids(2, 3)
     one = assemble(g, PermeabilityField(np.ones(g.n_cells)), "stiffness")
     big = assemble(g, PermeabilityField(np.full(g.n_cells, 1e5)), "stiffness")
