@@ -173,7 +173,10 @@ def gen_field(kind: str, nx: int = 100, ny: int = 100, contrast: float = 1e5,
               n_inclusions: int = 12) -> PermeabilityField:
     """Binary permeability fields: background 1, features at ``contrast``."""
     if kind == "file":
-        return PermeabilityField(values=read_raster(path)[2])
+        rnx, rny, values = read_raster(path)
+        if (rnx, rny) != (nx, ny):
+            raise ValueError(f"{path}: the raster is {rnx} x {rny}, expected {nx} x {ny}")
+        return PermeabilityField(values=values)
     if kind == "channels":
         mask = channel_geometry(nx, ny, seed=seed, n_channels=n_channels,
                                 n_inclusions=n_inclusions)
@@ -309,13 +312,12 @@ def _field_raster(spec: dict):
 
 
 def _field_from_config(cfg: ExperimentConfig) -> PermeabilityField:
-    raster = _field_raster(cfg.field)
+    raster, nf = _field_raster(cfg.field), cfg.coarse_n * cfg.refine
     if raster is not None:
         with resources.as_file(raster) as p:
-            return gen_field("file", path=str(p))
+            return gen_field("file", nx=nf, ny=nf, path=str(p))
     spec = dict(cfg.field)
     kind = spec.pop("kind", "channels")
-    nf = cfg.coarse_n * cfg.refine
     return gen_field(kind, nx=nf, ny=nf, **spec)
 
 

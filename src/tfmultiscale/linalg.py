@@ -1,15 +1,15 @@
-"""Shared numeric kernels: the sparse LU factorization, the dense
-generalized eigensolve and saddle-point (KKT) solve that the basis builders
-call on every element, and the Gamma function.
+"""Shared numeric kernels: the sparse LU of fine systems, the banded Cholesky
+of patch systems, the dense generalized eigensolve and saddle-point (KKT)
+solve called on every element, and the Gamma function.
 
-Sparse matrices are scipy CSR/CSC throughout.  Every sparse factorization on
-the production path goes through :func:`_sparse_lu`, which orders the matrix
-by minimum degree on the pattern of A^T + A: the patch skeleton systems left
-by the basis builders' static condensation (see :mod:`spaces`) and the
-fine-space system matrices are structurally symmetric, and on them this
-ordering fills far less than SuperLU's default column ordering (COLAMD).
-Element saddle solves and fine-space solves must pass one residual
-contract, a normwise backward error (:func:`_check_backward_error`).
+Sparse matrices are scipy CSR/CSC throughout.  :func:`_sparse_lu` orders the
+structurally symmetric fine-space systems by minimum degree on A^T + A, which
+fills far less than SuperLU's default COLAMD.  :func:`_banded_cholesky`
+factors the SPD patch skeleton systems of the basis builders (see
+:mod:`spaces`) from their lower band in the given order, with no permutation;
+a matrix that is not positive definite raises SolveError.  Element saddle
+solves and fine-space solves must pass one residual contract, a normwise
+backward error (:func:`_check_backward_error`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SolveError(RuntimeError):
 
 
 def _sparse_lu(K):
-    """SuperLU factorization of sparse K with a symmetric fill-reducing ordering.
+    """SuperLU factorization of a sparse fine-space system K, symmetrically ordered.
 
     Raises SolveError when SuperLU reports a singular factorization.  The
     name is private so that perfbench's tracer, which wraps public functions
@@ -50,6 +50,21 @@ def _sparse_lu(K):
         return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from exc
+
+
+def _banded_cholesky(K):
+    """Solve function of the sparse SPD K by banded Cholesky in K's own order,
+    from its lower band; SolveError names the first non-positive leading minor."""
+    K = K.tocoo()
+    n, d = K.shape[0], K.row - K.col.astype(np.int64)
+    low, width = d >= 0, int(d.max(initial=0)) + 1
+    band = np.bincount((d * n + K.col)[low], weights=K.data[low], minlength=width * n)
+    try:
+        cb = sla.cholesky_banded(band.reshape(width, n), lower=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        minor = str(exc).partition("-th")[0]
+        raise SolveError(f"not positive definite (leading minor {minor} of {n})") from exc
+    return lambda b: sla.cho_solve_banded((cb, True), b, check_finite=False)
 
 
 def _check_backward_error(Kx, norm_K, x, r):

@@ -21,10 +21,10 @@ Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
 (static condensation, :func:`_condense`, stacked :func:`linalg.kkt_solve`
-calls); a patch then solves only a sparse SPD system on the fine DOFs of
-the coarse edges inside it.  The columns of a basis are then lifted to the
-fine space and checked against the residuals of their full patch saddle
-systems, a chunk of columns at a time.
+calls); a patch then solves only an SPD band system, by banded Cholesky, on
+the fine DOFs of the coarse edges inside it (row-major: width at most
+2 (2 layers + 1) refine).  Its basis columns are then lifted to the fine
+space and checked against the residuals of their full patch saddle systems.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from . import assembly
 from .grid import GridHierarchy, IndexMaps
-from .linalg import SolveError, _eig_smallest, _sparse_lu, kkt_solve
+from .linalg import SolveError, _banded_cholesky, _eig_smallest, kkt_solve
 
 DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
@@ -296,12 +296,12 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
     Patch i then factors the skeleton operator S on its interior skeleton
-    (SPD) by :func:`linalg._sparse_lu`, in element order, and solves its
-    right-hand sides as one block with one refinement step.  The skeleton
-    solutions of all patches are then lifted, x = E x_S + Z_i, and every
-    column's constraint and stationarity residuals on its full patch saddle
-    system are checked, a chunk of columns at a time; the first failing
-    column in element-major order is reported.
+    (SPD) by :func:`linalg._banded_cholesky` (a failure names the element),
+    and solves its right-hand sides as one block with one refinement step.
+    The skeleton solutions of all patches are then lifted, x = E x_S + Z_i,
+    and every column's constraint and stationarity residuals on its full
+    patch saddle system are checked, a chunk of columns at a time; the first
+    failing column in element-major order is reported.
     """
     maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
@@ -335,9 +335,12 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
         rhs = np.zeros((len(sk), k))
         rhs[at[hit]] = -WZ[i][maps.boundary_mask[i]][hit]
         SP = S[sk][:, sk]
-        lu = _sparse_lu(SP)
-        xs = lu.solve(rhs)
-        xs += lu.solve(rhs - SP @ xs)
+        try:
+            solve = _banded_cholesky(SP)
+        except SolveError as exc:
+            raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
+        xs = solve(rhs)
+        xs += solve(rhs - SP @ xs)
         XS[sk, i * k:(i + 1) * k] = xs
 
     # Lift and check the columns of a few elements at a time, so that no

@@ -42,8 +42,17 @@ def test_gen_field_file_round_trip(tmp_path):
     fld = gen_field("channels", nx=10, ny=10, contrast=1e3, seed=0)
     p = tmp_path / "kappa.txt"
     assembly.write_raster(p, 10, 10, fld.values)
-    back = gen_field("file", path=p)
+    back = gen_field("file", nx=10, ny=10, path=p)
     assert np.array_equal(back.values, fld.values)
+
+
+def test_gen_field_file_rejects_a_raster_of_another_shape(tmp_path):
+    """A 32 x 8 raster has the 256 cells of a 16 x 16 field but not its shape."""
+    p = tmp_path / "kappa.txt"
+    assembly.write_raster(p, 32, 8, np.ones(256))
+    with pytest.raises(ValueError, match=r"kappa\.txt: the raster is 32 x 8, "
+                                         r"expected 16 x 16"):
+        gen_field("file", nx=16, ny=16, path=p)
 
 
 def test_gen_field_unknown_kind():

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from tfmultiscale.linalg import (SolveError, _eig_smallest, _sparse_lu,
-                                 gamma_fn, kkt_solve)
+from tfmultiscale.linalg import (SolveError, _banded_cholesky,
+                                 _check_backward_error, _eig_smallest,
+                                 _sparse_lu, gamma_fn, kkt_solve)
 
 
 def random_spd(n, rng, scale=1.0):
@@ -97,6 +99,48 @@ def test_sparse_lu_solves_block_of_right_hand_sides():
 def test_sparse_lu_singular_raises_solve_error():
     with pytest.raises(SolveError, match="factorization"):
         _sparse_lu(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+
+
+# --------------------------------------------------------- _banded_cholesky
+
+def random_band_spd(rng, n, bw, holes):
+    """Dense symmetric, strictly diagonally dominant band of half-width
+    ``bw``, each off-diagonal entry of the band a hole with chance ``holes``."""
+    lower = np.tril(rng.standard_normal((n, n)), -1)
+    i, j = np.indices((n, n))
+    lower[(i - j > bw) | (rng.random((n, n)) < holes)] = 0.0
+    K = lower + lower.T
+    return K + np.diag(np.abs(K).sum(axis=1) + rng.uniform(0.1, 10.0, n))
+
+
+band_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+                  bw=st.integers(0, 12), holes=st.floats(0.0, 0.9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nrhs=st.integers(1, 5), **band_cases)
+def test_banded_cholesky_solves_random_spd_bands(nrhs, seed, n, bw, holes):
+    rng = np.random.default_rng(seed)
+    K = random_band_spd(rng, n, bw, holes)
+    r = rng.standard_normal((n, nrhs))
+    x = _banded_cholesky(sp.csc_matrix(K))(r)
+    _check_backward_error(K @ x, np.abs(K).sum(axis=0).max(), x, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), singular=st.booleans(), **band_cases)
+def test_banded_cholesky_rejects_indefinite_or_singular(data, singular, seed, n,
+                                                        bw, holes):
+    """Row and column p are zeroed, and the diagonal entry left 0 (singular)
+    or set to -1 (indefinite): leading minor p + 1 is the first that is not
+    positive."""
+    K = random_band_spd(np.random.default_rng(seed), n, bw, holes)
+    p = data.draw(st.integers(0, n - 1))
+    K[p, :] = K[:, p] = 0.0
+    K[p, p] = 0.0 if singular else -1.0
+    with pytest.raises(SolveError, match=rf"not positive definite \(leading minor "
+                                         rf"{p + 1} of {n}\)"):
+        _banded_cholesky(sp.csr_matrix(K))
 
 
 # ------------------------------------------------------------- _eig_smallest

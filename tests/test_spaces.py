@@ -6,12 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
-from tfmultiscale.linalg import SolveError, _sparse_lu
+from tfmultiscale.linalg import SolveError, _banded_cholesky
 from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
                                  v2_aux_spectral, v2_basis)
 
@@ -269,10 +268,10 @@ def test_bases_match_dense_patch_kkt_solve():
     assert _worst_patch_error(g, fld, aux1, aux2, 1) <= 1e-10
 
 
-def test_kkt_ordering_reduces_fill_on_exp1_patch(monkeypatch):
+def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     """The centre patch of experiment 1 factors only its skeleton system,
-    which fills less under ``_sparse_lu`` than under COLAMD and less than
-    the 703,387 of the full patch KKT system it replaces."""
+    which is a narrow band in its own row-major order: its band storage
+    stays below the 703,387 fill of the full patch KKT system it replaces."""
     cfg = harness.experiment_config(1)
     g = t.build_grids(cfg.coarse_n, cfg.refine)
     fld = harness._field_from_config(cfg)
@@ -280,18 +279,18 @@ def test_kkt_ordering_reduces_fill_on_exp1_patch(monkeypatch):
     aux1 = aux_spectral(g, fld, kt, cfg.L)
     centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2
     factored = []
-    monkeypatch.setattr(spaces, "_sparse_lu",
-                        lambda K: factored.append(K) or _sparse_lu(K))
+    monkeypatch.setattr(spaces, "_banded_cholesky",
+                        lambda K: factored.append(K) or _banded_cholesky(K))
     cem_basis(g, fld, aux1, cfg.layers)
     K = factored[centre]
+    n = K.shape[0]
     # 8 inner coarse lines each way of 89 DOFs, crossing at 64 coarse vertices.
-    assert K.shape[0] == 2 * 8 * 89 - 64
+    assert n == 2 * 8 * 89 - 64
     assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
-    lu = _sparse_lu(K)
-    colamd = spla.splu(K.tocsc(), permc_spec="COLAMD")
-    fill = lu.L.nnz + lu.U.nnz
-    assert fill < colamd.L.nnz + colamd.U.nnz
-    assert fill < 703_387
+    rows, cols = K.nonzero()
+    bw = int((rows - cols).max())
+    assert bw <= 2 * (2 * cfg.layers + 1) * cfg.refine
+    assert (bw + 1) * n < 703_387
 
 
 def test_zero_constraint_row_names_element():
@@ -309,7 +308,8 @@ def test_residual_failure_names_element(monkeypatch):
     aux2 = v2_aux_spectral(g, fld, aux1, 1)
     # A factorization of 2K leaves a residual that one refinement step
     # cannot remove, so the residual check must reject the first patch.
-    monkeypatch.setattr(spaces, "_sparse_lu", lambda K: _sparse_lu(2.0 * K))
+    monkeypatch.setattr(spaces, "_banded_cholesky",
+                        lambda K: _banded_cholesky(2.0 * K))
     with pytest.raises(SolveError,
                        match="V2 basis solve failed on element 0: column 0"):
         v2_basis(g, fld, aux1, aux2, 1)
@@ -321,15 +321,33 @@ def test_residual_failure_names_its_own_patch(monkeypatch):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     factored = []
 
-    def lu(K):
+    def chol(K):
         factored.append(K)
-        return _sparse_lu(2.0 * K if len(factored) == 5 else K)
+        return _banded_cholesky(2.0 * K if len(factored) == 5 else K)
 
-    monkeypatch.setattr(spaces, "_sparse_lu", lu)
+    monkeypatch.setattr(spaces, "_banded_cholesky", chol)
     with pytest.raises(SolveError,
                        match="CEM basis solve failed on element 4: column 0"):
         cem_basis(g, fld, aux1, 1)
     assert len(factored) == g.n_coarse_elems
+
+
+def test_indefinite_patch_system_names_element(monkeypatch):
+    """Element 4's patch skeleton system is handed over as -K: the banded
+    Cholesky rejects it at its first pivot, and the error names element 4."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    factored = []
+
+    def chol(K):
+        factored.append(K)
+        return _banded_cholesky(-K if len(factored) == 5 else K)
+
+    monkeypatch.setattr(spaces, "_banded_cholesky", chol)
+    with pytest.raises(SolveError, match=r"CEM basis solve failed on element 4: "
+                       r"patch skeleton system is not positive definite "
+                       r"\(leading minor 1 of \d+\)"):
+        cem_basis(g, fld, aux1, 1)
+    assert len(factored) == 5
 
 
 def test_singular_element_block_names_element_and_constraint():
