@@ -263,35 +263,48 @@ class ErrorSeries:
     absolute: np.ndarray  # True where the reference vanished at that time
 
 
-def error_series(traj: Trajectory, basis, reference: Trajectory,
-                 A_fine, M_fine) -> ErrorSeries:
-    """Errors of ``traj`` against ``reference`` at the coarse time levels.
+# Coarse levels lifted and measured together (2.5 MB per temporary on exp1).
+ERROR_LEVELS = 32
 
-    The coarse states are lifted to the fine space as ``states @ basis.R.T``
-    (taken as they are when ``basis`` is None) and compared with every
-    ``stride``-th reference state, ``stride`` being the ratio of the two
-    step counts.  Errors are relative in the ``M_fine`` (L2) and ``A_fine``
-    (energy) norms; at a level where either norm of the reference is zero
-    both errors are absolute and ``absolute`` is set.
+
+def error_series(runs: dict, reference: Trajectory, A_fine, M_fine) -> dict:
+    """Errors of each run ``name: (traj, basis)`` against ``reference`` at
+    the coarse time levels, which all runs share; returns name ->
+    :class:`ErrorSeries`.  The coarse states are lifted to the fine space as
+    ``states @ basis.R.T`` (taken as they are when ``basis`` is None) and
+    compared with every ``stride``-th reference state, ``stride`` being the
+    ratio of the two step counts.  Errors are relative in the ``M_fine``
+    (L2) and ``A_fine`` (energy) norms; at a level where either norm of the
+    reference is zero both errors are absolute and ``absolute`` is set.
+    ERROR_LEVELS levels are lifted at a time, and the reference's norms are
+    taken once for all runs.
     """
-    stride_f = reference.n_steps / traj.n_steps if traj.n_steps else 1
-    stride = round(stride_f)
-    if traj.n_steps == 0 or abs(stride_f - stride) > 1e-9:
+    if not runs:
+        return {}
+    steps = {traj.n_steps for traj, _ in runs.values()}
+    n = steps.pop() if len(steps) == 1 else 0
+    stride, rem = divmod(reference.n_steps, n) if n else (0, 1)
+    if rem or not stride:
         raise ValueError("reference and trajectory time grids are incompatible")
-    U = traj.states if basis is None else traj.states @ basis.R.T
-    ref = reference.states[::stride][:U.shape[0]]
-    D = U - ref
+    ref = reference.states[::stride]
+    blocks = [slice(k, k + ERROR_LEVELS) for k in range(0, n + 1, ERROR_LEVELS)]
 
-    def norms(X, K):
-        # sqrt(x_k^T K x_k) for every row x_k of X, round-off clipped at 0
-        return np.sqrt(np.maximum(np.einsum("ij,ji->i", X, K @ X.T), 0.0))
+    def norms(X):
+        # sqrt(x_k^T K x_k) per row x_k of X and K = M_fine, A_fine, clipped at 0
+        return [np.sqrt(np.maximum(np.einsum("ij,ji->i", X, K @ X.T), 0.0))
+                for K in (M_fine, A_fine)]
 
-    err_l2, den = norms(D, M_fine), norms(ref, M_fine)
-    err_en, dena = norms(D, A_fine), norms(ref, A_fine)
-    absolute = (den == 0.0) | (dena == 0.0)
-    np.divide(err_l2, den, out=err_l2, where=~absolute)
-    np.divide(err_en, dena, out=err_en, where=~absolute)
-    return ErrorSeries(err_l2=err_l2, err_energy=err_en, absolute=absolute)
+    den = np.hstack([norms(ref[b]) for b in blocks])
+    absolute = (den == 0.0).any(axis=0)
+    out = {}
+    for name, (traj, basis) in runs.items():
+        err = np.hstack([norms((traj.states[b] if basis is None else
+                                traj.states[b] @ basis.R.T) - ref[b])
+                         for b in blocks])
+        np.divide(err, den, out=err, where=~absolute)
+        out[name] = ErrorSeries(err_l2=err[0], err_energy=err[1],
+                                absolute=absolute)
+    return out
 
 
 @dataclass
@@ -344,7 +357,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
     # Only the fine matrices and the bases are used from here on: dropping
     # the auxiliary spaces and the element blocks they carry keeps them out
-    # of the run's peak memory (8 MB on experiment 1).
+    # of the run's peak memory (8 MB on experiment 1).  basis1 is a column
+    # view of combined.R, so every basis column is held once.
     A, M, basis1, combined = cs.A, cs.M, cs.basis1, cs.combined
     del cs
     # The report, tildeU and scem share one reduction of the combined space.
@@ -376,8 +390,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trajectories[name] = run_scheme(scheme, sys_r, kernel, np.zeros(basis.n),
                                         F[:, :basis.n], space=name)
 
-    errors = {}
     ref = trajectories.get("fine")
+    errors = {} if ref is None else error_series(
+        {name: (traj, runs[name][1]) for name, traj in trajectories.items()
+         if name in runs and not traj.diverged}, ref, A, M)
     for name, traj in trajectories.items():
         path = os.path.join(cfg.out_dir, f"trajectory_{name}.txt")
         if name == "fine":
@@ -385,13 +401,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             replace(traj, dt=cfg.dt, states=traj.states[::cfg.stride]).save(path)
             continue
         traj.save(path)
-        if ref is None or traj.diverged:
-            continue
-        basis = runs[name][1]
-        errors[name] = error_series(traj, basis, ref, A, M)
-        final = basis.R @ traj.states[-1]
-        _write_solution_raster(grid, final,
-                               os.path.join(cfg.out_dir, f"final_{name}.txt"))
+        if name in errors:
+            final = runs[name][1].R @ traj.states[-1]
+            _write_solution_raster(grid, final,
+                                   os.path.join(cfg.out_dir, f"final_{name}.txt"))
     if ref is not None:
         _write_solution_raster(grid, ref.states[-1],
                                os.path.join(cfg.out_dir, "final_fine.txt"))

@@ -102,7 +102,8 @@ class ReducedBasis:
 
 @dataclass
 class CoarseSpaces:
-    """Both coarse spaces of one field and the fine matrices they share."""
+    """Both coarse spaces of one field and the fine matrices they share;
+    ``basis1`` and ``basis2`` are column views of ``combined.R``."""
 
     A: sp.csr_matrix       # fine stiffness
     M: sp.csr_matrix       # fine mass
@@ -116,16 +117,19 @@ class CoarseSpaces:
 def build_spaces(grid: GridHierarchy, field_: assembly.PermeabilityField,
                  L: int, J: int, layers: int) -> CoarseSpaces:
     """Partition of unity, kappa_tilde, both spectral problems and bases;
-    the spectral problems assemble stiffness, weighted mass and mass."""
+    the spectral problems assemble stiffness, weighted mass and mass.  Each
+    basis column is stored once: the bases are views of the combined one."""
     pou = assembly.msfem_partition(grid, field_)
     kt = assembly.kappa_tilde(field_, pou)
     aux1 = aux_spectral(grid, field_, kt, L)
     basis1 = cem_basis(grid, field_, aux1, layers)
     aux2 = v2_aux_spectral(grid, field_, aux1, J)
-    basis2 = v2_basis(grid, field_, aux1, aux2, layers)
+    combined = combine(basis1, v2_basis(grid, field_, aux1, aux2, layers))
+    n1 = combined.n1
     return CoarseSpaces(A=aux1.A, M=aux2.weight, aux1=aux1, aux2=aux2,
-                        basis1=basis1, basis2=basis2,
-                        combined=combine(basis1, basis2))
+                        basis1=ReducedBasis(R=combined.R[:, :n1], n1=n1),
+                        basis2=ReducedBasis(R=combined.R[:, n1:], n1=0),
+                        combined=combined)
 
 
 def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
@@ -431,8 +435,8 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
                                                rhs[at, :nI], rhs[at, nI:])
         except SolveError as exc:
             raise SolveError(f"on element {e0 + exc.block}: {exc.reason}") from exc
-    Wt = W.transpose(0, 2, 1)
-    S_blocks = -(Wt @ Y[:, :, :nb])
+    WtY = _transposed_products(W, Y)
+    S_blocks = -WtY[:, :, :nb]
     E_blocks, F_blocks = -Y[:, :nI, :nb], -Y[:, nI:, :nb]
     Z = Y[:, :, nb:]
 
@@ -457,5 +461,11 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
     E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),
                  first=(np.ones(ns), skel, np.arange(ns)))
     F = assemble(F_blocks, rows, mask[:, None, :], (Cs.shape[0], ns))
-    return S, E, F, Z, Wt @ Z
+    return S, E, F, Z, WtY[:, :, nb:]
+
+
+def _transposed_products(W, Y) -> np.ndarray:
+    """The stack of W_e^T Y_e; never one column (W_e^T Z_e at J = 1), whose
+    BLAS matrix-vector product was seen to round by memory placement."""
+    return W.transpose(0, 2, 1) @ Y
 

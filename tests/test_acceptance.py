@@ -213,8 +213,8 @@ def paper():
     ref = fine_reference(g, A, M, cfg.alpha, cfg.dt_fine, forcing,
                          N * cfg.stride)
     bases = {"cem": basis1, "tildeU": both, "scem": both}
-    errors = {name: error_series(traj, bases[name], ref, A, M)
-              for name, traj in runs.items() if not traj.diverged}
+    errors = error_series({name: (traj, bases[name]) for name, traj
+                           in runs.items() if not traj.diverged}, ref, A, M)
     return SimpleNamespace(cfg=cfg, report=report, sys_both=sys_both,
                            load_both=load_both, runs=runs, errors=errors)
 

@@ -109,6 +109,11 @@ def _traj(states, dt=0.1, space="fine"):
                       diverged=False, diverged_step=-1, history_ops=0)
 
 
+def _errors(traj, basis, ref, A, M):
+    """error_series of a single run."""
+    return error_series({"run": (traj, basis)}, ref, A, M)["run"]
+
+
 def test_error_series_identity_is_zero():
     rng = np.random.default_rng(0)
     states = rng.standard_normal((4, 6))
@@ -116,7 +121,7 @@ def test_error_series_identity_is_zero():
     traj = _traj(states, dt=0.05)
     A = np.eye(6)
     M = 2 * np.eye(6)
-    es = error_series(traj, None, ref, A, M)
+    es = _errors(traj, None, ref, A, M)
     assert np.allclose(es.err_l2, 0.0)
     assert np.allclose(es.err_energy, 0.0)
 
@@ -126,7 +131,7 @@ def test_error_series_doubled_reference_is_relative_one():
     states = rng.standard_normal((3, 5)) + 2.0
     ref = _traj(2 * states)
     traj = _traj(states)
-    es = error_series(traj, None, ref, np.eye(5), np.eye(5))
+    es = _errors(traj, None, ref, np.eye(5), np.eye(5))
     # skip k=0 only if reference vanished there (it does not here)
     assert np.allclose(es.err_l2, 0.5)
     assert np.allclose(es.err_energy, 0.5)
@@ -136,7 +141,7 @@ def test_error_series_doubled_reference_is_relative_one():
 def test_error_series_zero_reference_marks_absolute():
     ref = _traj(np.zeros((2, 4)))
     traj = _traj(np.ones((2, 4)))
-    es = error_series(traj, None, ref, np.eye(4), np.eye(4))
+    es = _errors(traj, None, ref, np.eye(4), np.eye(4))
     assert es.absolute.all()
     assert np.allclose(es.err_l2, 2.0)  # absolute M-norm, M=I
 
@@ -146,7 +151,7 @@ def test_error_series_strided_reference():
     ref_states = np.arange(7.0)[:, None] * np.ones(3)
     ref = _traj(ref_states, dt=0.1)
     traj = _traj(ref_states[::3], dt=0.3)
-    es = error_series(traj, None, ref, np.eye(3), np.eye(3))
+    es = _errors(traj, None, ref, np.eye(3), np.eye(3))
     assert np.allclose(es.err_l2, 0.0)
 
 
@@ -154,7 +159,11 @@ def test_error_series_incompatible_grids():
     ref = _traj(np.zeros((8, 3)))
     traj = _traj(np.zeros((4, 3)))  # 7 ref steps vs 3 coarse steps
     with pytest.raises(ValueError):
-        error_series(traj, None, ref, np.eye(3), np.eye(3))
+        _errors(traj, None, ref, np.eye(3), np.eye(3))
+    # Runs on different coarse grids share no reference levels.
+    runs = {"a": (_traj(np.zeros((8, 3))), None), "b": (_traj(np.zeros((2, 3))), None)}
+    with pytest.raises(ValueError):
+        error_series(runs, ref, np.eye(3), np.eye(3))
 
 
 def _error_series_loop(traj, basis, reference, A, M):
@@ -202,12 +211,65 @@ def test_error_series_matches_per_step_loop(data, n_fine, n_coarse, n_steps,
     ref_states[[k * stride for k in zero]] = 0.0
     traj = _traj(rng.standard_normal((n_steps + 1, width)), dt=0.1 * stride)
     ref = _traj(ref_states, dt=0.1)
-    es = error_series(traj, basis, ref, A, M)
+    es = _errors(traj, basis, ref, A, M)
     err_l2, err_en, absolute = _error_series_loop(traj, basis, ref, A, M)
     np.testing.assert_allclose(es.err_l2, err_l2, rtol=1e-12, atol=0)
     np.testing.assert_allclose(es.err_energy, err_en, rtol=1e-12, atol=0)
     assert np.array_equal(es.absolute, absolute)
     assert absolute[zero].all()
+
+
+class _CountingMatrix:
+    """A matrix that counts the vectors it is applied to."""
+
+    def __init__(self, K):
+        self.K, self.vectors = K, 0
+
+    def __matmul__(self, X):
+        self.vectors += X.shape[1]
+        return self.K @ X
+
+
+def test_error_series_in_blocks_matches_the_whole_array_formula():
+    """Levels span two blocks, the second holding an absolute level; the
+    reference's norms are taken once for both runs."""
+    rng = np.random.default_rng(7)
+    n_fine, n_coarse, stride = 9, 4, 2
+    levels = harness.ERROR_LEVELS + 10
+    B = rng.standard_normal((n_fine, n_fine))
+    A = sp.csr_matrix(B @ B.T + n_fine * np.eye(n_fine))
+    M = sp.csr_matrix(np.diag(rng.uniform(0.5, 2.0, n_fine)))
+    ref_states = rng.standard_normal(((levels - 1) * stride + 1, n_fine))
+    zero = harness.ERROR_LEVELS + 3
+    ref_states[zero * stride] = 0.0
+    ref = _traj(ref_states, dt=0.1)
+    basis = spaces.ReducedBasis(R=rng.standard_normal((n_fine, n_coarse)),
+                                n1=n_coarse)
+    runs = {"lifted": (_traj(rng.standard_normal((levels, n_coarse)), dt=0.2), basis),
+            "fine": (_traj(rng.standard_normal((levels, n_fine)), dt=0.2), None)}
+    counted = _CountingMatrix(A), _CountingMatrix(M)
+    got = error_series(runs, ref, *counted)
+    for K in counted:
+        assert K.vectors == levels * (1 + len(runs))
+    R = ref_states[::stride]
+
+    def norm(X, K):
+        return np.sqrt(np.maximum(np.einsum("ij,ji->i", X, K @ X.T), 0.0))
+
+    den, dena = norm(R, M), norm(R, A)
+    assert (den == 0.0).tolist() == [k == zero for k in range(levels)]
+    for name, (traj, basis) in runs.items():
+        D = (traj.states if basis is None else traj.states @ basis.R.T) - R
+        es = got[name]
+        assert np.array_equal(es.absolute, den == 0.0)
+        np.testing.assert_allclose(es.err_l2[zero], norm(D, M)[zero], rtol=1e-13)
+        np.testing.assert_allclose(es.err_energy[zero], norm(D, A)[zero], rtol=1e-13)
+        keep = np.arange(levels) != zero
+        np.testing.assert_allclose(es.err_l2[keep], norm(D, M)[keep] / den[keep],
+                                   rtol=1e-13)
+        np.testing.assert_allclose(es.err_energy[keep],
+                                   norm(D, A)[keep] / dena[keep], rtol=1e-13)
+    assert error_series({}, ref, A, M) == {}
 
 
 # -------------------------------------------------------------------- config
@@ -415,6 +477,21 @@ def test_run_experiment_cem_system_is_its_own_reduction(tmp_path, monkeypatch):
     assert (sys_cem.n1, sys_cem.n2) == (oracle.n1, oracle.n2) == (cs.basis1.n, 0)
     assert _rel(sys_cem.M, oracle.M) <= 1e-12
     assert _rel(sys_cem.A, oracle.A) <= 1e-12
+
+
+def test_run_experiment_holds_each_basis_once(tmp_path, monkeypatch):
+    """cem's basis is a column view of the combined one, and the errors are
+    taken on that view."""
+    measured = {}
+    series = harness.error_series
+    monkeypatch.setattr(harness, "error_series", lambda runs, *args:
+                        measured.update(runs) or series(runs, *args))
+    cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
+    assert set(measured) == {"cem", "tildeU", "scem"}
+    assert measured["tildeU"][1] is measured["scem"][1] is cs.combined
+    cem = measured["cem"][1].R
+    assert cem.base is cs.combined.R and np.shares_memory(cem, cs.combined.R)
+    assert np.array_equal(cem, cs.combined.R[:, :cs.basis1.n])
 
 
 def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):

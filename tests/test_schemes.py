@@ -91,6 +91,24 @@ def test_reduce_symmetric_and_mass_positive_on_random_bases(coarse_n, refine,
     assert (sys_r.n1, sys_r.n2) == (n_cols - n_v2, n_v2)
 
 
+def test_reduce_row_blocks_of_a_column_view_match_the_whole_product():
+    """1,225 fine DOFs: one full block of REDUCE_ROWS rows and a partial one."""
+    g = t.build_grids(4, 9)
+    assert g.n_dofs > schemes.REDUCE_ROWS and g.n_dofs % schemes.REDUCE_ROWS
+    rng = np.random.default_rng(3)
+    fld = assembly.PermeabilityField(10.0 ** rng.uniform(0, 4, g.n_cells))
+    A = assembly.assemble(g, fld, "stiffness")
+    M = assembly.assemble(g, None, "mass")
+    R = rng.standard_normal((g.n_dofs, 30))[:, 4:24]
+    assert not R.flags.c_contiguous
+    sys_r = reduce(A, M, make_basis(R, 12))
+    for got, K in ((sys_r.A, A), (sys_r.M, M)):
+        want = R.T @ (K @ R)
+        assert np.array_equal(got, got.T)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert (sys_r.n1, sys_r.n2) == (12, 8)
+
+
 def test_reduce_rejects_rank_deficient():
     g = t.build_grids(2, 2)
     fld = assembly.PermeabilityField(np.ones(g.n_cells))

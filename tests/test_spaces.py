@@ -473,6 +473,43 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
 
 # ------------------------------------------------------------- combined / cache
 
+def test_bases_are_column_views_of_the_combined_basis():
+    g = t.build_grids(3, 4)
+    fld = channel_field(g)
+    cs = build_spaces(g, fld, 2, 1, 1)
+    R, n1 = cs.combined.R, cs.combined.n1
+    for basis in (cs.basis1, cs.basis2):
+        assert basis.R.base is R and np.shares_memory(basis.R, R)
+    assert np.array_equal(cs.basis1.R, R[:, :n1])
+    assert np.array_equal(cs.basis2.R, R[:, n1:])
+    assert (cs.basis1.n1, cs.basis2.n1, n1) == (cs.basis1.n, 0, cs.basis1.n)
+    cem = cem_basis(g, fld, cs.aux1, 1).R
+    assert np.max(np.abs(cs.basis1.R - cem)) <= 1e-12 * np.max(np.abs(cem))
+
+
+def _placed(X, offset):
+    """A copy of X starting ``offset`` elements into a fresh buffer."""
+    out = np.empty(X.size + offset)[offset:].reshape(X.shape)
+    out[...] = X
+    return out
+
+
+def test_condensed_target_products_do_not_depend_on_placement(monkeypatch):
+    """W_e^T Z_e of both bases (two targets per element, then one) is
+    bit-equal for the same stacks placed 8 bytes further into memory."""
+    stacks = []
+    products = spaces._transposed_products
+    monkeypatch.setattr(spaces, "_transposed_products",
+                        lambda W, Y: stacks.append((W, Y)) or products(W, Y))
+    g = t.build_grids(3, 4)
+    build_spaces(g, channel_field(g), 2, 1, 1)
+    assert [Y.shape[2] - W.shape[2] for W, Y in stacks] == [2, 1]
+    for W, Y in stacks:
+        nb = W.shape[2]
+        WZ = [products(_placed(W, k), _placed(Y, k))[:, :, nb:] for k in (0, 1)]
+        assert np.array_equal(WZ[0], WZ[1])
+
+
 def test_combined_basis_full_rank():
     g = t.build_grids(5, 4)
     cs = build_spaces(g, channel_field(g), 3, 2, 2)
