@@ -8,6 +8,8 @@ The partition of unity chi and kappa_tilde are computed for all coarse
 elements at once, and must stay bit-equal to the per-element loops: at
 contrast 1e6 a relative 1e-15 change in either moves the stability report by
 about 1e-6 (ROADMAP item 1), beyond the benchmark's 1e-9 references.
+Every sparse matrix built from element tables is one :func:`_scatter`,
+whose entry order fixes the order in which duplicates are summed.
 """
 
 from __future__ import annotations
@@ -74,17 +76,22 @@ def element_mass(h: float) -> np.ndarray:
     return (h * h) * _MASS_REF
 
 
+def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
+    """The sparse matrix with entries ``values`` at (``rows``, ``cols``), the
+    three broadcast together and listed in C order, so that duplicates are
+    summed in that order on conversion.  An entry whose row or column is
+    negative (-1, the padding of :func:`spaces._blocks`) is dropped."""
+    values, rows, cols = np.broadcast_arrays(values, rows, cols)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((values[keep], (rows[keep], cols[keep])), shape=shape)
+
+
 def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,
                     elem_ref: np.ndarray) -> sp.csr_matrix:
     """Assemble sum_c w_c * elem_ref over all fine cells, on all nodes."""
     conn = grid.cell_nodes()
-    nc = grid.n_cells
-    blocks = cell_weights[:, None, None] * elem_ref[None, :, :]
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    K = sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                      shape=(grid.n_nodes, grid.n_nodes))
-    return K.tocsr()
+    return _scatter(cell_weights[:, None, None] * elem_ref, conn[:, :, None],
+                    conn[:, None, :], (grid.n_nodes, grid.n_nodes)).tocsr()
 
 
 def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
@@ -143,11 +150,9 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     elem_cells, elem_nodes = grid.element_cells_nodes()
     ne = len(elem_cells)
     off = n * np.arange(ne)[:, None]
-    blocks = field.values[elem_cells][:, :, None, None] * _STIFF_REF
-    ii = np.repeat(conn, 4, axis=1).ravel() + off
-    jj = np.tile(conn, (1, 4)).ravel() + off
-    A = sp.coo_matrix((blocks.ravel(), (ii.ravel(), jj.ravel())),
-                      shape=(ne * n, ne * n)).tocsc()
+    nodes = conn + off[:, :, None]                    # (ne, r * r, 4)
+    A = _scatter(field.values[elem_cells][:, :, None, None] * _STIFF_REF,
+                 nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
     A_in = A[(inner + off).ravel()]
     A_ii = A_in[:, (inner + off).ravel()].tocsc()
     G = hats[bdy]                                     # boundary data, 4 corners
@@ -170,15 +175,12 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     cy, cx = np.divmod(np.arange(ne), cn)
     sw = cy * (cn + 1) + cx
     corners = np.column_stack([sw, sw + 1, sw + cn + 2, sw + cn + 1])
-    shape = (ne, 4, n)
-    chi = sp.coo_matrix((vals.transpose(0, 2, 1).ravel(),
-                         (np.broadcast_to(corners[:, :, None], shape).ravel(),
-                          np.broadcast_to(elem_nodes[:, None, :], shape).ravel())),
-                        shape=(grid.n_coarse_vertices, grid.n_nodes))
+    at = (corners[:, :, None], elem_nodes[:, None, :])
+    shape = (grid.n_coarse_vertices, grid.n_nodes)
+    chi = _scatter(vals.transpose(0, 2, 1), *at, shape).tocsr()
     # Shared element edges are written once per adjacent element with identical
     # values; average duplicates instead of summing them.
-    counts = sp.coo_matrix((np.ones(chi.nnz), (chi.row, chi.col)), shape=chi.shape).tocsr()
-    chi = chi.tocsr()
+    counts = _scatter(1.0, *at, shape).tocsr()
     chi.data /= counts.data
     return PartitionOfUnity(grid=grid, chi=chi)
 

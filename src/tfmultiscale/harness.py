@@ -57,7 +57,7 @@ class ExperimentConfig:
         for name, least in (("coarse_n", 2), ("refine", 2), ("layers", 0),
                             ("L", 1), ("J", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and float(value).is_integer()
+            if not (_is_number(value) and float(value).is_integer()
                     and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             setattr(self, name, int(value))
@@ -115,17 +115,22 @@ _KINDS = {"field": {"channels": _GENERATED, "inclusions": _GENERATED,
 _REQUIRED = {"file": {"path"}, "custom": {"values"}}
 
 
+def _is_number(v, kind=numbers.Real) -> bool:
+    """A real (or ``kind``) number that is not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _is_finite_positive(v) -> bool:
-    return isinstance(v, numbers.Real) and math.isfinite(v) and v > 0
+    return _is_number(v) and math.isfinite(v) and v > 0
 
 
 def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and v >= 0
+    return _is_number(v, numbers.Integral) and v >= 0
 
 
 def _is_pair(v) -> bool:
     return (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in v))
+            and all(_is_number(x) and math.isfinite(x) for x in v))
 
 
 def _is_raster(v) -> bool:
@@ -133,7 +138,9 @@ def _is_raster(v) -> bool:
         a = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         return False
-    return a.size > 0 and math.isqrt(a.size) ** 2 == a.size and bool(np.isfinite(a).all())
+    return (a.size > 0 and math.isqrt(a.size) ** 2 == a.size and bool(np.isfinite(a).all())
+            and not any(isinstance(x, (bool, np.bool_))
+                        for x in np.asarray(v, dtype=object).flat))
 
 
 # Per key of a field or forcing spec, what its value must be.
@@ -385,10 +392,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if runs:
         kernel = make_kernel(cfg.alpha, cfg.dt, N)
         load = assembly.load_vector(grid, forcing, cfg.dt) @ combined.R
-        F = np.broadcast_to(load, (N, combined.n))
     for name, (scheme, basis, sys_r) in runs.items():
         trajectories[name] = run_scheme(scheme, sys_r, kernel, np.zeros(basis.n),
-                                        F[:, :basis.n], space=name)
+                                        lambda k, n=basis.n: load[:n], space=name)
 
     ref = trajectories.get("fine")
     errors = {} if ref is None else error_series(

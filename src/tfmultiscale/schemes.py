@@ -162,9 +162,9 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
                u0: np.ndarray, forcing, space: str = "") -> Trajectory:
     """Run a full trajectory of N = kernel.steps steps.
 
-    ``forcing`` is either an (N, n) array of reduced loads F^1..F^N or a
-    callable step -> load (step k requests F^{k+1}).  Blow-up is detected by
-    a divergence guard and reported on the trajectory, not raised.
+    ``forcing`` is a callable step -> reduced load (step k requests
+    F^{k+1}).  Blow-up is detected by a divergence guard and reported on the
+    trajectory, not raised.
     """
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of "
@@ -179,8 +179,7 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
     traj = Trajectory(space=space or scheme, alpha=kernel.alpha,
                       dt=kernel.dt, states=states)
     for k in range(N):
-        load = forcing(k) if callable(forcing) else forcing[k]
-        u = stepper(sys, kernel, states[:k + 1], load)
+        u = stepper(sys, kernel, states[:k + 1], forcing(k))
         states[k + 1] = u
         traj.history_ops += k + 1
         norm = np.linalg.norm(u)

@@ -15,7 +15,9 @@ matrix is assembled once.
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.  Every element carries the same
 number of local functions (L for V_{H,1}, J for V_{H,2}), so an element's
-functions, constraint rows and targets are rows of fixed-width tables.
+functions and constraint rows are rows of fixed-width tables.  Both bases
+take unit moments as targets: the last k of an element's m constraint rows
+carry them, one per basis column, so a count k stands for the targets.
 
 Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
@@ -29,8 +31,11 @@ space and checked against the residuals of their full patch saddle systems.
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
 read from its compressed structure in one gather (:func:`_blocks`), every
-patch block by scipy's ``X[idx][:, idx]``.  Element eigenproblems are solved
-by :func:`linalg._eig_smallest`.
+patch block by scipy's ``X[idx][:, idx]``, and every sparse matrix made of
+element blocks is written by one :func:`assembly._scatter`.  Both share one
+convention: an index of -1 (a boundary node without a DOF) is padding, read
+as zero by ``_blocks`` and dropped by ``_scatter``.  Element eigenproblems
+are solved by :func:`linalg._eig_smallest`.
 """
 
 from __future__ import annotations
@@ -187,10 +192,9 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
             raise SolveError(f"on element {i}: {exc}") from exc
         values.append(vals)
         data[i] = vecs if constraint is None else Z @ vecs
-    cols = np.arange(ne)[:, None] * k + np.tile(np.arange(k), ni)
-    vectors = sp.csc_matrix((data.ravel(), (np.repeat(interior.ravel(), k),
-                                            cols.ravel())),
-                            shape=(grid.n_dofs, ne * k))
+    vectors = assembly._scatter(data, interior[:, :, None],
+                                np.arange(ne * k).reshape(ne, 1, k),
+                                (grid.n_dofs, ne * k)).tocsc()
     return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD)
 
 
@@ -238,10 +242,9 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     aux functions being s-orthonormal.  All columns are implicit (n1 = n).
     The stiffness is ``aux.A``; ``field_`` is unused.
     """
-    ne, L = aux.columns.shape
     try:
         R = _localize(grid, aux.A, aux.A_blocks, aux.weighted.T, aux.columns,
-                      np.broadcast_to(np.eye(L), (ne, L, L)), layers)
+                      aux.columns.shape[1], layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
     return ReducedBasis(R=R, n1=R.shape[1])
@@ -259,13 +262,11 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     columns are explicit (n1 = 0).  The stiffness is ``aux1.A``; ``field_``
     is unused.
     """
-    (ne, L), J = aux1.columns.shape, aux2.columns.shape[1]
     rows = np.hstack([aux1.columns, aux1.total + aux2.columns])
     try:
         R = _localize(grid, aux1.A, aux1.A_blocks,
                       sp.vstack([aux1.weighted.T, aux2.weighted.T]), rows,
-                      np.broadcast_to(np.eye(L + J, J, -L), (ne, L + J, J)),
-                      layers)
+                      aux2.columns.shape[1], layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
     return ReducedBasis(R=R, n1=0)
@@ -278,39 +279,41 @@ CHECK_COLUMNS = 64
 # temporaries then take about 3 MB on experiment 1's grid, whatever the
 # number of elements.
 SOLVE_ELEMENTS = 16
+# Relative tolerance of every basis column's constraint and stationarity
+# residuals on its patch saddle system.
+RESIDUAL_TOL = 1e-9
 
 
-def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
-              tol: float = 1e-9) -> np.ndarray:
+def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
+              layers: int) -> np.ndarray:
     """Constrained energy minimizers on every oversampled patch.
 
     ``C`` holds one constraint row per auxiliary function; the (ne, m) table
     ``rows`` lists each coarse element's rows, every row of C exactly once.
     A row of element e is a moment against a function supported in e, so it
-    lives on e's closure.  In the (ne, m, k) array ``targets``,
-    ``targets[i]`` gives, for each of the k basis columns of element i, its
-    moments against element i's rows (in ``rows[i]`` order); its moments
-    against every other row are zero.  Both bases pass unit targets, a
-    column's moment being 1 against its own function and 0 against the
-    others.  Column j of element i minimizes x^T A x on the patch around i
-    subject to C_P x = g_P.  Columns are returned element-major as an
-    (n_dofs, ne * k) array.  ``AD`` holds A's element blocks (see
-    :class:`AuxSpace`).
+    lives on e's closure.  Element i has k basis columns; column j's target
+    moments are 1 against row ``rows[i, m - k + j]`` and 0 against every
+    other row (both bases take unit moments, the auxiliary eigenvectors
+    being orthonormal in their weight).  Column j of element i minimizes
+    x^T A x on the patch around i subject to C_P x = g_P.  Columns are
+    returned element-major as an (n_dofs, ne * k) array.  ``AD`` holds A's
+    element blocks (see :class:`AuxSpace`).
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
     Patch i then factors the skeleton operator S on its interior skeleton
     (SPD) by :func:`linalg._banded_cholesky` (a failure names the element),
     and solves its right-hand sides as one block with one refinement step.
-    The skeleton solutions of all patches are then lifted, x = E x_S + Z_i,
-    and every column's constraint and stationarity residuals on its full
-    patch saddle system are checked, a chunk of columns at a time; the first
-    failing column in element-major order is reported.
+    The skeleton solutions of all patches are then lifted, x = E x_S + Z_i
+    on the interior DOFs and x = x_S on the skeleton, and every column's
+    constraint and stationarity residuals on its full patch saddle system
+    are checked against RESIDUAL_TOL, a chunk of columns at a time; the
+    first failing column in element-major order is reported.
     """
     maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
     C = sp.csr_matrix(C)
-    ne, _, k = targets.shape
+    ne, m = rows.shape
     row_elem = np.empty(C.shape[0], dtype=int)
     row_elem[rows] = np.arange(ne)[:, None]
     C2 = C.multiply(C).tocsr()
@@ -324,20 +327,21 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
     R = np.zeros((grid.n_dofs, ne * k))
     Cs = C.copy()
     Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
-    S, E, F, Z, WZ = _condense(maps, A, AD, Cs, rows, targets, norms)
+    S, E, F, Z, WZ = _condense(maps, A, AD, Cs, rows, k, norms)
 
-    XS = np.zeros((S.shape[0], ne * k))
+    ns = S.shape[0]
+    XS = np.zeros((ns, ne * k))
     S = S.tocsc()
     for i, sk in enumerate(maps.patch_skeleton):
         if not len(sk):
             continue
-        # Element i's boundary skeleton carries its right-hand sides; take
-        # the part inside the patch's skeleton (all of it when layers >= 1).
-        b = maps.skeleton_pos[maps.boundary[i][maps.boundary_mask[i]]]
-        at = np.minimum(np.searchsorted(sk, b), len(sk) - 1)
-        hit = sk[at] == b
-        rhs = np.zeros((len(sk), k))
-        rhs[at[hit]] = -WZ[i][maps.boundary_mask[i]][hit]
+        # Element i's boundary skeleton carries its right-hand sides: scatter
+        # them onto the whole skeleton and read the patch's part (all of
+        # them when layers >= 1).
+        valid = maps.boundary_mask[i]
+        rhs = np.zeros((ns, k))
+        rhs[maps.skeleton_pos[maps.boundary[i][valid]]] = -WZ[i][valid]
+        rhs = rhs[sk]
         SP = S[sk][:, sk]
         try:
             solve = _banded_cholesky(SP)
@@ -350,6 +354,7 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, total) array but R is held.
     nI = maps.interior.shape[1]
+    unit = np.eye(m, k, k - m)
     diag = np.abs(A.diagonal())
     col_elem = np.repeat(np.arange(ne), k)
     step = max(1, CHECK_COLUMNS // max(k, 1))
@@ -357,6 +362,7 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
         e1 = min(e0 + step, ne)
         c0, c1 = e0 * k, e1 * k
         R[:, c0:c1] = E @ XS[:, c0:c1]
+        R[maps.skeleton, c0:c1] = XS[:, c0:c1]
         mu = F @ XS[:, c0:c1]
         G = np.zeros_like(mu)
         inside = np.zeros((grid.n_dofs, c1 - c0))
@@ -365,7 +371,7 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
             cols = slice(e * k - c0, (e + 1) * k - c0)
             R[maps.interior[e], e * k:(e + 1) * k] += Z[e][:nI]
             mu[rows[e], cols] += Z[e][nI:]
-            G[rows[e], cols] = targets[e]
+            G[rows[e], cols] = unit
             inside[maps.patch_dofs[e], cols] = 1.0
             diag_max[cols] = diag[maps.patch_dofs[e]].max()
         X = R[:, c0:c1]
@@ -383,18 +389,18 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, targets, layers: int,
         scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
         stat_scale = np.maximum(scale, diag_max)
         # Tested as "within tolerance" so that a NaN residual fails too.
-        ok = (res <= tol * scale) & (res2 <= tol * stat_scale)
+        ok = (res <= RESIDUAL_TOL * scale) & (res2 <= RESIDUAL_TOL * stat_scale)
         if not ok.all():
             j = c0 + int(np.flatnonzero(~ok)[0])
             i = col_elem[j]
             raise SolveError(f"on element {i}: column {j - i * k}: "
                              f"constraint residual {res[j - c0]:.3e}, "
                              f"stationarity residual {res2[j - c0]:.3e}, "
-                             f"above {tol:.1e}")
+                             f"above {RESIDUAL_TOL:.1e}")
     return R
 
 
-def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
+def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -402,30 +408,29 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
     boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated
     through its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  A's element
     blocks are ``AD`` (see :class:`AuxSpace`); those of the equilibrated
-    constraints ``Cs`` are gathered in one go.  The targets are checked to be
-    finite, then a stacked :func:`linalg.kkt_solve` per SOLVE_ELEMENTS
-    elements solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under its
-    backward-error contract, a failure naming the element.  S, E and F are
-    each assembled from the stacked results once.
+    constraints ``Cs`` are gathered in one go.  g_e holds the unit targets
+    of the last k of the element's rows (see :func:`_localize`), divided by
+    those rows' norms.  A stacked :func:`linalg.kkt_solve` per
+    SOLVE_ELEMENTS elements solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
+    its backward-error contract, a failure naming the element.  S, E and F
+    are each one :func:`assembly._scatter` of the stacked results, a
+    boundary node without a DOF at skeleton position -1.
 
     Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e, the
-    maps E (skeleton values to the full vector, the identity on the
-    skeleton) and F (skeleton values to multipliers), and the stacks of Z_e,
-    which solves K_e Z_e = [0; g_e] for the element's own equilibrated
-    targets, and of W_e^T Z_e (zero where a boundary node has no DOF).
+    maps E (skeleton values to the interior DOFs; the skeleton's own values
+    are written by the caller) and F (skeleton values to multipliers), and
+    the stacks of Z_e, which solves K_e Z_e = [0; g_e], and of W_e^T Z_e
+    (zero where a boundary node has no DOF).
     """
     interior, boundary, mask = maps.interior, maps.boundary, maps.boundary_mask
     skel, pos = maps.skeleton, maps.skeleton_pos
     ne, nI = interior.shape
     nb = boundary.shape[1]
     CD = _blocks(Cs, rows, np.hstack([interior, boundary]))
-    g = targets / norms[rows][:, :, None]
-    bad = np.argwhere(~np.isfinite(g).all(axis=1))
-    if len(bad):
-        raise SolveError(f"on element {bad[0][0]}: column {bad[0][1]}: "
-                         f"non-finite target")
+    m = rows.shape[1]
+    g = np.eye(m, k, k - m) / norms[rows][:, :, None]
     W = np.concatenate([AD[:, :, nI:], CD[:, :, nI:]], axis=1)
-    rhs = np.concatenate([W, np.concatenate([np.zeros((ne, nI, g.shape[2])), g],
+    rhs = np.concatenate([W, np.concatenate([np.zeros((ne, nI, k)), g],
                                             axis=1)], axis=2)
     Y = np.empty_like(rhs)
     for e0 in range(0, ne, SOLVE_ELEMENTS):
@@ -436,32 +441,17 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, targets, norms):
         except SolveError as exc:
             raise SolveError(f"on element {e0 + exc.block}: {exc.reason}") from exc
     WtY = _transposed_products(W, Y)
-    S_blocks = -WtY[:, :, :nb]
-    E_blocks, F_blocks = -Y[:, :nI, :nb], -Y[:, nI:, :nb]
-    Z = Y[:, :, nb:]
 
-    bpos = pos[boundary]
-
-    def assemble(blocks, block_rows, valid, shape, first=((), (), ())):
-        # Entries element by element, each block row-major, after ``first``.
-        full = (ne,) + blocks.shape[1:]
-        keep = np.broadcast_to(valid, full)
-        return sp.csr_matrix((
-            np.concatenate([first[0], blocks[keep]]),
-            (np.concatenate([first[1], np.broadcast_to(block_rows[:, :, None],
-                                                       full)[keep]]),
-             np.concatenate([first[2], np.broadcast_to(bpos[:, None, :],
-                                                       full)[keep]]))),
-            shape=shape)
-
+    # Skeleton position of each boundary node, -1 where it has no DOF.
+    bpos = np.where(mask, pos[boundary], -1)
     ns = len(skel)
-    S = (A[skel][:, skel] + assemble(S_blocks, bpos, mask[:, :, None]
-                                     & mask[:, None, :], (ns, ns))).tocsr()
-    # The identity on the skeleton shares no entry with the interior rows.
-    E = assemble(E_blocks, interior, mask[:, None, :], (len(pos), ns),
-                 first=(np.ones(ns), skel, np.arange(ns)))
-    F = assemble(F_blocks, rows, mask[:, None, :], (Cs.shape[0], ns))
-    return S, E, F, Z, WtY[:, :, nb:]
+    S = (A[skel][:, skel] + assembly._scatter(
+        -WtY[:, :, :nb], bpos[:, :, None], bpos[:, None, :], (ns, ns))).tocsr()
+    E = assembly._scatter(-Y[:, :nI, :nb], interior[:, :, None],
+                          bpos[:, None, :], (len(pos), ns)).tocsr()
+    F = assembly._scatter(-Y[:, nI:, :nb], rows[:, :, None], bpos[:, None, :],
+                          (Cs.shape[0], ns)).tocsr()
+    return S, E, F, Y[:, :, nb:], WtY[:, :, nb:]
 
 
 def _transposed_products(W, Y) -> np.ndarray:

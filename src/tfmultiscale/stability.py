@@ -10,6 +10,7 @@ which callers build once (:func:`spaces.build_spaces`, then
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +164,17 @@ def contrast_sweep(grid, geometry_mask: np.ndarray, contrasts, alpha: float,
     Returns a list of dict rows with keys contrast, lambda_full, lambda_v2,
     gamma, dt_exp, dt_partial (the CSV schema of the sweep output).
     """
+    contrasts = [float(c) for c in contrasts]
+    if not all(math.isfinite(c) and c > 0 for c in contrasts):
+        raise ValueError(f"contrasts must be finite and positive, got {contrasts}")
     mask = np.asarray(geometry_mask, dtype=bool).ravel()
     rows = []
     for c in contrasts:
-        if c <= 0:
-            raise ValueError("contrasts must be positive")
-        kappa = np.where(mask, float(c), 1.0)
+        kappa = np.where(mask, c, 1.0)
         cs = spaces.build_spaces(grid, assembly.PermeabilityField(values=kappa),
                                  L, J, layers)
         rep = build_report(reduce(cs.A, cs.M, cs.combined), alpha)
-        rows.append({"contrast": float(c),
+        rows.append({"contrast": c,
                      "lambda_full": rep.lambda_max_full,
                      "lambda_v2": rep.lambda_max_v2,
                      "gamma": rep.gamma,

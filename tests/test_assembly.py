@@ -140,6 +140,64 @@ def test_weighted_mass_locality():
     assert np.allclose(S, Ssum, atol=1e-14)
 
 
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 3)] * 3),
+       spans=st.lists(st.tuples(*[st.booleans()] * 3), min_size=3, max_size=3),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_scatter_broadcasts_drops_negatives_and_sums_duplicates(shape, spans,
+                                                                 n, seed):
+    """Values, rows and columns of different (broadcastable) shapes: the COO
+    lists every broadcast entry in C order except those at a row or column
+    of -1, and duplicates are summed."""
+    rng = np.random.default_rng(seed)
+    values, rows, cols = (
+        draw(tuple(s if spanned else 1 for s, spanned in zip(shape, span)))
+        for draw, span in zip((rng.standard_normal,
+                               lambda s: rng.integers(-1, n, s),
+                               lambda s: rng.integers(-1, n, s)), spans))
+    full = np.broadcast_shapes(values.shape, rows.shape, cols.shape)
+
+    def at(x, idx):
+        return x[tuple(i % d for i, d in zip(idx, x.shape))]
+
+    listed = [(at(rows, i), at(cols, i), at(values, i)) for i in np.ndindex(full)]
+    listed = [e for e in listed if e[0] >= 0 and e[1] >= 0]
+    K = assembly._scatter(values, rows, cols, (n, n))
+    assert list(zip(K.row, K.col, K.data)) == listed
+    dense = np.zeros((n, n))
+    for r, c, v in listed:
+        dense[r, c] += v
+    assert np.array_equal(K.toarray(), dense)
+    assert np.allclose(K.tocsr().toarray(), dense, rtol=0, atol=1e-14)
+
+
+def _assemble_by_repeat_and_tile(grid, weights, ref):
+    """``assemble`` as built before ``_scatter``: one COO whose index lists
+    come from np.repeat and np.tile, sliced to the interior DOFs."""
+    conn = grid.cell_nodes()
+    blocks = weights[:, None, None] * ref[None, :, :]
+    K = sp.coo_matrix((blocks.ravel(), (np.repeat(conn, 4, axis=1).ravel(),
+                                        np.tile(conn, (1, 4)).ravel())),
+                      shape=(grid.n_nodes, grid.n_nodes)).tocsr()
+    idx = grid.interior_nodes()
+    return K[idx][:, idx].tocsr()
+
+
+@pytest.mark.parametrize("weight", ["mass", "stiffness", "weighted_mass"])
+def test_assemble_bit_equal_to_repeat_and_tile_coo(weight):
+    g = build_grids(4, 5)
+    kappa = 10.0 ** np.random.default_rng(3).uniform(0.0, 6.0, g.n_cells)
+    if weight == "mass":
+        field, w, ref = None, np.ones(g.n_cells), element_mass(g.h)
+    elif weight == "stiffness":
+        field, w, ref = PermeabilityField(kappa), kappa, STIFF_UNIT
+    else:
+        field, w, ref = WeightedField(kappa), kappa, element_mass(g.h)
+    got, oracle = assemble(g, field, weight), _assemble_by_repeat_and_tile(g, w, ref)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(oracle, name))
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         PermeabilityField(np.array([1.0, 0.0]))

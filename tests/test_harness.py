@@ -324,6 +324,13 @@ def test_config_rejects_bad_time_grid():
     ("forcing", {"kind": "custom", "values": [1.0, float("inf"), 0.0, 0.0]}),
     ("forcing", {"kind": "custom", "values": []}),
     ("forcing", {"kind": "custom", "values": ["a", "b", "c", "d"]}),
+    # Booleans are not numbers here, although Python counts them as ints.
+    ("T", True), ("L", True), ("J", True), ("layers", True),
+    ("field", {"kind": "channels", "seed": True}),
+    ("field", {"kind": "channels", "n_channels": False}),
+    ("field", {"kind": "inclusions", "contrast": True}),
+    ("forcing", {"kind": "discontinuous", "levels": (0.0, True)}),
+    ("forcing", {"kind": "custom", "values": [True, False, 1.0, 0.5]}),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -501,10 +508,10 @@ def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
     for name, basis in (("cem", cs.basis1), ("tildeU", cs.combined),
                         ("scem", cs.combined)):
         F = runs[name][1]
-        assert F.shape == (cfg.n_steps, basis.n)
         for k in range(cfg.n_steps):
             oracle = basis.R.T @ assembly.load_vector(grid, forcing, (k + 1) * cfg.dt)
-            assert _rel(F[k], oracle) <= 1e-12
+            assert F(k).shape == (basis.n,)
+            assert _rel(F(k), oracle) <= 1e-12
 
 
 def test_time_independent_load_built_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tfmultiscale as t
-from tfmultiscale import assembly, harness
+from tfmultiscale import assembly, harness, spaces
 from tfmultiscale.fractional import make_kernel
 from tfmultiscale.linalg import gamma_fn
 from tfmultiscale.schemes import ReducedSystem, reduce, run_scheme
@@ -243,7 +243,12 @@ def test_contrast_sweep_lambda_growth(tmp_path):
     assert len(lines) == 3
 
 
-def test_contrast_sweep_rejects_nonpositive():
+def test_contrast_sweep_rejects_nonpositive(monkeypatch):
+    """Every contrast is checked before any space is built."""
+    built = []
+    monkeypatch.setattr(spaces, "build_spaces", lambda *a: built.append(a))
     g = t.build_grids(5, 4)
-    with pytest.raises(ValueError):
-        contrast_sweep(g, fixed_channel_mask(g.n_fine), [0.0], 0.9)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="contrasts must be finite and positive"):
+            contrast_sweep(g, fixed_channel_mask(g.n_fine), [1e2, bad], 0.9)
+    assert built == []
