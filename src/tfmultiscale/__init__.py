@@ -3,7 +3,7 @@ high-contrast media."""
 
 from .assembly import (PermeabilityField, WeightedField, assemble,
                        kappa_tilde, load_vector, msfem_partition)
-from .fractional import L1Kernel, caputo_apply, history_rhs, make_kernel
+from .fractional import L1Kernel, history_rhs, make_kernel
 from .grid import GridHierarchy, build_grids
 from .harness import (ExperimentConfig, error_series, experiment_config,
                       gen_field, gen_forcing, run_experiment)

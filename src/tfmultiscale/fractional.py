@@ -1,6 +1,7 @@
 """L1 discretization of the Caputo derivative: weights, the scheme constant
 alpha0 = Gamma(2-alpha) * dt^alpha, and the history right-hand side shared by
-all three time steppers.
+all three time steppers.  The discrete derivative at T_{k+1} is
+(u^{k+1} - history_rhs(kernel, u^0..u^k)) / alpha0.
 """
 
 from __future__ import annotations
@@ -66,18 +67,3 @@ def history_rhs(kernel: L1Kernel, history) -> np.ndarray:
         raise ValueError("history is empty")
     return kernel.history_weights(H.shape[0] - 1) @ H
 
-
-def caputo_apply(kernel: L1Kernel, samples) -> np.ndarray:
-    """Discrete Caputo derivative of a scalar series at T_1..T_{len-1}.
-
-    Entry k approximates the derivative at T_{k+1}:
-    (1/(Gamma(2-alpha) dt^alpha)) * sum_j b_j (u^{k+1-j} - u^{k-j}).
-    """
-    u = np.asarray(samples, dtype=float)
-    if u.ndim != 1 or len(u) < 2:
-        raise ValueError("need at least two samples")
-    out = np.empty(len(u) - 1)
-    for k in range(len(u) - 1):
-        w = kernel.history_weights(k)
-        out[k] = (u[k + 1] - w @ u[:k + 1]) / kernel.alpha0
-    return out

@@ -278,13 +278,12 @@ def error_series(runs: dict, reference: Trajectory, A_fine, M_fine) -> dict:
     """Errors of each run ``name: (traj, basis)`` against ``reference`` at
     the coarse time levels, which all runs share; returns name ->
     :class:`ErrorSeries`.  The coarse states are lifted to the fine space as
-    ``states @ basis.R.T`` (taken as they are when ``basis`` is None) and
-    compared with every ``stride``-th reference state, ``stride`` being the
-    ratio of the two step counts.  Errors are relative in the ``M_fine``
-    (L2) and ``A_fine`` (energy) norms; at a level where either norm of the
-    reference is zero both errors are absolute and ``absolute`` is set.
-    ERROR_LEVELS levels are lifted at a time, and the reference's norms are
-    taken once for all runs.
+    ``states @ basis.R.T`` and compared with every ``stride``-th reference
+    state, ``stride`` being the ratio of the two step counts.  Errors are
+    relative in the ``M_fine`` (L2) and ``A_fine`` (energy) norms; at a
+    level where either norm of the reference is zero both errors are
+    absolute and ``absolute`` is set.  ERROR_LEVELS levels are lifted at a
+    time, and the reference's norms are taken once for all runs.
     """
     if not runs:
         return {}
@@ -305,8 +304,7 @@ def error_series(runs: dict, reference: Trajectory, A_fine, M_fine) -> dict:
     absolute = (den == 0.0).any(axis=0)
     out = {}
     for name, (traj, basis) in runs.items():
-        err = np.hstack([norms((traj.states[b] if basis is None else
-                                traj.states[b] @ basis.R.T) - ref[b])
+        err = np.hstack([norms(traj.states[b] @ basis.R.T - ref[b])
                          for b in blocks])
         np.divide(err, den, out=err, where=~absolute)
         out[name] = ErrorSeries(err_l2=err[0], err_energy=err[1],
@@ -320,7 +318,6 @@ class ExperimentResult:
     report: stability.StabilityReport
     trajectories: dict
     errors: dict
-    out_dir: str
 
 
 def _field_raster(spec: dict):
@@ -417,8 +414,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         _write_error_csv(cfg, errors, os.path.join(cfg.out_dir, "errors.csv"))
 
     return ExperimentResult(config=cfg, report=report,
-                            trajectories=trajectories, errors=errors,
-                            out_dir=cfg.out_dir)
+                            trajectories=trajectories, errors=errors)
 
 
 def _write_solution_raster(grid, dof_values, path) -> None:

@@ -73,8 +73,16 @@ def reduce(A, M, basis: ReducedBasis) -> ReducedSystem:
     Mr = sum(R[b].T @ (M[b] @ R) for b in blocks)
     Ar = 0.5 * (Ar + Ar.T)
     Mr = 0.5 * (Mr + Mr.T)
-    w = sla.eigvalsh(Mr)
-    if w.min() <= 1e-12 * w.max():
+    # The rank is judged on Mr scaled to a unit diagonal, since the columns'
+    # norms scale with kappa.  A zero or non-finite diagonal entry, which
+    # would scale to NaN and so pass the spectral test, fails at once.
+    d = np.diag(Mr)
+    ok = np.all(np.isfinite(d) & (d > 0))
+    if ok:
+        s = 1.0 / np.sqrt(d)
+        w = sla.eigvalsh(s[:, None] * Mr * s)
+        ok = w.min() > 1e-12 * w.max()
+    if not ok:
         raise SolveError("reduced mass matrix is not PD: basis is rank deficient")
     return ReducedSystem(M=Mr, A=Ar, n1=basis.n1, n2=Mr.shape[0] - basis.n1)
 
@@ -101,17 +109,6 @@ class Trajectory:
                      f"dt={self.dt:.17g} diverged={int(self.diverged)} "
                      f"diverged_step={self.diverged_step}\n")
             np.savetxt(fh, self.states, fmt="%.17g")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        header = fh.readline()
-        meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        states = np.loadtxt(fh, ndmin=2)
-    return Trajectory(space=meta["space"], alpha=float(meta["alpha"]),
-                      dt=float(meta["dt"]), states=states,
-                      diverged=bool(int(meta.get("diverged", "0"))),
-                      diverged_step=int(meta.get("diverged_step", "-1")))
 
 
 def _step(sys: ReducedSystem, kernel: L1Kernel, history, load: np.ndarray,

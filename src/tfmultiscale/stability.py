@@ -1,10 +1,12 @@
 """Quantitative stability machinery: generalized eigenvalue bounds, the
 subspace angle between the two coarse spaces, maximal stable time steps for
-the explicit and partially explicit schemes, and energy-estimate audits.
+the explicit and partially explicit schemes, energy-estimate audits, and the
+contrast sweep.
 
 The report is computed from the reduced system of the combined coarse space,
-which callers build once (:func:`spaces.build_spaces`, then
-:func:`schemes.reduce`) and share with the time steppers.
+which :func:`harness.run_experiment` and :func:`contrast_sweep` build once
+(:func:`spaces.build_spaces`, then :func:`schemes.reduce`);
+``run_experiment`` shares it with the time steppers.
 """
 
 from __future__ import annotations
@@ -20,21 +22,6 @@ from . import assembly, spaces
 from .fractional import L1Kernel
 from .linalg import SolveError, gamma_fn
 from .schemes import ReducedSystem, Trajectory, reduce
-
-
-@dataclass
-class GammaEstimate:
-    """Subspace angle summary between the two coarse spaces.
-
-    gamma is the cosine of the minimal L2 angle; min_ratio is the directly
-    verified minimum of ||u1+u2||^2 / ||u2||^2; gamma_effective is the
-    smallest gamma for which the splitting's first condition
-    ||u1+u2||^2 >= 2(1-gamma^2)||u2||^2 holds (min_ratio = 2(1-gamma_eff^2)).
-    """
-
-    gamma: float
-    min_ratio: float
-    gamma_effective: float
 
 
 @dataclass
@@ -65,12 +52,16 @@ def lambda_max(A, M) -> float:
     return float(sla.eigh(A, M, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
 
 
-def estimate_gamma(M11, M12, M22) -> GammaEstimate:
-    """Minimal L2 angle between the block subspaces, verified directly.
+def estimate_gamma(M11, M12, M22) -> tuple:
+    """Minimal L2 angle between the block subspaces, verified directly;
+    returns ``(gamma, min_ratio, gamma_effective)``.
 
-    The cosine gamma is the largest singular value of L11^{-1} M12 L22^{-T};
-    the quadratic-form condition is re-verified by the generalized
-    eigenproblem for the Schur complement, which is the actual contract.
+    gamma is the cosine of the minimal angle, the largest singular value of
+    L11^{-1} M12 L22^{-T}.  min_ratio is the directly verified minimum of
+    ||u1+u2||^2 / ||u2||^2, the smallest eigenvalue of the Schur complement
+    pencil, which is the actual contract.  gamma_effective is the smallest
+    gamma for which the splitting's first condition
+    ||u1+u2||^2 >= 2(1-gamma^2)||u2||^2 holds (min_ratio = 2(1-gamma_eff^2)).
     """
     M11 = np.asarray(M11, dtype=float)
     M22 = np.asarray(M22, dtype=float)
@@ -92,7 +83,7 @@ def estimate_gamma(M11, M12, M22) -> GammaEstimate:
                            subset_by_index=(0, 0))[0])
     theta = max(theta, 0.0)
     gamma_eff = float(np.sqrt(min(max(1.0 - theta / 2.0, 0.0), 1.0)))
-    return GammaEstimate(gamma=gamma, min_ratio=theta, gamma_effective=gamma_eff)
+    return gamma, theta, gamma_eff
 
 
 def dt_max_explicit(alpha: float, lambda_max_full: float) -> float:
@@ -147,12 +138,13 @@ def build_report(sysc: ReducedSystem, alpha: float) -> StabilityReport:
     n1, A, M = sysc.n1, sysc.A, sysc.M
     lam_full = lambda_max(A, M)
     lam_v2 = lambda_max(A[n1:, n1:], M[n1:, n1:])
-    ge = estimate_gamma(M[:n1, :n1], M[:n1, n1:], M[n1:, n1:])
+    gamma, min_ratio, gamma_eff = estimate_gamma(M[:n1, :n1], M[:n1, n1:],
+                                                 M[n1:, n1:])
     return StabilityReport(
-        lambda_max_full=lam_full, lambda_max_v2=lam_v2, gamma=ge.gamma,
-        gamma_effective=ge.gamma_effective, min_ratio=ge.min_ratio,
+        lambda_max_full=lam_full, lambda_max_v2=lam_v2, gamma=gamma,
+        gamma_effective=gamma_eff, min_ratio=min_ratio,
         dt_max_explicit=dt_max_explicit(alpha, lam_full),
-        dt_max_partial=dt_max_partial(alpha, ge.gamma, lam_v2),
+        dt_max_partial=dt_max_partial(alpha, gamma, lam_v2),
         alpha=alpha)
 
 

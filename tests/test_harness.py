@@ -14,7 +14,7 @@ from tfmultiscale.harness import (ExperimentConfig, _field_from_config,
                                   channel_geometry, error_series,
                                   experiment_config, gen_field, gen_forcing,
                                   run_experiment)
-from tfmultiscale.schemes import Trajectory, load_trajectory, reduce
+from tfmultiscale.schemes import Trajectory, reduce
 
 
 # -------------------------------------------------------------------- fields
@@ -114,6 +114,11 @@ def _errors(traj, basis, ref, A, M):
     return error_series({"run": (traj, basis)}, ref, A, M)["run"]
 
 
+def _fine(n):
+    """The identity basis, for states that are already on the fine space."""
+    return spaces.ReducedBasis(R=np.eye(n), n1=n)
+
+
 def test_error_series_identity_is_zero():
     rng = np.random.default_rng(0)
     states = rng.standard_normal((4, 6))
@@ -121,7 +126,7 @@ def test_error_series_identity_is_zero():
     traj = _traj(states, dt=0.05)
     A = np.eye(6)
     M = 2 * np.eye(6)
-    es = _errors(traj, None, ref, A, M)
+    es = _errors(traj, _fine(6), ref, A, M)
     assert np.allclose(es.err_l2, 0.0)
     assert np.allclose(es.err_energy, 0.0)
 
@@ -131,7 +136,7 @@ def test_error_series_doubled_reference_is_relative_one():
     states = rng.standard_normal((3, 5)) + 2.0
     ref = _traj(2 * states)
     traj = _traj(states)
-    es = _errors(traj, None, ref, np.eye(5), np.eye(5))
+    es = _errors(traj, _fine(5), ref, np.eye(5), np.eye(5))
     # skip k=0 only if reference vanished there (it does not here)
     assert np.allclose(es.err_l2, 0.5)
     assert np.allclose(es.err_energy, 0.5)
@@ -141,7 +146,7 @@ def test_error_series_doubled_reference_is_relative_one():
 def test_error_series_zero_reference_marks_absolute():
     ref = _traj(np.zeros((2, 4)))
     traj = _traj(np.ones((2, 4)))
-    es = _errors(traj, None, ref, np.eye(4), np.eye(4))
+    es = _errors(traj, _fine(4), ref, np.eye(4), np.eye(4))
     assert es.absolute.all()
     assert np.allclose(es.err_l2, 2.0)  # absolute M-norm, M=I
 
@@ -151,7 +156,7 @@ def test_error_series_strided_reference():
     ref_states = np.arange(7.0)[:, None] * np.ones(3)
     ref = _traj(ref_states, dt=0.1)
     traj = _traj(ref_states[::3], dt=0.3)
-    es = _errors(traj, None, ref, np.eye(3), np.eye(3))
+    es = _errors(traj, _fine(3), ref, np.eye(3), np.eye(3))
     assert np.allclose(es.err_l2, 0.0)
 
 
@@ -159,9 +164,10 @@ def test_error_series_incompatible_grids():
     ref = _traj(np.zeros((8, 3)))
     traj = _traj(np.zeros((4, 3)))  # 7 ref steps vs 3 coarse steps
     with pytest.raises(ValueError):
-        _errors(traj, None, ref, np.eye(3), np.eye(3))
+        _errors(traj, _fine(3), ref, np.eye(3), np.eye(3))
     # Runs on different coarse grids share no reference levels.
-    runs = {"a": (_traj(np.zeros((8, 3))), None), "b": (_traj(np.zeros((2, 3))), None)}
+    runs = {"a": (_traj(np.zeros((8, 3))), _fine(3)),
+            "b": (_traj(np.zeros((2, 3))), _fine(3))}
     with pytest.raises(ValueError):
         error_series(runs, ref, np.eye(3), np.eye(3))
 
@@ -173,7 +179,7 @@ def _error_series_loop(traj, basis, reference, A, M):
     err_l2, err_en = np.zeros(n), np.zeros(n)
     absolute = np.zeros(n, dtype=bool)
     for k in range(n):
-        uf = traj.states[k] if basis is None else basis.R @ traj.states[k]
+        uf = basis.R @ traj.states[k]
         ref = reference.states[k * stride]
         d = uf - ref
         dl2 = np.sqrt(max(d @ (M @ d), 0.0))
@@ -200,8 +206,7 @@ def test_error_series_matches_per_step_loop(data, n_fine, n_coarse, n_steps,
     M = np.diag(rng.uniform(0.5, 2.0, n_fine))
     if sparse:
         A, M = sp.csr_matrix(A), sp.csr_matrix(M)
-    basis = None
-    width = n_fine
+    basis, width = _fine(n_fine), n_fine
     if lifted:
         width = n_coarse
         basis = spaces.ReducedBasis(R=rng.standard_normal((n_fine, n_coarse)),
@@ -246,7 +251,8 @@ def test_error_series_in_blocks_matches_the_whole_array_formula():
     basis = spaces.ReducedBasis(R=rng.standard_normal((n_fine, n_coarse)),
                                 n1=n_coarse)
     runs = {"lifted": (_traj(rng.standard_normal((levels, n_coarse)), dt=0.2), basis),
-            "fine": (_traj(rng.standard_normal((levels, n_fine)), dt=0.2), None)}
+            "fine": (_traj(rng.standard_normal((levels, n_fine)), dt=0.2),
+                     _fine(n_fine))}
     counted = _CountingMatrix(A), _CountingMatrix(M)
     got = error_series(runs, ref, *counted)
     for K in counted:
@@ -259,7 +265,7 @@ def test_error_series_in_blocks_matches_the_whole_array_formula():
     den, dena = norm(R, M), norm(R, A)
     assert (den == 0.0).tolist() == [k == zero for k in range(levels)]
     for name, (traj, basis) in runs.items():
-        D = (traj.states if basis is None else traj.states @ basis.R.T) - R
+        D = traj.states @ basis.R.T - R
         es = got[name]
         assert np.array_equal(es.absolute, den == 0.0)
         np.testing.assert_allclose(es.err_l2[zero], norm(D, M)[zero], rtol=1e-13)
@@ -449,10 +455,14 @@ def test_run_experiment_fine_dump_holds_coarse_levels(tmp_path):
     result = run_experiment(cfg)
     fine = result.trajectories["fine"]
     assert fine.states.shape[0] == cfg.n_steps * cfg.stride + 1
-    dump = load_trajectory(tmp_path / "run" / "trajectory_fine.txt")
-    assert dump.states.shape[0] == cfg.n_steps + 1
-    assert dump.dt == cfg.dt
-    assert np.array_equal(dump.states, fine.states[::cfg.stride])
+    path = tmp_path / "run" / "trajectory_fine.txt"
+    assert cfg.dt == 1e-4
+    assert path.read_text().splitlines()[0] == (
+        "# space=fine alpha=0.90000000000000002 dt=0.0001 diverged=0 "
+        "diverged_step=-1")
+    dump = np.loadtxt(path, ndmin=2)
+    assert dump.shape[0] == cfg.n_steps + 1
+    assert np.array_equal(dump, fine.states[::cfg.stride])
 
 
 def _record_tiny_run(tmp_path, monkeypatch):
@@ -573,11 +583,21 @@ def test_cli_solve_accepts_integral_float_counts(tmp_path, capsys):
 
 
 def test_cli_stability(tmp_path, capsys):
+    """``stability`` is ``solve`` with no schemes: it prints the report and
+    the path it wrote, and writes the same bytes as ``solve``."""
     p, cfg = _write_cfg(tmp_path)
     assert cli.main(["stability", "--config", str(p)]) == 0
-    out = capsys.readouterr().out
-    assert "dt_max_partial" in out
-    assert (tmp_path / "out" / "stability_report.txt").exists()
+    report = tmp_path / "out" / "stability_report.txt"
+    text = report.read_text()
+    assert "dt_max_partial = " in text
+    assert capsys.readouterr().out == f"{text}written to {report}\n"
+    assert sorted(f.name for f in report.parent.iterdir()) == [
+        "kappa.txt", "stability_report.txt"]
+    (tmp_path / "solve").mkdir()
+    p_solve, _ = _write_cfg(tmp_path / "solve")
+    assert cli.main(["solve", "--config", str(p_solve)]) == 0
+    assert (tmp_path / "solve" / "out" / "stability_report.txt").read_bytes() \
+        == report.read_bytes()
 
 
 def test_cli_experiment_rejects_bad_number():

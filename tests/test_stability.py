@@ -3,6 +3,7 @@ and the contrast sweep."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
@@ -45,18 +46,20 @@ def test_lambda_max_matches_dense_oracle():
 
 def test_gamma_orthogonal_blocks():
     rng = np.random.default_rng(3)
-    ge = estimate_gamma(random_spd(3, rng), np.zeros((3, 2)), random_spd(2, rng))
-    assert ge.gamma == 0.0
-    assert ge.min_ratio == pytest.approx(1.0, rel=1e-10)
+    gamma, min_ratio, _ = estimate_gamma(random_spd(3, rng), np.zeros((3, 2)),
+                                         random_spd(2, rng))
+    assert gamma == 0.0
+    assert min_ratio == pytest.approx(1.0, rel=1e-10)
 
 
 def test_gamma_identical_subspace_degenerate():
     # V1 = V2 = span of the same vector: gamma = 1, condition degenerate
-    ge = estimate_gamma(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-    assert ge.gamma == pytest.approx(1.0, abs=1e-12)
-    assert ge.min_ratio == pytest.approx(0.0, abs=1e-10)
+    gamma, min_ratio, _ = estimate_gamma(np.array([[1.0]]), np.array([[1.0]]),
+                                         np.array([[1.0]]))
+    assert gamma == pytest.approx(1.0, abs=1e-12)
+    assert min_ratio == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
-        dt_max_partial(0.5, ge.gamma, 1.0)
+        dt_max_partial(0.5, gamma, 1.0)
 
 
 def test_gamma_vs_grid_search_oracle():
@@ -68,7 +71,7 @@ def test_gamma_vs_grid_search_oracle():
     M11 = U.T @ U
     M22 = V.T @ V
     M12 = U.T @ V
-    ge = estimate_gamma(M11, M12, M22)
+    gamma, _, _ = estimate_gamma(M11, M12, M22)
     best = 0.0
     ths = np.linspace(0, np.pi, 721)
     for a in ths:
@@ -76,7 +79,7 @@ def test_gamma_vs_grid_search_oracle():
         for b in ths:
             v = V @ np.array([np.cos(b), np.sin(b)])
             best = max(best, abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    assert ge.gamma == pytest.approx(best, abs=1e-4)
+    assert gamma == pytest.approx(best, abs=1e-4)
 
 
 def test_gamma_direct_condition_invariant():
@@ -86,10 +89,46 @@ def test_gamma_direct_condition_invariant():
     for _ in range(10):
         M = random_spd(7, rng)
         M11, M12, M22 = M[:4, :4], M[:4, 4:], M[4:, 4:]
-        ge = estimate_gamma(M11, M12, M22)
-        assert ge.min_ratio >= 2 * (1 - ge.gamma_effective ** 2) - 1e-8
-        assert ge.min_ratio == pytest.approx(1 - ge.gamma ** 2, abs=1e-8)
-        assert 0.0 <= ge.gamma <= 1.0
+        gamma, min_ratio, gamma_eff = estimate_gamma(M11, M12, M22)
+        assert min_ratio >= 2 * (1 - gamma_eff ** 2) - 1e-8
+        assert min_ratio == pytest.approx(1 - gamma ** 2, abs=1e-8)
+        assert 0.0 <= gamma <= 1.0
+
+
+@pytest.fixture(scope="module")
+def kappa_scaled_report():
+    """The report of contrast-sweep's geometry 2 at contrast 1e4 with kappa
+    scaled by c, memoized per c."""
+    grid = t.build_grids(4, 6)
+    mask = harness.channel_geometry(24, 24, seed=2).ravel()
+    reports = {}
+
+    def report(c):
+        if c not in reports:
+            kappa = assembly.PermeabilityField(c * np.where(mask, 1e4, 1.0))
+            cs = spaces.build_spaces(grid, kappa, 3, 3, 2)
+            reports[c] = build_report(reduce(cs.A, cs.M, cs.combined), 0.9)
+        return reports[c]
+    return report
+
+
+@settings(max_examples=12, deadline=None)
+@given(exponent=st.floats(-12.0, 12.0))
+@example(exponent=12.0)
+@example(exponent=8.0)
+@example(exponent=-12.0)
+def test_report_scales_with_kappa(kappa_scaled_report, exponent):
+    """Scaling kappa by c scales both lambdas by c and leaves the subspace
+    angle alone; the reduced rank check must not reject the basis, whose V1
+    columns' norms scale as c^(-1/2).  lambda_full carries the round-off of
+    the second basis's saddle solves, which grows as c falls below 1e-9
+    (3.4e-10 measured at c = 2^-37), so it is held to 1e-9."""
+    c = 10.0 ** exponent
+    one, rep = kappa_scaled_report(1.0), kappa_scaled_report(c)
+    assert rep.lambda_max_full / c == pytest.approx(one.lambda_max_full, rel=1e-9)
+    assert rep.lambda_max_v2 / c == pytest.approx(one.lambda_max_v2, rel=1e-10)
+    assert rep.gamma == pytest.approx(one.gamma, rel=1e-10)
+    assert rep.min_ratio == pytest.approx(one.min_ratio, rel=1e-10)
 
 
 # -------------------------------------------------------------------- dt bounds
