@@ -4,12 +4,13 @@ Provides the mass matrix M, stiffness A(kappa), the weighted mass S built
 from the MsFEM partition-of-unity gradients, and load vectors.  kappa is
 piecewise constant per fine cell; all element integrals are exact.
 
-The partition of unity chi and kappa_tilde are computed for all coarse
-elements at once, and must stay bit-equal to the per-element loops: at
-contrast 1e6 a relative 1e-15 change in either moves the stability report by
-about 1e-6 (ROADMAP item 1), beyond the benchmark's 1e-9 references.
-Every sparse matrix built from element tables is one :func:`_scatter`,
-whose entry order fixes the order in which duplicates are summed.
+The partition of unity chi, kept as per-element tables (all kappa_tilde
+reads), and kappa_tilde are computed for all coarse elements at once, and
+must stay bit-equal to the per-element loops: at contrast 1e6 a relative
+1e-15 change in either moves the stability report by about 1e-6 (ROADMAP
+item 1), beyond the benchmark's 1e-9 references.  Every sparse matrix built
+from element tables is one :func:`_scatter`, whose entry order fixes the
+order in which duplicates are summed.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class PermeabilityField:
             raise ValueError("permeability values must be positive and finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def contrast(self) -> float:
-        return float(self.values.max() / self.values.min())
-
 
 @dataclass(frozen=True)
 class WeightedField:
@@ -63,10 +60,12 @@ class WeightedField:
 
 @dataclass
 class PartitionOfUnity:
-    """MsFEM partition of unity: one all-node coefficient row per coarse vertex."""
+    """MsFEM partition of unity as per-element tables: ``values[e, j, c]`` is
+    chi of element e's corner c (SW, SE, NE, NW) at its local node j, x
+    fastest.  Adjacent elements hold identical values on shared nodes."""
 
     grid: GridHierarchy
-    chi: sp.csr_matrix  # (n_coarse_vertices, n_nodes)
+    values: np.ndarray  # (n elements, (refine + 1)**2, 4)
 
 
 def element_mass(h: float) -> np.ndarray:
@@ -119,6 +118,13 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     return K[idx][:, idx].tocsr()
 
 
+def _local_cells(r: int) -> np.ndarray:
+    """(r * r, 4) local nodes (x fastest) of one element's cells, ccw from SW."""
+    cY, cX = np.divmod(np.arange(r * r), r)
+    c0 = cY * (r + 1) + cX
+    return np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
+
+
 def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionOfUnity:
     """kappa-harmonic partition of unity chi_i, one per coarse vertex.
 
@@ -131,7 +137,7 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     solved on its own, and the backward errors are checked in one pass, a
     failure naming the element.
     """
-    cn, r = grid.coarse_n, grid.refine
+    r = grid.refine
     n = (r + 1) ** 2                    # local nodes of one element, x fastest
     ly, lx = np.divmod(np.arange(n), r + 1)
     lx, ly = lx / r, ly / r
@@ -142,15 +148,10 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     # Bilinear corner hats evaluated at local nodes; corner order SW,SE,NE,NW.
     hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
 
-    # Local connectivity (cells within one coarse element).
-    cY, cX = np.divmod(np.arange(r * r), r)
-    c0 = cY * (r + 1) + cX
-    conn = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
-
-    elem_cells, elem_nodes = grid.element_cells_nodes()
+    elem_cells = grid.element_cells_nodes()[0]
     ne = len(elem_cells)
     off = n * np.arange(ne)[:, None]
-    nodes = conn + off[:, :, None]                    # (ne, r * r, 4)
+    nodes = _local_cells(r) + off[:, :, None]         # (ne, r * r, 4)
     A = _scatter(field.values[elem_cells][:, :, None, None] * _STIFF_REF,
                  nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
     A_in = A[(inner + off).ravel()]
@@ -168,39 +169,24 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
                               sol.reshape(ne, ni, 4), rhs.reshape(ne, ni, 4))
     except SolveError as exc:
         raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
-    vals = np.empty((ne, n, 4))
-    vals[:, bdy] = G
-    vals[:, inner] = sol.reshape(ne, ni, 4)
-
-    cy, cx = np.divmod(np.arange(ne), cn)
-    sw = cy * (cn + 1) + cx
-    corners = np.column_stack([sw, sw + 1, sw + cn + 2, sw + cn + 1])
-    at = (corners[:, :, None], elem_nodes[:, None, :])
-    shape = (grid.n_coarse_vertices, grid.n_nodes)
-    chi = _scatter(vals.transpose(0, 2, 1), *at, shape).tocsr()
-    # Shared element edges are written once per adjacent element with identical
-    # values; average duplicates instead of summing them.
-    counts = _scatter(1.0, *at, shape).tocsr()
-    chi.data /= counts.data
-    return PartitionOfUnity(grid=grid, chi=chi)
+    values = np.empty((ne, n, 4))
+    values[:, bdy] = G
+    values[:, inner] = sol.reshape(ne, ni, 4)
+    return PartitionOfUnity(grid=grid, values=values)
 
 
 def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedField:
     """kappa * sum_i |grad chi_i|^2, gradients at fine-cell midpoints.  On a
     cell only the chi_i of its element's corners are nonzero; their terms
-    are summed in ascending vertex order (SW, SE, NW, NE), as over all i."""
+    are summed in ascending vertex order (corners 0, 1, 3, 2), as over all i."""
     grid = pou.grid
-    conn = grid.cell_nodes()
     h = grid.h
-    cn, r = grid.coarse_n, grid.refine
-    fy, fx = np.divmod(np.arange(grid.n_cells), grid.n_fine)
-    sw = fy // r * (cn + 1) + fx // r
-    total = np.zeros(grid.n_cells)
-    for i in (sw, sw + 1, sw + cn + 1, sw + cn + 2):
-        u = np.asarray(pou.chi[np.repeat(i, 4), conn.ravel()]).reshape(-1, 4)
-        gx = ((u[:, 1] - u[:, 0]) + (u[:, 2] - u[:, 3])) / (2 * h)
-        gy = ((u[:, 3] - u[:, 0]) + (u[:, 2] - u[:, 1])) / (2 * h)
-        total += gx * gx + gy * gy
+    u = pou.values[:, _local_cells(grid.refine)]      # (ne, r * r, 4 nodes, 4 corners)
+    gx = ((u[:, :, 1] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 3])) / (2 * h)
+    gy = ((u[:, :, 3] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 1])) / (2 * h)
+    t = gx * gx + gy * gy
+    total = np.empty(grid.n_cells)
+    total[grid.element_cells_nodes()[0]] = t[..., 0] + t[..., 1] + t[..., 3] + t[..., 2]
     return WeightedField(values=field.values * total)
 
 

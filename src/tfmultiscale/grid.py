@@ -61,10 +61,6 @@ class GridHierarchy:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
     @property
-    def H(self) -> float:
-        return 1.0 / self.coarse_n
-
-    @property
     def h(self) -> float:
         return 1.0 / (self.coarse_n * self.refine)
 
@@ -88,14 +84,6 @@ class GridHierarchy:
     @property
     def n_dofs(self) -> int:
         return (self.n_fine - 1) ** 2
-
-    @property
-    def n_coarse_elems(self) -> int:
-        return self.coarse_n ** 2
-
-    @property
-    def n_coarse_vertices(self) -> int:
-        return (self.coarse_n + 1) ** 2
 
     @cached_property
     def _geometry(self) -> tuple:
@@ -158,7 +146,7 @@ class GridHierarchy:
     def element_cells_nodes(self) -> tuple:
         """Per coarse element, its ``refine**2`` fine cell ids and its
         ``(refine + 1)**2`` fine node ids, x fastest, as two read-only
-        (n_coarse_elems, .) tables."""
+        (coarse_n**2, .) tables."""
         return self._element_maps[:2]
 
     def index_maps(self, layers: int) -> IndexMaps:

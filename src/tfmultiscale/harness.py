@@ -380,7 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # and its loads are the leading blocks of the combined ones.
     n1 = basis1.n
     sys_cem = ReducedSystem(M=sys_both.M[:n1, :n1].copy(),
-                            A=sys_both.A[:n1, :n1].copy(), n1=n1, n2=0)
+                            A=sys_both.A[:n1, :n1].copy(), n1=n1)
     runs = {name: run for name, run in (
         ("cem", ("implicit", basis1, sys_cem)),
         ("tildeU", ("implicit", combined, sys_both)),
@@ -425,20 +425,18 @@ def _write_solution_raster(grid, dof_values, path) -> None:
 
 
 def _write_error_csv(cfg: ExperimentConfig, errors: dict, path) -> None:
-    cols = ["step", "time", "err_L2_cem", "err_en_cem", "err_L2_tildeU",
-            "err_en_tildeU", "err_L2_scem", "err_en_scem"]
-    N = cfg.n_steps
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(N + 1):
-            row = [str(k), f"{k * cfg.dt:.12g}"]
-            for name in ("cem", "tildeU", "scem"):
-                es = errors.get(name)
-                if es is None or k >= len(es.err_l2):
-                    row.extend(["nan", "nan"])
-                else:
-                    row.extend([f"{es.err_l2[k]:.12g}", f"{es.err_energy[k]:.12g}"])
-            fh.write(",".join(row) + "\n")
+    """One row per coarse time level; NaN where a scheme has no errors."""
+    names = ("cem", "tildeU", "scem")
+    k = np.arange(cfg.n_steps + 1)
+    table = np.full((len(k), 2 + 2 * len(names)), np.nan)
+    table[:, 0], table[:, 1] = k, k * cfg.dt
+    for i, name in enumerate(names):
+        if name in errors:
+            table[:, 2 + 2 * i] = errors[name].err_l2
+            table[:, 3 + 2 * i] = errors[name].err_energy
+    header = ",".join(["step", "time"] + [f"err_{norm}_{name}" for name in names
+                                          for norm in ("L2", "en")])
+    np.savetxt(path, table, fmt="%.12g", delimiter=",", header=header, comments="")
 
 
 def experiment_config(number: int, alpha: float = 0.9,

@@ -30,19 +30,22 @@ DIVERGENCE_FACTOR = 1e12
 class ReducedSystem:
     """Galerkin-projected mass/stiffness pair with an optional block split.
 
-    n1 columns belong to the implicitly treated space, the remaining n2 to
+    The first n1 columns belong to the implicitly treated space, the rest to
     the explicitly treated one.  Factorizations are cached per split and a0.
     """
 
     M: object
     A: object
     n1: int
-    n2: int
     _factors: dict = dc_field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if not 0 <= self.n1 <= self.n:
+            raise ValueError(f"n1 must lie in [0, {self.n}], got {self.n1}")
 
     @property
     def n(self) -> int:
-        return self.n1 + self.n2
+        return self.M.shape[0]
 
     def solver(self, matrix):
         """Factor a (dense or sparse) matrix once; returns a solve closure.
@@ -84,7 +87,7 @@ def reduce(A, M, basis: ReducedBasis) -> ReducedSystem:
         ok = w.min() > 1e-12 * w.max()
     if not ok:
         raise SolveError("reduced mass matrix is not PD: basis is rank deficient")
-    return ReducedSystem(M=Mr, A=Ar, n1=basis.n1, n2=Mr.shape[0] - basis.n1)
+    return ReducedSystem(M=Mr, A=Ar, n1=basis.n1)
 
 
 @dataclass
@@ -193,7 +196,7 @@ def fine_reference(grid: GridHierarchy, A, M, alpha: float, dt_fine: float,
     """Implicit reference run on the full fine space at step dt_fine, with
     the fine stiffness ``A`` and mass ``M``, from zero.  The forcing does
     not depend on time: its one load is built at the first step."""
-    sys = ReducedSystem(M=M, A=A, n1=grid.n_dofs, n2=0)
+    sys = ReducedSystem(M=M, A=A, n1=grid.n_dofs)
     kernel = make_kernel(alpha, dt_fine, n_steps)
     load = functools.cache(lambda: assembly.load_vector(grid, forcing, dt_fine))
     return run_scheme("implicit", sys, kernel, np.zeros(grid.n_dofs),

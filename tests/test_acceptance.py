@@ -97,7 +97,7 @@ def test_criterion_03_implicit_unconditional_stability():
         mask = rng.random(g.n_cells) < 0.3
         fld = PermeabilityField(np.where(mask, 1e5, 1.0))
         A = assembly.assemble(g, fld, "stiffness")
-        sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
+        sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs)
         for alpha in (0.3, 0.9):
             for dt in (2e-5, 2e-3):
                 kern = make_kernel(alpha, dt, N)
@@ -125,7 +125,7 @@ def test_criterion_04_explicit_threshold():
             for target, expect_diverge in ((0.5, False), (2.0, True)):
                 dt = (target / gamma_fn(2 - alpha)) ** (1 / alpha)
                 kern = make_kernel(alpha, dt, 1000)
-                sys_r = ReducedSystem(M=M, A=A, n1=dim, n2=0)
+                sys_r = ReducedSystem(M=M, A=A, n1=dim)
                 traj = run_scheme("explicit", sys_r, kern, u0,
                                   lambda _: np.zeros(dim))
                 if expect_diverge:

@@ -204,10 +204,32 @@ def test_field_validation():
     with pytest.raises(ValueError):
         PermeabilityField(np.array([1.0, -2.0]))
     fld = PermeabilityField(np.array([1.0, 1e5]))
-    assert fld.contrast == pytest.approx(1e5)
+    assert fld.values.max() / fld.values.min() == pytest.approx(1e5)
 
 
 # -------------------------------------------------------------- msfem partition
+
+def _corners(grid):
+    """(n elements, 4) lexicographic vertex ids of each coarse element's
+    corners, SW, SE, NE, NW."""
+    cn = grid.coarse_n
+    cy, cx = np.divmod(np.arange(cn * cn), cn)
+    sw = cy * (cn + 1) + cx
+    return np.column_stack([sw, sw + 1, sw + cn + 2, sw + cn + 1])
+
+
+def _global_chi(grid, values):
+    """chi_i at every fine node, one row per coarse vertex (lexicographic):
+    each element's corner values scattered to its nodes, and the copies
+    that neighbouring elements write on a shared node averaged."""
+    at = tuple(np.broadcast_to(a, values.shape) for a in
+               (_corners(grid)[:, None, :], grid.element_cells_nodes()[1][:, :, None]))
+    shape = ((grid.coarse_n + 1) ** 2, grid.n_nodes)
+    total, count = np.zeros(shape), np.zeros(shape)
+    np.add.at(total, at, values)
+    np.add.at(count, at, 1.0)
+    return np.divide(total, count, out=total, where=count > 0)
+
 
 def test_msfem_constant_kappa_gives_hats():
     g = build_grids(3, 4)
@@ -215,12 +237,12 @@ def test_msfem_constant_kappa_gives_hats():
     pou = msfem_partition(g, fld)
     # bilinear hat of coarse vertex (1,1) evaluated at all fine nodes
     xy = g.node_coords()
-    H = g.H
+    H = 1 / g.coarse_n
     vx, vy = H, H
     hat = (np.maximum(0.0, 1 - np.abs(xy[:, 0] - vx) / H)
            * np.maximum(0.0, 1 - np.abs(xy[:, 1] - vy) / H))
     k = 1 * (g.coarse_n + 1) + 1  # vertex id in lexicographic vertex order
-    chi = pou.chi[k].toarray().ravel()
+    chi = _global_chi(g, pou.values)[k]
     assert np.allclose(chi, hat, atol=1e-10)
 
 
@@ -229,9 +251,38 @@ def test_msfem_partition_of_unity_sum():
     rng = np.random.default_rng(2)
     fld = PermeabilityField(np.exp(rng.uniform(0, np.log(1e5), g.n_cells)))
     pou = msfem_partition(g, fld)
-    total = np.asarray(pou.chi.sum(axis=0)).ravel()
+    total = _global_chi(g, pou.values).sum(axis=0)
     interior = g.interior_nodes()
     assert np.allclose(total[interior], 1.0, atol=1e-10)
+
+
+def test_msfem_corner_values_sum_to_one_at_every_element_node():
+    g = build_grids(4, 6)
+    rng = np.random.default_rng(5)
+    fld = PermeabilityField(np.exp(rng.normal(0.0, 3.0, g.n_cells)))
+    values = msfem_partition(g, fld).values
+    assert values.shape == (g.coarse_n ** 2, (g.refine + 1) ** 2, 4)
+    assert np.allclose(values.sum(axis=2), 1.0, rtol=0, atol=1e-10)
+
+
+def test_msfem_neighbouring_elements_agree_bit_for_bit_on_shared_nodes():
+    """An element and its east (north) neighbour hold the same bits for the
+    two vertices of their shared edge, so averaging the copies on a shared
+    node gives back each element's own value."""
+    cn, r = 4, 5
+    g = build_grids(cn, r)
+    rng = np.random.default_rng(6)
+    fld = PermeabilityField(np.where(rng.random(g.n_cells) < 0.3, 1e6, 1.0)
+                            * np.exp(rng.normal(0.0, 1.0, g.n_cells)))
+    values = msfem_partition(g, fld).values
+    v = values.reshape(cn, cn, r + 1, r + 1, 4)       # (ey, ex, ly, lx, corner)
+    # East edge (lx = r) of SE, NE is the neighbour's west edge of SW, NW.
+    assert np.array_equal(v[:, :-1, :, r][..., [1, 2]], v[:, 1:, :, 0][..., [0, 3]])
+    # North edge (ly = r) of NW, NE is the neighbour's south edge of SW, SE.
+    assert np.array_equal(v[:-1, :, r][..., [3, 2]], v[1:, :, 0][..., [0, 1]])
+    chi = _global_chi(g, values)
+    own = chi[_corners(g)[:, None, :], g.element_cells_nodes()[1][:, :, None]]
+    assert np.array_equal(own, values)
 
 
 def test_msfem_checkerboard_bounds():
@@ -239,7 +290,7 @@ def test_msfem_checkerboard_bounds():
     ix, iy = np.meshgrid(np.arange(g.n_fine), np.arange(g.n_fine), indexing="xy")
     kappa = np.where(((ix + iy) % 2 == 0).ravel(), 1e5, 1.0)
     pou = msfem_partition(g, PermeabilityField(kappa))
-    vals = pou.chi.toarray()
+    vals = _global_chi(g, pou.values)
     assert vals.min() >= -1e-8
     assert vals.max() <= 1.0 + 1e-8
 
@@ -249,11 +300,12 @@ def test_msfem_support():
     fld = PermeabilityField(np.ones(g.n_cells))
     pou = msfem_partition(g, fld)
     xy = g.node_coords()
-    H = g.H
+    H = 1 / g.coarse_n
     cn = g.coarse_n
+    chi_all = _global_chi(g, pou.values)
     for vy in range(cn + 1):
         for vx in range(cn + 1):
-            chi = pou.chi[vy * (cn + 1) + vx].toarray().ravel()
+            chi = chi_all[vy * (cn + 1) + vx]
             far = (np.abs(xy[:, 0] - vx * H) > H + 1e-12) | \
                   (np.abs(xy[:, 1] - vy * H) > H + 1e-12)
             assert np.allclose(chi[far], 0.0, atol=1e-12)
@@ -261,8 +313,9 @@ def test_msfem_support():
 
 def _msfem_partition_loop(grid, field):
     """The element loop ``msfem_partition`` replaced: one local stiffness,
-    SuperLU factorization and solve per coarse element."""
-    cn, r = grid.coarse_n, grid.refine
+    SuperLU factorization and solve per coarse element, the elements' tables
+    of corner values stacked."""
+    r = grid.refine
     lx, ly = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="xy")
     lx = lx.ravel() / r
     ly = ly.ravel() / r
@@ -273,10 +326,9 @@ def _msfem_partition_loop(grid, field):
     cX, cY = np.meshgrid(np.arange(r), np.arange(r), indexing="xy")
     c0 = cY.ravel() * (r + 1) + cX.ravel()
     conn = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
-    rows_i, rows_j, rows_v = [], [], []
-    elem_cells, elem_nodes = grid.element_cells_nodes()
-    for e, nodes in enumerate(elem_nodes):
-        kap = field.values[elem_cells[e]]
+    stack = []
+    for cells in grid.element_cells_nodes()[0]:
+        kap = field.values[cells]
         blocks = kap[:, None, None] * STIFF_UNIT[None, :, :]
         ii = np.repeat(conn, 4, axis=1).ravel()
         jj = np.tile(conn, (1, 4)).ravel()
@@ -289,20 +341,8 @@ def _msfem_partition_loop(grid, field):
         vals = np.empty(((r + 1) ** 2, 4))
         vals[bdy] = G
         vals[inner] = sol
-        cy, cx = divmod(e, cn)
-        corners = [cy * (cn + 1) + cx, cy * (cn + 1) + cx + 1,
-                   (cy + 1) * (cn + 1) + cx + 1, (cy + 1) * (cn + 1) + cx]
-        for c in range(4):
-            rows_i.append(np.full(len(nodes), corners[c]))
-            rows_j.append(nodes)
-            rows_v.append(vals[:, c])
-    chi = sp.coo_matrix((np.concatenate(rows_v),
-                         (np.concatenate(rows_i), np.concatenate(rows_j))),
-                        shape=(grid.n_coarse_vertices, grid.n_nodes))
-    counts = sp.coo_matrix((np.ones(chi.nnz), (chi.row, chi.col)), shape=chi.shape).tocsr()
-    chi = chi.tocsr()
-    chi.data /= counts.data
-    return chi
+        stack.append(vals)
+    return np.stack(stack)
 
 
 def _kappa_tilde_loop(field, grid, chi):
@@ -310,8 +350,8 @@ def _kappa_tilde_loop(field, grid, chi):
     conn = grid.cell_nodes()
     h = grid.h
     total = np.zeros(grid.n_cells)
-    for i in range(chi.shape[0]):
-        u = chi.getrow(i).toarray().ravel()[conn]
+    for chi_i in chi:
+        u = chi_i[conn]
         gx = ((u[:, 1] - u[:, 0]) + (u[:, 2] - u[:, 3])) / (2 * h)
         gy = ((u[:, 3] - u[:, 0]) + (u[:, 2] - u[:, 1])) / (2 * h)
         total += gx * gx + gy * gy
@@ -325,16 +365,17 @@ def test_partition_and_kappa_tilde_bit_equal_to_element_loops(coarse_n, refine,
                                                                contrast, seed):
     """The batched partition of unity and kappa_tilde feed the round-off
     sensitive contrast-1e6 spectral problems, so they must equal the element
-    loops bit for bit, not just to a tolerance."""
+    loops bit for bit, not just to a tolerance; kappa_tilde is taken from
+    the global chi, duplicates averaged, that the element loop's tables
+    scatter to."""
     g = build_grids(coarse_n, refine)
     mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
     fld = PermeabilityField(np.where(mask, contrast, 1.0))
-    chi = msfem_partition(g, fld).chi
+    pou = msfem_partition(g, fld)
     oracle = _msfem_partition_loop(g, fld)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(chi, name), getattr(oracle, name))
-    assert np.array_equal(kappa_tilde(fld, msfem_partition(g, fld)).values,
-                          _kappa_tilde_loop(fld, g, oracle))
+    assert np.array_equal(pou.values, oracle)
+    assert np.array_equal(kappa_tilde(fld, pou).values,
+                          _kappa_tilde_loop(fld, g, _global_chi(g, oracle)))
 
 
 def test_partition_rejects_a_wrong_factorization(monkeypatch):
@@ -351,7 +392,7 @@ def test_partition_rejects_a_wrong_factorization(monkeypatch):
     monkeypatch.setattr(assembly.spla, "splu", lu)
     with pytest.raises(SolveError, match="on element 3: column 0: backward error"):
         msfem_partition(g, fld)
-    assert len(factored) == g.n_coarse_elems
+    assert len(factored) == g.coarse_n ** 2
 
 
 # ------------------------------------------------------------------ kappa_tilde
@@ -364,7 +405,7 @@ def test_kappa_tilde_constant_kappa_closed_form():
     # first fine cell: midpoint at (h/2, h/2); in coarse element [0,H]^2 the
     # four bilinear hats give sum |grad chi|^2
     #   = 2[(1-xb)^2 + xb^2 + (1-yb)^2 + yb^2] / H^2 with xb=x/H, yb=y/H.
-    H, h = g.H, g.h
+    H, h = 1 / g.coarse_n, g.h
     xb = yb = (h / 2) / H
     expect = 2 * ((1 - xb) ** 2 + xb ** 2 + (1 - yb) ** 2 + yb ** 2) / H ** 2
     assert kt.values[0] == pytest.approx(expect, rel=1e-10)

@@ -41,7 +41,7 @@ def _element_maps_oracle(coarse_n, refine):
 
 def test_build_grids_paper_sizes():
     g = build_grids(10, 10)
-    assert g.H == pytest.approx(0.1)
+    assert g.h * g.refine == pytest.approx(0.1)
     assert g.h == pytest.approx(0.01)
     assert g.n_dofs == 99 ** 2 == 9801
 
@@ -102,8 +102,8 @@ def test_element_tables_match_loop_oracle(coarse_n, refine):
     g = build_grids(coarse_n, refine)
     cells, nodes = g.element_cells_nodes()
     oracle = _element_maps_oracle(coarse_n, refine)
-    assert cells.shape == (g.n_coarse_elems, refine ** 2)
-    assert nodes.shape == (g.n_coarse_elems, (refine + 1) ** 2)
+    assert cells.shape == (g.coarse_n ** 2, refine ** 2)
+    assert nodes.shape == (g.coarse_n ** 2, (refine + 1) ** 2)
     for e, (oc, on) in enumerate(oracle):
         assert np.array_equal(cells[e], oc)
         assert np.array_equal(nodes[e], on)
@@ -223,9 +223,9 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
     pos = np.full(g.n_dofs, -1)
     pos[on_skel] = np.arange(on_skel.sum())
     assert np.array_equal(maps.skeleton_pos, pos)
-    assert maps.boundary.shape == (g.n_coarse_elems, 4 * r)
+    assert maps.boundary.shape == (g.coarse_n ** 2, 4 * r)
     assert np.array_equal(maps.boundary_mask, maps.boundary >= 0)
-    for i in range(g.n_coarse_elems):
+    for i in range(g.coarse_n ** 2):
         cy, cx = divmod(i, coarse_n)
         inside = (x > cx * r) & (x < (cx + 1) * r) & (y > cy * r) & (y < (cy + 1) * r)
         assert np.array_equal(maps.interior[i], np.flatnonzero(inside))
@@ -238,7 +238,7 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
                               & (y > y0 * r) & (y < (y1 + 1) * r))
         assert np.array_equal(maps.patch_dofs[i], dofs)
         assert np.array_equal(maps.patch_skeleton[i], pos[dofs][pos[dofs] >= 0])
-        ey, ex = np.divmod(np.arange(g.n_coarse_elems), coarse_n)
+        ey, ex = np.divmod(np.arange(g.coarse_n ** 2), coarse_n)
         assert np.array_equal(maps.in_patch[i], (abs(ex - cx) <= layers)
                               & (abs(ey - cy) <= layers))
     arrays = (maps.interior, maps.boundary, maps.boundary_mask, maps.skeleton,

@@ -383,7 +383,7 @@ def test_config_limits_local_eigenpairs_to_element_interior():
     grid = build_grids(cfg.coarse_n, cfg.refine)
     cs = spaces.build_spaces(grid, _field_from_config(cfg), cfg.L, cfg.J,
                              cfg.layers)
-    assert cs.combined.n == grid.n_coarse_elems * 4
+    assert cs.combined.n == grid.coarse_n ** 2 * 4
     with pytest.raises(ValueError, match="L \\+ J = 5 .*refine=3"):
         ExperimentConfig(coarse_n=3, refine=3, L=3, J=2)
 
@@ -429,6 +429,18 @@ def test_run_experiment_artifacts(tmp_path):
     header = (out / "errors.csv").read_text().splitlines()[0]
     assert header == ("step,time,err_L2_cem,err_en_cem,err_L2_tildeU,"
                       "err_en_tildeU,err_L2_scem,err_en_scem")
+
+
+def test_error_csv_fills_the_columns_of_schemes_not_run_with_nan(tmp_path):
+    cfg = _tiny_config(tmp_path / "run", schemes=("fine", "cem"))
+    run_experiment(cfg)
+    rows = (tmp_path / "run" / "errors.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.n_steps + 1
+    for k, row in enumerate(rows):
+        step, time, *errs = row.split(",")
+        assert int(step) == k and float(time) == pytest.approx(k * cfg.dt)
+        assert all(np.isfinite(float(e)) for e in errs[:2])
+        assert errs[2:] == ["nan"] * 4
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -491,7 +503,7 @@ def test_run_experiment_cem_system_is_its_own_reduction(tmp_path, monkeypatch):
     cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
     sys_cem = runs["cem"][0]
     oracle = reduce(cs.A, cs.M, cs.basis1)
-    assert (sys_cem.n1, sys_cem.n2) == (oracle.n1, oracle.n2) == (cs.basis1.n, 0)
+    assert (sys_cem.n1, sys_cem.n) == (oracle.n1, oracle.n) == (cs.basis1.n,) * 2
     assert _rel(sys_cem.M, oracle.M) <= 1e-12
     assert _rel(sys_cem.A, oracle.A) <= 1e-12
 

@@ -20,7 +20,7 @@ def make_basis(R, n1=None):
 
 
 def scalar_system(lam):
-    return ReducedSystem(M=np.array([[1.0]]), A=np.array([[lam]]), n1=1, n2=0)
+    return ReducedSystem(M=np.array([[1.0]]), A=np.array([[lam]]), n1=1)
 
 
 def gram_schmidt_m(vectors, M):
@@ -87,7 +87,7 @@ def test_reduce_symmetric_and_mass_positive_on_random_bases(coarse_n, refine,
     assert np.array_equal(sys_r.A, sys_r.A.T)
     assert np.array_equal(sys_r.M, sys_r.M.T)
     np.linalg.cholesky(sys_r.M)        # raises unless M is positive definite
-    assert (sys_r.n1, sys_r.n2) == (n_cols - n_v2, n_v2)
+    assert (sys_r.n1, sys_r.n) == (n_cols - n_v2, n_cols)
 
 
 def test_reduce_row_blocks_of_a_column_view_match_the_whole_product():
@@ -105,7 +105,7 @@ def test_reduce_row_blocks_of_a_column_view_match_the_whole_product():
         want = R.T @ (K @ R)
         assert np.array_equal(got, got.T)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    assert (sys_r.n1, sys_r.n2) == (12, 8)
+    assert (sys_r.n1, sys_r.n) == (12, 20)
 
 
 def test_reduce_rejects_rank_deficient():
@@ -207,17 +207,27 @@ def test_partial_reduces_to_implicit_and_explicit():
     k = make_kernel(0.5, 0.05, 5)
     hist = rng.standard_normal((4, 3))
     f = rng.standard_normal(3)
-    all_implicit = ReducedSystem(M=M, A=A, n1=3, n2=0)
-    all_explicit = ReducedSystem(M=M, A=A, n1=0, n2=3)
+    all_implicit = ReducedSystem(M=M, A=A, n1=3)
+    all_explicit = ReducedSystem(M=M, A=A, n1=0)
     assert np.allclose(step_partial(all_implicit, k, hist, f),
-                       step_implicit(ReducedSystem(M=M, A=A, n1=3, n2=0), k, hist, f))
+                       step_implicit(ReducedSystem(M=M, A=A, n1=3), k, hist, f))
     assert np.allclose(step_partial(all_explicit, k, hist, f),
-                       step_explicit(ReducedSystem(M=M, A=A, n1=0, n2=3), k, hist, f))
+                       step_explicit(ReducedSystem(M=M, A=A, n1=0), k, hist, f))
+
+
+def test_reduced_system_size_is_its_matrix_size():
+    assert ReducedSystem(M=np.eye(3), A=np.eye(3), n1=1).n == 3
+
+
+@pytest.mark.parametrize("n1", [-1, 4])
+def test_reduced_system_rejects_a_split_outside_its_columns(n1):
+    with pytest.raises(ValueError, match=r"n1 must lie in \[0, 3\]"):
+        ReducedSystem(M=np.eye(3), A=np.eye(3), n1=n1)
 
 
 def test_partial_two_by_two_hand_elimination():
     a1, a2 = 2.0, 5.0
-    sys_r = ReducedSystem(M=np.eye(2), A=np.diag([a1, a2]), n1=1, n2=1)
+    sys_r = ReducedSystem(M=np.eye(2), A=np.diag([a1, a2]), n1=1)
     k = make_kernel(0.5, 0.1, 3)
     hist = np.array([[1.0, -2.0]])
     f = np.array([0.3, -0.7])
@@ -229,7 +239,7 @@ def test_partial_two_by_two_hand_elimination():
 
 def test_partial_decouples_with_zero_coupling():
     a1, a2 = 1.5, 4.0
-    sys_r = ReducedSystem(M=np.eye(2), A=np.diag([a1, a2]), n1=1, n2=1)
+    sys_r = ReducedSystem(M=np.eye(2), A=np.diag([a1, a2]), n1=1)
     k = make_kernel(0.7, 0.05, 20)
     u0 = np.array([1.0, 1.0])
     traj = run_scheme("partial", sys_r, k, u0, lambda _: np.zeros(2))
@@ -250,8 +260,8 @@ def test_implicit_explicit_first_order_agreement():
     u0 = rng.standard_normal(4)
     for dt in (1e-2, 1e-3):
         k = make_kernel(0.5, dt, 2)
-        si = ReducedSystem(M=M, A=A, n1=4, n2=0)
-        se = ReducedSystem(M=M, A=A, n1=4, n2=0)
+        si = ReducedSystem(M=M, A=A, n1=4)
+        se = ReducedSystem(M=M, A=A, n1=4)
         ui = step_implicit(si, k, u0[None], np.zeros(4))
         ue = step_explicit(se, k, u0[None], np.zeros(4))
         bound = 2 * k.alpha0 ** 2 * np.linalg.norm(A, 2) * np.linalg.norm(u0)
@@ -278,7 +288,7 @@ def _old_explicit(sys_r, k, hist, f):
 
 def _old_partial(sys_r, k, hist, f):
     n1 = sys_r.n1
-    if sys_r.n2 == 0:
+    if n1 == sys_r.n:
         return _old_implicit(sys_r, k, hist, f)
     if n1 == 0:
         return _old_explicit(sys_r, k, hist, f)
@@ -307,7 +317,7 @@ def test_splitting_step_equals_the_three_old_bodies(n, data, alpha, rows, seed):
     for step, old in ((step_implicit, _old_implicit),
                       (step_explicit, _old_explicit),
                       (step_partial, _old_partial)):
-        new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=n1, n2=n - n1) for _ in "ab")
+        new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=n1) for _ in "ab")
         assert np.array_equal(step(new_sys, k, hist, f), old(old_sys, k, hist, f))
 
 
@@ -322,7 +332,7 @@ def test_splitting_step_equals_the_old_bodies_on_the_sparse_fine_space(step, old
     k = make_kernel(0.7, 1e-3, 4)
     hist = rng.standard_normal((3, g.n_dofs))
     f = rng.standard_normal(g.n_dofs)
-    new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0) for _ in "ab")
+    new_sys, old_sys = (ReducedSystem(M=M, A=A, n1=g.n_dofs) for _ in "ab")
     assert np.array_equal(step(new_sys, k, hist, f), old(old_sys, k, hist, f))
 
 
@@ -340,7 +350,7 @@ def test_one_factorization_per_split_and_alpha0(monkeypatch):
     M, A = B @ B.T + 4 * np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0])
     u0, zero = np.ones(4), (lambda _: np.zeros(4))
     k1, k2 = make_kernel(0.5, 1e-3, 8), make_kernel(0.8, 1e-3, 8)
-    split = ReducedSystem(M=M, A=A, n1=2, n2=2)
+    split = ReducedSystem(M=M, A=A, n1=2)
     for scheme in ("partial", "partial", "implicit", "explicit"):
         run_scheme(scheme, split, k1, u0, zero)
     assert len(calls) == 3          # one per split: n_imp = 2, 4 and 0
@@ -350,7 +360,7 @@ def test_one_factorization_per_split_and_alpha0(monkeypatch):
     # and reuses its factorization; one without a first block is explicit.
     for n1, first in ((4, "implicit"), (0, "explicit")):
         calls.clear()
-        sys_r = ReducedSystem(M=M, A=A, n1=n1, n2=4 - n1)
+        sys_r = ReducedSystem(M=M, A=A, n1=n1)
         run_scheme(first, sys_r, k1, u0, zero)
         run_scheme("partial", sys_r, k1, u0, zero)
         assert len(calls) == 1
@@ -381,7 +391,7 @@ def test_explicit_fine_grid_high_contrast_diverges():
     fld = assembly.PermeabilityField(np.where(rng.random(g.n_cells) < 0.3, 1e5, 1.0))
     A = assembly.assemble(g, fld, "stiffness")
     M = assembly.assemble(g, None, "mass")
-    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
+    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs)
     k = make_kernel(0.9, 2e-5, 100)
     u0 = np.zeros(g.n_dofs)
     f = assembly.load_vector(g, lambda x, y, tt: np.ones_like(x), 0.0)
@@ -394,7 +404,7 @@ def test_energy_envelope_zero_forcing():
     fld = assembly.PermeabilityField(np.ones(g.n_cells))
     A = assembly.assemble(g, fld, "stiffness")
     M = assembly.assemble(g, None, "mass")
-    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
+    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs)
     k = make_kernel(0.5, 1e-3, 50)
     rng = np.random.default_rng(6)
     u0 = rng.standard_normal(g.n_dofs)
@@ -421,7 +431,7 @@ def test_fine_reference_matches_identity_run():
     f = lambda x, y, tt: np.sin(np.pi * x) * np.sin(np.pi * y)
     dt = 1e-3
     ref = fine_reference(g, A, M, 0.5, dt, f, 10)
-    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
+    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs)
     k = make_kernel(0.5, dt, 10)
     loads = lambda step: assembly.load_vector(g, f, (step + 1) * dt)
     traj = run_scheme("implicit", sys_r, k, np.zeros(g.n_dofs), loads)

@@ -105,7 +105,7 @@ def test_cem_support_inside_patch():
     layers = 1
     b1 = cem_basis(g, fld, aux1, layers)
     patch_dofs = g.index_maps(layers).patch_dofs
-    k = b1.n // g.n_coarse_elems       # columns are element-major
+    k = b1.n // g.coarse_n ** 2       # columns are element-major
     for j in range(b1.n):
         outside = np.setdiff1d(np.arange(g.n_dofs), patch_dofs[j // k])
         assert np.allclose(b1.R[outside, j], 0.0)
@@ -119,7 +119,7 @@ def test_cem_energy_decay_to_global():
     bases = {k: cem_basis(g, fld, aux1, k) for k in (0, 1, 2)}
 
     def col(b):
-        return b.R[:, i * (b.n // g.n_coarse_elems)]
+        return b.R[:, i * (b.n // g.coarse_n ** 2)]
 
     glob = col(bases[2])  # whole-domain oracle
     errs = []
@@ -251,9 +251,9 @@ def _worst_patch_error(g, fld, aux1, aux2, layers):
     worst = 0.0
     for basis, system in ((b1, lambda i: _cem_patch_system(g, fld, aux1, i, layers)),
                           (b2, lambda i: _v2_patch_system(g, fld, aux1, aux2, i, layers))):
-        for i in range(g.n_coarse_elems):
+        for i in range(g.coarse_n ** 2):
             dofs = g.index_maps(layers).patch_dofs[i]
-            k = basis.n // g.n_coarse_elems    # columns are element-major
+            k = basis.n // g.coarse_n ** 2    # columns are element-major
             cols = np.arange(i * k, (i + 1) * k)
             dense = _dense_patch_solve(*system(i))
             err = np.linalg.norm(basis.R[dofs][:, cols] - dense, axis=0)
@@ -329,7 +329,7 @@ def test_residual_failure_names_its_own_patch(monkeypatch):
     with pytest.raises(SolveError,
                        match="CEM basis solve failed on element 4: column 0"):
         cem_basis(g, fld, aux1, 1)
-    assert len(factored) == g.n_coarse_elems
+    assert len(factored) == g.coarse_n ** 2
 
 
 def test_indefinite_patch_system_names_element(monkeypatch):
@@ -369,7 +369,7 @@ def _cem_localize_inputs():
     of each element's rows targeted."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
-    rows = np.arange(aux1.total).reshape(g.n_coarse_elems, -1)
+    rows = np.arange(aux1.total).reshape(g.coarse_n ** 2, -1)
     return g, aux1.A, aux1.A_blocks, SPsi.T.tocsr(), rows, rows.shape[1]
 
 
@@ -508,5 +508,5 @@ def test_combined_basis_full_rank():
     Mr = both.R.T @ (M @ both.R)
     w = np.linalg.eigvalsh(0.5 * (Mr + Mr.T))
     assert w.min() > 1e-10 * w.max()
-    assert both.n1 == cs.basis1.n == both.n - g.n_coarse_elems * 2
+    assert both.n1 == cs.basis1.n == both.n - g.coarse_n ** 2 * 2
 

@@ -186,7 +186,7 @@ def test_energy_audit_scaling_invariance():
     fld = assembly.PermeabilityField(np.ones(g.n_cells))
     A = assembly.assemble(g, fld, "stiffness")
     M = assembly.assemble(g, None, "mass")
-    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs, n2=0)
+    sys_r = ReducedSystem(M=M, A=A, n1=g.n_dofs)
     k = make_kernel(0.5, 1e-3, 20)
     rng = np.random.default_rng(6)
     f = assembly.load_vector(g, lambda x, y, tt: np.sin(np.pi * x), 0.0)
@@ -210,7 +210,7 @@ def test_energy_audit_negative_before_guard_on_violated_explicit():
     dt = 4.0 ** (1.0 / alpha) * dtmax  # alpha0*lambda = 2
     N = 30
     k = make_kernel(alpha, dt, N)
-    sys_r = ReducedSystem(M=np.array([[1.0]]), A=np.array([[lam]]), n1=1, n2=0)
+    sys_r = ReducedSystem(M=np.array([[1.0]]), A=np.array([[lam]]), n1=1)
     traj = run_scheme("explicit", sys_r, k, np.array([1.0]), lambda _: np.zeros(1))
     assert not traj.diverged  # guard has not fired in 30 steps
     aud = energy_audit(traj, np.array([[lam]]), np.zeros(N), k)
