@@ -79,10 +79,13 @@ def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
     """The sparse matrix with entries ``values`` at (``rows``, ``cols``), the
     three broadcast together and listed in C order, so that duplicates are
     summed in that order on conversion.  An entry whose row or column is
-    negative (-1, the padding of :func:`spaces._blocks`) is dropped."""
+    negative (-1, the padding of :func:`spaces._blocks`) is dropped, by a
+    mask made only when there is such an entry."""
     values, rows, cols = np.broadcast_arrays(values, rows, cols)
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((values[keep], (rows[keep], cols[keep])), shape=shape)
+    if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
+        keep = (rows >= 0) & (cols >= 0)
+        values, rows, cols = values[keep], rows[keep], cols[keep]
+    return sp.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
 def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,

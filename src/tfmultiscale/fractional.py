@@ -18,7 +18,8 @@ class L1Kernel:
     """Fractional-memory kernel for N steps of size dt at order alpha.
 
     b[j] = (j+1)^(1-alpha) - j^(1-alpha), available for j <= N+1 so the
-    telescoped history weights at the final step are in range.
+    telescoped history weights at the final step are in range, and the
+    difference table d[j] = b[j] - b[j+1] (j <= N) they are read from.
     """
 
     alpha: float
@@ -26,6 +27,12 @@ class L1Kernel:
     steps: int
     b: np.ndarray
     alpha0: float
+    d: np.ndarray
+
+    def weights(self, k, j) -> np.ndarray:
+        """The weight of u^j in the history term at step k, for index arrays
+        broadcast together (0 <= j <= k <= N): b_k at j = 0, else d_{k-j}."""
+        return np.where(j == 0, self.b[k], self.d[k - j])
 
     def history_weights(self, k: int) -> np.ndarray:
         """Weights w such that sum_j b_{k-j}(u^{j+1}-u^j) = u^{k+1} - w . u.
@@ -35,12 +42,7 @@ class L1Kernel:
         """
         if k < 0 or k > self.steps:
             raise ValueError(f"step index {k} out of range")
-        if k == 0:
-            return np.ones(1)
-        j = np.arange(k + 1)
-        w = self.b[k - j] - self.b[k - j + 1]
-        w[0] = self.b[k]
-        return w
+        return self.weights(k, np.arange(k + 1))
 
 
 def make_kernel(alpha: float, dt: float, steps: int) -> L1Kernel:
@@ -54,16 +56,22 @@ def make_kernel(alpha: float, dt: float, steps: int) -> L1Kernel:
     j = np.arange(steps + 2, dtype=float)
     b = (j + 1) ** (1.0 - alpha) - j ** (1.0 - alpha)
     alpha0 = gamma_fn(2.0 - alpha) * dt ** alpha
-    return L1Kernel(alpha=alpha, dt=dt, steps=steps, b=b, alpha0=alpha0)
+    return L1Kernel(alpha=alpha, dt=dt, steps=steps, b=b, alpha0=alpha0,
+                    d=b[:-1] - b[1:])
 
 
-def history_rhs(kernel: L1Kernel, history) -> np.ndarray:
+def history_rhs(kernel: L1Kernel, history, start: int = 0,
+                past=None) -> np.ndarray:
     """Telescoped history term w = (1-b_1)u^k + ... + b_k u^0 at step k.
 
-    ``history`` holds u^0..u^k as the rows of a 2-D array.
+    ``history`` holds u^start..u^k as the rows of a 2-D array, and ``past``
+    the sum of the terms of u^0..u^(start-1) (by default, none).
     """
     H = np.asarray(history, dtype=float)
     if H.shape[0] == 0:
         raise ValueError("history is empty")
-    return kernel.history_weights(H.shape[0] - 1) @ H
-
+    k = start + H.shape[0] - 1
+    if k > kernel.steps:
+        raise ValueError(f"step index {k} out of range")
+    w = kernel.weights(k, np.arange(start, k + 1)) @ H
+    return w if past is None else past + w

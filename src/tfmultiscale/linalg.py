@@ -2,14 +2,14 @@
 of patch systems, the dense generalized eigensolve and saddle-point (KKT)
 solve called on every element, and the Gamma function.
 
-Sparse matrices are scipy CSR/CSC throughout.  :func:`_sparse_lu` orders the
-structurally symmetric fine-space systems by minimum degree on A^T + A, which
-fills far less than SuperLU's default COLAMD.  :func:`_banded_cholesky`
-factors the SPD patch skeleton systems of the basis builders (see
-:mod:`spaces`) from their lower band in the given order, with no permutation;
-a matrix that is not positive definite raises SolveError.  Element saddle
-solves and fine-space solves must pass one residual contract, a normwise
-backward error (:func:`_check_backward_error`).
+Sparse matrices are scipy CSR/CSC throughout.  :func:`_sparse_lu` factors
+the SPD fine-space systems in SuperLU's symmetric mode (minimum degree on
+A^T + A, diagonal pivots).  :func:`_banded_cholesky` factors an SPD patch
+skeleton system of the basis builders (see :mod:`spaces`) from its LAPACK
+lower band, with no permutation, by ``pbtrf``/``pbtrs`` called directly, as
+dense LU calls ``getrf``/``getrs``.  Element saddle solves and fine-space
+solves must pass one residual contract, a normwise backward error
+(:func:`_check_backward_error`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs
 
 # Largest normwise backward error ||K x - r||_1 / (||K||_1 ||x||_1 + ||r||_1)
 # accepted per right-hand side of a direct solve; measured ones stay below
@@ -40,31 +41,27 @@ class SolveError(RuntimeError):
 
 
 def _sparse_lu(K):
-    """SuperLU factorization of a sparse fine-space system K, symmetrically ordered.
+    """SuperLU factorization of a sparse SPD fine-space system K, symmetric mode.
 
     Raises SolveError when SuperLU reports a singular factorization.  The
     name is private so that perfbench's tracer, which wraps public functions
     only, keeps timing each factorization as ``splu`` under its caller.
     """
     try:
-        return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def _banded_cholesky(K):
-    """Solve function of the sparse SPD K by banded Cholesky in K's own order,
-    from its lower band; SolveError names the first non-positive leading minor."""
-    K = K.tocoo()
-    n, d = K.shape[0], K.row - K.col.astype(np.int64)
-    low, width = d >= 0, int(d.max(initial=0)) + 1
-    band = np.bincount((d * n + K.col)[low], weights=K.data[low], minlength=width * n)
-    try:
-        cb = sla.cholesky_banded(band.reshape(width, n), lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        minor = str(exc).partition("-th")[0]
-        raise SolveError(f"not positive definite (leading minor {minor} of {n})") from exc
-    return lambda b: sla.cho_solve_banded((cb, True), b, check_finite=False)
+def _banded_cholesky(band):
+    """Solve function of the SPD matrix K whose LAPACK lower band is the
+    (width, n) ``band`` (row d holds K[j + d, j]), by ``pbtrf``/``pbtrs`` in
+    K's own order; SolveError names the first non-positive leading minor."""
+    cb, info = dpbtrf(band, lower=1)
+    if info > 0:
+        raise SolveError(f"not positive definite (leading minor {info} of {band.shape[1]})")
+    return lambda b: dpbtrs(cb, b, lower=1)[0]
 
 
 def _check_backward_error(Kx, norm_K, x, r):
@@ -123,14 +120,13 @@ def kkt_solve(A, C, b, g):
     K[:, :n, :n], K[:, :n, n:], K[:, n:, :n] = A, C.transpose(0, 2, 1), C
     bg = np.concatenate([b, g], axis=1)
     rhs = bg.reshape(s, n + m, -1)
-    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), (K,))
     sol = np.empty_like(rhs)
     for i in range(s):
-        lu, piv, info = getrf(K[i])
+        lu, piv, info = dgetrf(K[i])
         if info > 0:
             raise SolveError(f"singular saddle block (diagonal number {info} "
                              f"is exactly zero)", i)
-        sol[i] = getrs(lu, piv, rhs[i])[0]
+        sol[i] = dgetrs(lu, piv, rhs[i])[0]
     _check_backward_error(K @ sol, np.abs(K).sum(axis=1).max(axis=1), sol, rhs)
     sol = sol.reshape(bg.shape)
     return (sol[:, :n], sol[:, n:]) if stacked else (sol[0, :n], sol[0, n:])

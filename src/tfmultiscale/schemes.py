@@ -4,7 +4,8 @@ The schemes are one partially explicit splitting step on the L1 history,
 :func:`_step`: the stiffness of the first block of columns is implicit, that
 of the rest lagged one step.  The fully implicit and fully explicit schemes
 are its end points.  System matrices are step-independent, so each scheme
-factors its left-hand matrix once per run.
+factors its left-hand matrix once per run.  The L1 history is summed a
+block of HISTORY_BLOCK steps at a time (see :func:`run_scheme`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from . import assembly
 from .fractional import L1Kernel, history_rhs, make_kernel
@@ -24,6 +26,8 @@ from .linalg import SolveError, _check_backward_error, _sparse_lu
 from .spaces import ReducedBasis
 
 DIVERGENCE_FACTOR = 1e12
+# Steps per block of the L1 history (see run_scheme).
+HISTORY_BLOCK = 50
 
 
 @dataclass
@@ -49,7 +53,8 @@ class ReducedSystem:
 
     def solver(self, matrix):
         """Factor a (dense or sparse) matrix once; returns a solve closure.
-        Sparse (fine-space) solves have their backward error checked."""
+        Sparse (fine-space) solves have their backward error checked; dense
+        ones are LAPACK getrf/getrs, an exactly zero pivot raising SolveError."""
         if sp.issparse(matrix):
             lu, norm = _sparse_lu(matrix), spla.norm(matrix, 1)
 
@@ -58,8 +63,10 @@ class ReducedSystem:
                 _check_backward_error(matrix @ x, norm, x, b)
                 return x
             return solve
-        lu, piv = sla.lu_factor(np.asarray(matrix))
-        return lambda b: sla.lu_solve((lu, piv), b)
+        lu, piv, info = dgetrf(matrix)
+        if info > 0:
+            raise SolveError(f"singular matrix (diagonal number {info} is exactly zero)")
+        return lambda b: dgetrs(lu, piv, b)[0]
 
 
 # Basis rows per block of the Galerkin products (3 MB each on experiment 1).
@@ -115,13 +122,14 @@ class Trajectory:
 
 
 def _step(sys: ReducedSystem, kernel: L1Kernel, history, load: np.ndarray,
-          n_imp: int) -> np.ndarray:
+          n_imp: int, start: int, past) -> np.ndarray:
     """One splitting step with the stiffness of the first ``n_imp`` columns
     implicit and that of the rest lagged: ``n_imp`` = n is the implicit
     scheme (left matrix M + a0 A, sparse included), 0 the explicit one.  The
-    left matrix is factored once per (``n_imp``, a0)."""
+    left matrix is factored once per (``n_imp``, a0).  ``history``, ``start``
+    and ``past`` are as in :func:`fractional.history_rhs`."""
     a0 = kernel.alpha0
-    rhs = sys.M @ history_rhs(kernel, history)
+    rhs = sys.M @ history_rhs(kernel, history, start, past)
     if n_imp < sys.n:
         rhs = rhs - a0 * (sys.A[:, n_imp:] @ np.asarray(history)[-1, n_imp:])
     rhs = rhs + a0 * load
@@ -137,21 +145,21 @@ def _step(sys: ReducedSystem, kernel: L1Kernel, history, load: np.ndarray,
 
 
 def step_implicit(sys: ReducedSystem, kernel: L1Kernel, history,
-                  load: np.ndarray) -> np.ndarray:
+                  load: np.ndarray, start: int = 0, past=None) -> np.ndarray:
     """One step of (M + alpha0 A) u^{k+1} = M w + alpha0 F^{k+1}."""
-    return _step(sys, kernel, history, load, sys.n)
+    return _step(sys, kernel, history, load, sys.n, start, past)
 
 
 def step_explicit(sys: ReducedSystem, kernel: L1Kernel, history,
-                  load: np.ndarray) -> np.ndarray:
+                  load: np.ndarray, start: int = 0, past=None) -> np.ndarray:
     """One step of M u^{k+1} = M w - alpha0 A u^k + alpha0 F^{k+1}."""
-    return _step(sys, kernel, history, load, 0)
+    return _step(sys, kernel, history, load, 0, start, past)
 
 
 def step_partial(sys: ReducedSystem, kernel: L1Kernel, history,
-                 load: np.ndarray) -> np.ndarray:
+                 load: np.ndarray, start: int = 0, past=None) -> np.ndarray:
     """One splitting step: block-1 stiffness implicit, block-2 lagged."""
-    return _step(sys, kernel, history, load, sys.n1)
+    return _step(sys, kernel, history, load, sys.n1, start, past)
 
 
 _STEPPERS = {"implicit": step_implicit, "explicit": step_explicit,
@@ -164,7 +172,8 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
 
     ``forcing`` is a callable step -> reduced load (step k requests
     F^{k+1}).  Blow-up is detected by a divergence guard and reported on the
-    trajectory, not raised.
+    trajectory, not raised.  The history terms of u^0..u^(K-1) for a block
+    of steps from K on are one product into a reused buffer.
     """
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of "
@@ -178,8 +187,13 @@ def run_scheme(scheme: str, sys: ReducedSystem, kernel: L1Kernel,
     bound = DIVERGENCE_FACTOR * (np.linalg.norm(u0) + 1.0)
     traj = Trajectory(space=space or scheme, alpha=kernel.alpha,
                       dt=kernel.dt, states=states)
+    past = np.empty((min(HISTORY_BLOCK, N), n))
     for k in range(N):
-        u = stepper(sys, kernel, states[:k + 1], forcing(k))
+        K = k - k % HISTORY_BLOCK
+        if k == K:
+            steps = np.arange(K, min(K + HISTORY_BLOCK, N))[:, None]
+            np.matmul(kernel.weights(steps, np.arange(K)), states[:K], out=past[:len(steps)])
+        u = stepper(sys, kernel, states[K:k + 1], forcing(k), K, past[k - K])
         states[k + 1] = u
         traj.history_ops += k + 1
         norm = np.linalg.norm(u)

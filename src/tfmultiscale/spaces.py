@@ -30,12 +30,13 @@ space and checked against the residuals of their full patch saddle systems.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
-read from its compressed structure in one gather (:func:`_blocks`), every
-patch block by scipy's ``X[idx][:, idx]``, and every sparse matrix made of
-element blocks is written by one :func:`assembly._scatter`.  Both share one
-convention: an index of -1 (a boundary node without a DOF) is padding, read
-as zero by ``_blocks`` and dropped by ``_scatter``.  Element eigenproblems
-are solved by :func:`linalg._eig_smallest`.
+read from its compressed structure in one gather (:func:`_blocks`), each
+patch's lower band straight from the rows of the skeleton operator
+(:func:`_patch_solves`), and every sparse matrix made of element blocks is
+written by one :func:`assembly._scatter`.  The gather and the scatter share
+one convention: an index of -1 (a boundary node without a DOF) is padding,
+read as zero by ``_blocks`` and dropped by ``_scatter``.  Element
+eigenproblems are solved by :func:`linalg._eig_smallest`.
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
     Patch i then factors the skeleton operator S on its interior skeleton
-    (SPD) by :func:`linalg._banded_cholesky` (a failure names the element),
-    and solves its right-hand sides as one block with one refinement step.
+    (SPD) by banded Cholesky (a failure names the element), and solves its
+    right-hand sides as one block with one refinement step
+    (:func:`_patch_solves`).
     The skeleton solutions of all patches are then lifted, x = E x_S + Z_i
     on the interior DOFs and x = x_S on the skeleton, and every column's
     constraint and stationarity residuals on its full patch saddle system
@@ -329,27 +331,7 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
     S, E, F, Z, WZ = _condense(maps, A, AD, Cs, rows, k, norms)
 
-    ns = S.shape[0]
-    XS = np.zeros((ns, ne * k))
-    S = S.tocsc()
-    for i, sk in enumerate(maps.patch_skeleton):
-        if not len(sk):
-            continue
-        # Element i's boundary skeleton carries its right-hand sides: scatter
-        # them onto the whole skeleton and read the patch's part (all of
-        # them when layers >= 1).
-        valid = maps.boundary_mask[i]
-        rhs = np.zeros((ns, k))
-        rhs[maps.skeleton_pos[maps.boundary[i][valid]]] = -WZ[i][valid]
-        rhs = rhs[sk]
-        SP = S[sk][:, sk]
-        try:
-            solve = _banded_cholesky(SP)
-        except SolveError as exc:
-            raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
-        xs = solve(rhs)
-        xs += solve(rhs - SP @ xs)
-        XS[sk, i * k:(i + 1) * k] = xs
+    XS = _patch_solves(maps, S, WZ, k)
 
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, total) array but R is held.
@@ -398,6 +380,43 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
                              f"stationarity residual {res2[j - c0]:.3e}, "
                              f"above {RESIDUAL_TOL:.1e}")
     return R
+
+
+def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
+    """Every patch's skeleton solutions, (n_skeleton, ne * k): the right-hand
+    sides -W_i^T Z_i scattered once, then patch i's lower band on its
+    skeleton sk read from the rows of the canonical CSR S, factored by
+    :func:`linalg._banded_cholesky`, and refined once by the residual
+    (S @ x)[sk] (x zero off sk), bit-equal to the patch system's product."""
+    S.sum_duplicates()
+    ns, ne = S.shape[0], len(maps.patch_skeleton)
+    e, p = np.nonzero(maps.boundary_mask)
+    XS = np.zeros((ns, ne * k))
+    XS[maps.skeleton_pos[maps.boundary[e, p]][:, None],
+       e[:, None] * k + np.arange(k)] = -WZ[e, p]
+    at_patch, x = np.full(ns, -1), np.zeros((ns, k))
+    for i, sk in enumerate(maps.patch_skeleton):
+        cols = slice(i * k, (i + 1) * k)
+        rhs = XS[sk, cols]
+        XS[:, cols] = 0.0
+        if not len(sk):
+            continue
+        at_patch[sk] = np.arange(len(sk))
+        at, count = _row_entries(S, sk)
+        c = at_patch[S.indices[at]]
+        d = np.repeat(np.arange(len(sk)), count) - c
+        at_patch[sk] = -1
+        low = (c >= 0) & (d >= 0)
+        band = np.zeros((int(d[low].max(initial=0)) + 1, len(sk)))
+        band[d[low], c[low]] = S.data[at[low]]
+        try:
+            solve = _banded_cholesky(band)
+        except SolveError as exc:
+            raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
+        x[sk] = solve(rhs)
+        XS[sk, cols] = x[sk] + solve(rhs - (S @ x)[sk])
+        x[sk] = 0.0
+    return XS
 
 
 def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from tfmultiscale.fractional import history_rhs, make_kernel
 from tfmultiscale.linalg import gamma_fn
+from tfmultiscale.schemes import HISTORY_BLOCK
 
 ALPHAS = (0.3, 0.5, 0.9)
 
@@ -108,6 +109,42 @@ def test_history_rhs_constant_series():
     c = 3.7
     hist = np.full((20, 4), c)
     assert np.allclose(history_rhs(k, hist), c, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       N=st.integers(1, 3 * HISTORY_BLOCK + 7), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_history_matches_the_full_sum(alpha, N, n, seed):
+    """At every step k, in the block starting at K, the product of the
+    block's weights against u^0..u^(K-1) (as run_scheme forms it) plus the
+    windowed history_rhs over u^K..u^k equals history_weights(k) @ H[:k+1]
+    to 1e-13, relative to the sum of |w_j| |u^j|."""
+    kernel = make_kernel(alpha, 0.01, N)
+    H = np.random.default_rng(seed).standard_normal((N + 1, n))
+    for K in range(0, N + 1, HISTORY_BLOCK):
+        steps = np.arange(K, min(K + HISTORY_BLOCK, N + 1))
+        past = kernel.weights(steps[:, None], np.arange(K)) @ H[:K]
+        for k in steps:
+            got = history_rhs(kernel, H[K:k + 1], K, past[k - K])
+            w = kernel.history_weights(k)
+            scale = np.abs(w) @ np.abs(H[:k + 1])
+            assert np.all(np.abs(got - w @ H[:k + 1]) <= 1e-13 * scale)
+
+
+def test_history_weights_read_from_the_difference_table():
+    """The table's weights are bit-equal to the telescoped differences."""
+    k = make_kernel(0.37, 0.1, 300)
+    for step in (0, 1, 49, 50, 300):
+        j = np.arange(1, step + 1)
+        expect = np.concatenate([[k.b[step]], k.b[step - j] - k.b[step - j + 1]])
+        assert np.array_equal(k.history_weights(step), expect)
+
+
+def test_history_rhs_beyond_the_kernel_rejected():
+    k = make_kernel(0.5, 0.1, 5)
+    with pytest.raises(ValueError, match="out of range"):
+        history_rhs(k, np.zeros((3, 2)), start=4)
 
 
 def test_history_rhs_empty_rejected():

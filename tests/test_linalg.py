@@ -113,6 +113,14 @@ def random_band_spd(rng, n, bw, holes):
     return K + np.diag(np.abs(K).sum(axis=1) + rng.uniform(0.1, 10.0, n))
 
 
+def lower_band(K, bw):
+    """LAPACK lower band storage of K, half-width ``bw``: row d holds K[j + d, j]."""
+    band = np.zeros((bw + 1, len(K)))
+    for d in range(min(bw, len(K) - 1) + 1):
+        band[d, :len(K) - d] = np.diagonal(K, -d)
+    return band
+
+
 band_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
                   bw=st.integers(0, 12), holes=st.floats(0.0, 0.9))
 
@@ -123,7 +131,7 @@ def test_banded_cholesky_solves_random_spd_bands(nrhs, seed, n, bw, holes):
     rng = np.random.default_rng(seed)
     K = random_band_spd(rng, n, bw, holes)
     r = rng.standard_normal((n, nrhs))
-    x = _banded_cholesky(sp.csc_matrix(K))(r)
+    x = _banded_cholesky(lower_band(K, bw))(r)
     _check_backward_error(K @ x, np.abs(K).sum(axis=0).max(), x, r)
 
 
@@ -140,7 +148,7 @@ def test_banded_cholesky_rejects_indefinite_or_singular(data, singular, seed, n,
     K[p, p] = 0.0 if singular else -1.0
     with pytest.raises(SolveError, match=rf"not positive definite \(leading minor "
                                          rf"{p + 1} of {n}\)"):
-        _banded_cholesky(sp.csr_matrix(K))
+        _banded_cholesky(lower_band(K, bw))
 
 
 # ------------------------------------------------------------- _eig_smallest

@@ -9,7 +9,7 @@ import tfmultiscale as t
 from tfmultiscale import assembly, schemes, spaces
 from tfmultiscale.fractional import history_rhs, make_kernel
 from tfmultiscale.linalg import SolveError, _sparse_lu, gamma_fn
-from tfmultiscale.schemes import (ReducedSystem, fine_reference, reduce,
+from tfmultiscale.schemes import (HISTORY_BLOCK, ReducedSystem, fine_reference, reduce,
                                   run_scheme, step_explicit, step_implicit,
                                   step_partial)
 from tfmultiscale.spaces import ReducedBasis
@@ -411,6 +411,44 @@ def test_energy_envelope_zero_forcing():
     traj = run_scheme("implicit", sys_r, k, u0, lambda _: np.zeros(g.n_dofs))
     en = [u @ (A @ u) for u in traj.states]
     assert en[-1] <= en[0] + 1e-12 * en[0]
+
+
+_STEPS = {"implicit": step_implicit, "explicit": step_explicit,
+          "partial": step_partial}
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(sorted(_STEPS)), N=st.integers(1, 2 * HISTORY_BLOCK + 7),
+       n=st.integers(1, 5), alpha=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_run_scheme_blocked_history_matches_a_full_sum_loop(scheme, N, n, alpha, seed):
+    """run_scheme sums the history a block at a time; a loop that hands
+    every step its whole history (the full sum) agrees to 1e-12 across
+    block boundaries, for all three schemes."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    M = G @ G.T + n * np.eye(n)
+    P = rng.standard_normal((n, n))
+    A = 0.1 * P @ P.T / np.linalg.norm(P) ** 2 * np.linalg.eigvalsh(M)[0]
+    sys_r = ReducedSystem(M=M, A=A, n1=int(rng.integers(0, n + 1)))
+    k = make_kernel(alpha, 0.01, N)
+    loads = rng.standard_normal((N, n))
+    u0 = rng.standard_normal(n)
+    traj = run_scheme(scheme, sys_r, k, u0, lambda s: loads[s])
+    states = [u0]
+    for s in range(N):
+        states.append(_STEPS[scheme](sys_r, k, np.array(states), loads[s]))
+    states = np.array(states)
+    assert not traj.diverged and traj.history_ops == N * (N + 1) // 2
+    assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+
+
+def test_singular_dense_system_raises_solve_error():
+    """A dense left matrix with an exactly zero pivot is a failed solve, not
+    a divergence reported on the trajectory."""
+    sys_r = ReducedSystem(M=np.ones((2, 2)), A=np.eye(2), n1=0)
+    with pytest.raises(SolveError, match="diagonal number 2 is exactly zero"):
+        run_scheme("explicit", sys_r, make_kernel(0.5, 0.01, 5), np.ones(2),
+                   lambda _: np.zeros(2))
 
 
 def test_history_work_is_quadratic():

@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -271,26 +272,77 @@ def test_bases_match_dense_patch_kkt_solve():
 def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     """The centre patch of experiment 1 factors only its skeleton system,
     which is a narrow band in its own row-major order: its band storage
-    stays below the 703,387 fill of the full patch KKT system it replaces."""
+    stays below the 703,387 fill of the full patch KKT system it replaces.
+    Every patch system is a principal submatrix of the condensed skeleton
+    operator S, so S's symmetry covers all of them."""
     cfg = harness.experiment_config(1)
     g = t.build_grids(cfg.coarse_n, cfg.refine)
     fld = harness._field_from_config(cfg)
     kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
     aux1 = aux_spectral(g, fld, kt, cfg.L)
     centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2
-    factored = []
+    factored, condensed = [], []
     monkeypatch.setattr(spaces, "_banded_cholesky",
-                        lambda K: factored.append(K) or _banded_cholesky(K))
+                        lambda band: factored.append(band) or _banded_cholesky(band))
+    condense = spaces._condense
+    monkeypatch.setattr(spaces, "_condense",
+                        lambda *a: condensed.append(condense(*a)) or condensed[-1])
     cem_basis(g, fld, aux1, cfg.layers)
-    K = factored[centre]
-    n = K.shape[0]
+    S = condensed[0][0]
+    assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+    band = factored[centre]
+    n = band.shape[1]
     # 8 inner coarse lines each way of 89 DOFs, crossing at 64 coarse vertices.
     assert n == 2 * 8 * 89 - 64
-    assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
-    rows, cols = K.nonzero()
-    bw = int((rows - cols).max())
+    bw = band.shape[0] - 1
+    assert np.any(band[bw] != 0)
     assert bw <= 2 * (2 * cfg.layers + 1) * cfg.refine
     assert (bw + 1) * n < 703_387
+
+
+def _scipy_patch_solves(maps, S, WZ, k):
+    """Oracle of ``spaces._patch_solves``: each patch system extracted by
+    scipy's ``S[sk][:, sk]``, its lower band summed from its COO entries and
+    solved by scipy's ``cholesky_banded``/``cho_solve_banded``, with one
+    refinement step on the patch system's own product."""
+    ns, ne = S.shape[0], len(maps.patch_skeleton)
+    XS = np.zeros((ns, ne * k))
+    S = S.tocsc()
+    for i, sk in enumerate(maps.patch_skeleton):
+        if not len(sk):
+            continue
+        valid = maps.boundary_mask[i]
+        rhs = np.zeros((ns, k))
+        rhs[maps.skeleton_pos[maps.boundary[i][valid]]] = -WZ[i][valid]
+        rhs = rhs[sk]
+        SP = S[sk][:, sk]
+        K = SP.tocoo()
+        n, d = K.shape[0], K.row - K.col.astype(np.int64)
+        low, width = d >= 0, int(d.max(initial=0)) + 1
+        band = np.bincount((d * n + K.col)[low], weights=K.data[low],
+                           minlength=width * n).reshape(width, n)
+        cb = sla.cholesky_banded(band, lower=True, check_finite=False)
+        xs = sla.cho_solve_banded((cb, True), rhs, check_finite=False)
+        xs += sla.cho_solve_banded((cb, True), rhs - SP @ xs, check_finite=False)
+        XS[sk, i * k:(i + 1) * k] = xs
+    return XS
+
+
+sweep_grid = t.build_grids(4, 6)
+sweep_fields = [np.where(harness.channel_geometry(24, 24, seed=2).ravel(), c, 1.0)
+                for c in (1e2, 1e4, 1e6)]
+sweep_fields.append(np.exp(np.random.default_rng(5).normal(0.0, 3.0, 24 * 24)))
+
+
+@pytest.mark.parametrize("kappa", sweep_fields,
+                         ids=["1e2", "1e4", "1e6", "lognormal"])
+def test_patch_solves_bit_equal_to_scipy_extraction(monkeypatch, kappa):
+    """Both bases on the contrast-sweep grid (geometry 2, and a log-normal
+    field) are bit-equal to the ones built with the scipy patch oracle."""
+    fld = assembly.PermeabilityField(kappa)
+    built = build_spaces(sweep_grid, fld, 3, 3, 2).combined.R
+    monkeypatch.setattr(spaces, "_patch_solves", _scipy_patch_solves)
+    assert np.array_equal(built, build_spaces(sweep_grid, fld, 3, 3, 2).combined.R)
 
 
 def test_zero_constraint_row_names_element():
