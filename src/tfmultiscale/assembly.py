@@ -151,7 +151,7 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     # Bilinear corner hats evaluated at local nodes; corner order SW,SE,NE,NW.
     hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
 
-    elem_cells = grid.element_cells_nodes()[0]
+    elem_cells = grid.element_cells()
     ne = len(elem_cells)
     off = n * np.arange(ne)[:, None]
     nodes = _local_cells(r) + off[:, :, None]         # (ne, r * r, 4)
@@ -189,7 +189,7 @@ def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedFiel
     gy = ((u[:, :, 3] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 1])) / (2 * h)
     t = gx * gx + gy * gy
     total = np.empty(grid.n_cells)
-    total[grid.element_cells_nodes()[0]] = t[..., 0] + t[..., 1] + t[..., 3] + t[..., 2]
+    total[grid.element_cells()] = t[..., 0] + t[..., 1] + t[..., 3] + t[..., 2]
     return WeightedField(values=field.values * total)
 
 

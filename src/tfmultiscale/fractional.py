@@ -31,18 +31,9 @@ class L1Kernel:
 
     def weights(self, k, j) -> np.ndarray:
         """The weight of u^j in the history term at step k, for index arrays
-        broadcast together (0 <= j <= k <= N): b_k at j = 0, else d_{k-j}."""
+        broadcast together (0 <= j <= k <= N): b_k at j = 0, else d_{k-j};
+        over j = 0..k they sum to 1 by telescoping."""
         return np.where(j == 0, self.b[k], self.d[k - j])
-
-    def history_weights(self, k: int) -> np.ndarray:
-        """Weights w such that sum_j b_{k-j}(u^{j+1}-u^j) = u^{k+1} - w . u.
-
-        Returns the length-(k+1) coefficients of u^0..u^k: w_0 = b_k and
-        w_j = b_{k-j} - b_{k-j+1} for j >= 1; they sum to 1 by telescoping.
-        """
-        if k < 0 or k > self.steps:
-            raise ValueError(f"step index {k} out of range")
-        return self.weights(k, np.arange(k + 1))
 
 
 def make_kernel(alpha: float, dt: float, steps: int) -> L1Kernel:

@@ -143,11 +143,10 @@ class GridHierarchy:
             a.flags.writeable = False
         return out
 
-    def element_cells_nodes(self) -> tuple:
-        """Per coarse element, its ``refine**2`` fine cell ids and its
-        ``(refine + 1)**2`` fine node ids, x fastest, as two read-only
-        (coarse_n**2, .) tables."""
-        return self._element_maps[:2]
+    def element_cells(self) -> np.ndarray:
+        """Per coarse element, its ``refine**2`` fine cell ids, x fastest, as
+        a read-only (coarse_n**2, refine**2) table."""
+        return self._element_maps[0]
 
     def index_maps(self, layers: int) -> IndexMaps:
         """The element, skeleton and patch index maps for ``layers`` rings of

@@ -9,8 +9,8 @@ minimizations.
 
 Both spaces are built by :func:`build_spaces` and nowhere else.  The two
 spectral problems share one element loop, :func:`_local_eigs`; each
-:class:`AuxSpace` carries the matrices it was solved with, so every fine
-matrix is assembled once.
+:class:`AuxSpace` carries the matrices it was solved with (every fine matrix
+is assembled once) and its moment tables, the second problem's constraints.
 
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.  Every element carries the same
@@ -25,8 +25,8 @@ element's interior unknowns and multipliers are eliminated once per basis
 (static condensation, :func:`_condense`, stacked :func:`linalg.kkt_solve`
 calls); a patch then solves only an SPD band system, by banded Cholesky, on
 the fine DOFs of the coarse edges inside it (row-major: width at most
-2 (2 layers + 1) refine).  Its basis columns are then lifted to the fine
-space and checked against the residuals of their full patch saddle systems.
+2 (2 layers + 1) refine).  Its basis columns are lifted by the element
+solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
@@ -35,8 +35,9 @@ patch's lower band straight from the rows of the skeleton operator
 (:func:`_patch_solves`), and every sparse matrix made of element blocks is
 written by one :func:`assembly._scatter`.  The gather and the scatter share
 one convention: an index of -1 (a boundary node without a DOF) is padding,
-read as zero by ``_blocks`` and dropped by ``_scatter``.  Element
-eigenproblems are solved by :func:`linalg._eig_smallest`.
+read as zero by ``_blocks`` and by the lift, dropped by ``_scatter``.  Element
+eigenproblems are solved by :func:`linalg._eig_smallest`, in the kernels that
+one stacked SVD finds (:func:`_kernels`) for the second problem.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import assembly
 from .grid import GridHierarchy, IndexMaps
-from .linalg import SolveError, _banded_cholesky, _eig_smallest, kkt_solve
+from .linalg import (RANK_RTOL, SolveError, _banded_cholesky, _eig_smallest,
+                     kkt_solve)
 
 DEFAULT_LAYERS = 2
 DEFAULT_NBASIS = 3
@@ -68,6 +69,8 @@ class AuxSpace:
     the stiffness the local problems were solved against, and ``A_blocks``
     its element blocks (interior rows, interior-then-boundary columns),
     gathered once for both spaces' spectral problems and condensations.
+    ``moments`` stacks each element's v^T B_e, its functions' moments on
+    its interior, formed where they are solved: the second problem's rows.
     """
 
     values: list            # per element, ascending eigenvalues
@@ -75,6 +78,7 @@ class AuxSpace:
     weight: sp.csr_matrix
     A: sp.csr_matrix
     A_blocks: np.ndarray    # (n_elements, n_interior, n_interior + n_boundary)
+    moments: np.ndarray     # (n_elements, k, n_interior)
 
     @property
     def total(self) -> int:
@@ -166,37 +170,47 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     With a ``constraint`` space, element i's problem is restricted to the
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
-    auxiliary space).  The kernel is spanned by an explicit null-space basis
-    Z, and Z^T A Z w = lambda Z^T B Z w is solved densely, v = Z w, by
-    :func:`linalg._eig_smallest`, whose failures are raised naming the
-    element.  Every element block is taken from the grid's index maps in one
-    gather per matrix; with a constraint space, whose stiffness A must be,
-    A's blocks (see :class:`AuxSpace`) are reused from it.
+    auxiliary space), the rows of ``constraint.moments``: with Z its kernel
+    basis (:func:`_kernels`), Z^T A Z w = lambda Z^T B Z w is projected by
+    stacked products and solved, v = Z w, by :func:`linalg._eig_smallest`,
+    whose failures are raised naming the element.  Every element block is
+    taken from the grid's index maps in one gather per matrix; with a
+    constraint space, whose stiffness A must be, A's blocks (see
+    :class:`AuxSpace`) are reused from it.
     """
     maps = grid.index_maps(0)       # element maps are the same for every layers
     interior, (ne, ni) = maps.interior, maps.interior.shape
     AD = (constraint.A_blocks if constraint is not None else
           _blocks(A, interior, np.hstack([interior, maps.boundary])))
     A_blocks, B_blocks = AD[:, :, :ni], _blocks(B, interior, interior)
-    if constraint is not None:
-        V_blocks = _blocks(constraint.vectors.T, constraint.columns, interior)
-        W_blocks = _blocks(constraint.weight, interior, interior)
+    Z = None if constraint is None else _kernels(constraint.moments)
+    Aloc, Bloc = ((A_blocks, B_blocks) if Z is None else
+                  (Z.transpose(0, 2, 1) @ X @ Z for X in (A_blocks, B_blocks)))
     values, data = [], np.empty((ne, ni, k))
     for i in range(ne):
-        Aloc, Bloc = A_blocks[i], B_blocks[i]
-        if constraint is not None:
-            Z = sla.null_space(V_blocks[i] @ W_blocks[i])
-            Aloc, Bloc = Z.T @ Aloc @ Z, Z.T @ Bloc @ Z
         try:
-            vals, vecs = _eig_smallest(Aloc, Bloc, k)
+            vals, vecs = _eig_smallest(Aloc[i], Bloc[i], k)
         except SolveError as exc:
             raise SolveError(f"on element {i}: {exc}") from exc
         values.append(vals)
-        data[i] = vecs if constraint is None else Z @ vecs
+        data[i] = vecs if Z is None else Z[i] @ vecs
     vectors = assembly._scatter(data, interior[:, :, None],
                                 np.arange(ne * k).reshape(ne, 1, k),
                                 (grid.n_dofs, ne * k)).tocsc()
-    return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD)
+    moments = np.ascontiguousarray(data.transpose(0, 2, 1)) @ B_blocks
+    return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD,
+                    moments=moments)
+
+
+def _kernels(C) -> np.ndarray:
+    """Orthonormal kernel bases of the stacked rows C_e by one SVD, row-major
+    as from ``sla.null_space`` (the products they enter round by layout);
+    rows not of full rank (relative RANK_RTOL) raise SolveError naming e."""
+    _, sv, vt = np.linalg.svd(C)
+    for e in np.flatnonzero(~(sv[:, -1] > RANK_RTOL * sv[:, 0]))[:1]:
+        raise SolveError(f"on element {e}: constraint moments are rank deficient "
+                         f"(singular values {sv[e, 0]:.3e} to {sv[e, -1]:.3e})")
+    return np.ascontiguousarray(vt[:, C.shape[1]:].transpose(0, 2, 1))
 
 
 def _row_entries(X, rows):
@@ -306,11 +320,12 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     (SPD) by banded Cholesky (a failure names the element), and solves its
     right-hand sides as one block with one refinement step
     (:func:`_patch_solves`).
-    The skeleton solutions of all patches are then lifted, x = E x_S + Z_i
-    on the interior DOFs and x = x_S on the skeleton, and every column's
-    constraint and stationarity residuals on its full patch saddle system
-    are checked against RESIDUAL_TOL, a chunk of columns at a time; the
-    first failing column in element-major order is reported.
+    A chunk of columns at a time, the skeleton solutions x_S of all patches
+    are then lifted by the condensation's element tables, -Y_e x_S (x_S on
+    e's boundary) plus Z_e in e's own columns, and every column's constraint
+    and stationarity residuals on its full patch saddle system are checked
+    against RESIDUAL_TOL; the first failing column in element-major order is
+    reported.
     """
     maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
@@ -329,13 +344,15 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     R = np.zeros((grid.n_dofs, ne * k))
     Cs = C.copy()
     Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
-    S, E, F, Z, WZ = _condense(maps, A, AD, Cs, rows, k, norms)
+    # Skeleton position of each boundary node, -1 where it has no DOF.
+    bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
+    S, Y, WZ = _condense(maps, A, AD, Cs, rows, k, norms, bpos)
 
     XS = _patch_solves(maps, S, WZ, k)
 
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, total) array but R is held.
-    nI = maps.interior.shape[1]
+    nI, nb = maps.interior.shape[1], bpos.shape[1]
     unit = np.eye(m, k, k - m)
     diag = np.abs(A.diagonal())
     col_elem = np.repeat(np.arange(ne), k)
@@ -343,16 +360,22 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     for e0 in range(0, ne, step):
         e1 = min(e0 + step, ne)
         c0, c1 = e0 * k, e1 * k
-        R[:, c0:c1] = E @ XS[:, c0:c1]
+        # -x_S, its zero last row read at -1, and a zero column beside a lone
+        # one: a one-column (BLAS gemv) product was seen to round by placement.
+        XB = np.zeros((len(XS) + 1, max(c1 - c0, 2)))
+        np.negative(XS[:, c0:c1], out=XB[:-1, :c1 - c0])
+        V = (Y[:, :, :nb] @ XB[bpos])[:, :, :c1 - c0]
+        own = np.arange(e1 - e0)[:, None]
+        V[e0 + own, :, own * k + np.arange(k)] += Y[e0:e1, :, nb:].transpose(0, 2, 1)
+        R[maps.interior, c0:c1] = V[:, :nI]
         R[maps.skeleton, c0:c1] = XS[:, c0:c1]
-        mu = F @ XS[:, c0:c1]
+        mu = np.empty((C.shape[0], c1 - c0))
+        mu[rows] = V[:, nI:]
         G = np.zeros_like(mu)
         inside = np.zeros((grid.n_dofs, c1 - c0))
         diag_max = np.empty(c1 - c0)
         for e in range(e0, e1):
             cols = slice(e * k - c0, (e + 1) * k - c0)
-            R[maps.interior[e], e * k:(e + 1) * k] += Z[e][:nI]
-            mu[rows[e], cols] += Z[e][nI:]
             G[rows[e], cols] = unit
             inside[maps.patch_dofs[e], cols] = 1.0
             diag_max[cols] = diag[maps.patch_dofs[e]].max()
@@ -419,7 +442,7 @@ def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
     return XS
 
 
-def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms):
+def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms, bpos):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -431,20 +454,14 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms):
     of the last k of the element's rows (see :func:`_localize`), divided by
     those rows' norms.  A stacked :func:`linalg.kkt_solve` per
     SOLVE_ELEMENTS elements solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
-    its backward-error contract, a failure naming the element.  S, E and F
-    are each one :func:`assembly._scatter` of the stacked results, a
-    boundary node without a DOF at skeleton position -1.
+    its backward-error contract, a failure naming the element.
 
-    Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e, the
-    maps E (skeleton values to the interior DOFs; the skeleton's own values
-    are written by the caller) and F (skeleton values to multipliers), and
-    the stacks of Z_e, which solves K_e Z_e = [0; g_e], and of W_e^T Z_e
-    (zero where a boundary node has no DOF).
+    Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e (one
+    :func:`assembly._scatter`, ``bpos`` -1 at a boundary node without a DOF),
+    the element tables [Y_e | Z_e] as solved, and the stack of W_e^T Z_e.
     """
-    interior, boundary, mask = maps.interior, maps.boundary, maps.boundary_mask
-    skel, pos = maps.skeleton, maps.skeleton_pos
-    ne, nI = interior.shape
-    nb = boundary.shape[1]
+    interior, boundary, skel = maps.interior, maps.boundary, maps.skeleton
+    (ne, nI), nb = interior.shape, bpos.shape[1]
     CD = _blocks(Cs, rows, np.hstack([interior, boundary]))
     m = rows.shape[1]
     g = np.eye(m, k, k - m) / norms[rows][:, :, None]
@@ -460,17 +477,10 @@ def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms):
         except SolveError as exc:
             raise SolveError(f"on element {e0 + exc.block}: {exc.reason}") from exc
     WtY = _transposed_products(W, Y)
-
-    # Skeleton position of each boundary node, -1 where it has no DOF.
-    bpos = np.where(mask, pos[boundary], -1)
     ns = len(skel)
     S = (A[skel][:, skel] + assembly._scatter(
         -WtY[:, :, :nb], bpos[:, :, None], bpos[:, None, :], (ns, ns))).tocsr()
-    E = assembly._scatter(-Y[:, :nI, :nb], interior[:, :, None],
-                          bpos[:, None, :], (len(pos), ns)).tocsr()
-    F = assembly._scatter(-Y[:, nI:, :nb], rows[:, :, None], bpos[:, None, :],
-                          (Cs.shape[0], ns)).tocsr()
-    return S, E, F, Y[:, :, nb:], WtY[:, :, nb:]
+    return S, Y, WtY[:, :, nb:]
 
 
 def _transposed_products(W, Y) -> np.ndarray:

@@ -133,7 +133,7 @@ def test_weighted_mass_locality():
     kt = rng.uniform(0.0, 2.0, g.n_cells)
     S = assemble(g, WeightedField(kt), "weighted_mass").toarray()
     Ssum = np.zeros_like(S)
-    for cells in g.element_cells_nodes()[0]:
+    for cells in g.element_cells():
         local = np.zeros(g.n_cells)
         local[cells] = kt[cells]
         Ssum += assemble(g, WeightedField(local), "weighted_mass").toarray()
@@ -223,7 +223,7 @@ def _global_chi(grid, values):
     each element's corner values scattered to its nodes, and the copies
     that neighbouring elements write on a shared node averaged."""
     at = tuple(np.broadcast_to(a, values.shape) for a in
-               (_corners(grid)[:, None, :], grid.element_cells_nodes()[1][:, :, None]))
+               (_corners(grid)[:, None, :], grid._element_maps[1][:, :, None]))
     shape = ((grid.coarse_n + 1) ** 2, grid.n_nodes)
     total, count = np.zeros(shape), np.zeros(shape)
     np.add.at(total, at, values)
@@ -281,7 +281,7 @@ def test_msfem_neighbouring_elements_agree_bit_for_bit_on_shared_nodes():
     # North edge (ly = r) of NW, NE is the neighbour's south edge of SW, SE.
     assert np.array_equal(v[:-1, :, r][..., [3, 2]], v[1:, :, 0][..., [0, 1]])
     chi = _global_chi(g, values)
-    own = chi[_corners(g)[:, None, :], g.element_cells_nodes()[1][:, :, None]]
+    own = chi[_corners(g)[:, None, :], g._element_maps[1][:, :, None]]
     assert np.array_equal(own, values)
 
 
@@ -327,7 +327,7 @@ def _msfem_partition_loop(grid, field):
     c0 = cY.ravel() * (r + 1) + cX.ravel()
     conn = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
     stack = []
-    for cells in grid.element_cells_nodes()[0]:
+    for cells in grid.element_cells():
         kap = field.values[cells]
         blocks = kap[:, None, None] * STIFF_UNIT[None, :, :]
         ii = np.repeat(conn, 4, axis=1).ravel()

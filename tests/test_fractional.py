@@ -79,7 +79,7 @@ def test_history_weights_sum_to_one():
     for alpha in ALPHAS:
         k = make_kernel(alpha, 0.1, 200)
         for step in (0, 1, 5, 200):
-            w = k.history_weights(step)
+            w = k.weights(step, np.arange(step + 1))
             assert len(w) == step + 1
             assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
 
@@ -93,7 +93,7 @@ def test_weight_identities_for_random_alpha_and_n(alpha, N):
     assert np.all(b > 0) and np.all(np.diff(b) < 0)
     expect = (np.arange(N + 1) + 1.0) ** (1.0 - alpha)
     assert np.max(np.abs(np.cumsum(b) / expect - 1.0)) <= 1e-12
-    w = k.history_weights(N)
+    w = k.weights(N, np.arange(N + 1))
     assert np.all(w > 0)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
 
@@ -118,7 +118,7 @@ def test_history_rhs_constant_series():
 def test_blocked_history_matches_the_full_sum(alpha, N, n, seed):
     """At every step k, in the block starting at K, the product of the
     block's weights against u^0..u^(K-1) (as run_scheme forms it) plus the
-    windowed history_rhs over u^K..u^k equals history_weights(k) @ H[:k+1]
+    windowed history_rhs over u^K..u^k equals weights(k, 0..k) @ H[:k+1]
     to 1e-13, relative to the sum of |w_j| |u^j|."""
     kernel = make_kernel(alpha, 0.01, N)
     H = np.random.default_rng(seed).standard_normal((N + 1, n))
@@ -127,7 +127,7 @@ def test_blocked_history_matches_the_full_sum(alpha, N, n, seed):
         past = kernel.weights(steps[:, None], np.arange(K)) @ H[:K]
         for k in steps:
             got = history_rhs(kernel, H[K:k + 1], K, past[k - K])
-            w = kernel.history_weights(k)
+            w = kernel.weights(k, np.arange(k + 1))
             scale = np.abs(w) @ np.abs(H[:k + 1])
             assert np.all(np.abs(got - w @ H[:k + 1]) <= 1e-13 * scale)
 
@@ -138,7 +138,7 @@ def test_history_weights_read_from_the_difference_table():
     for step in (0, 1, 49, 50, 300):
         j = np.arange(1, step + 1)
         expect = np.concatenate([[k.b[step]], k.b[step - j] - k.b[step - j + 1]])
-        assert np.array_equal(k.history_weights(step), expect)
+        assert np.array_equal(k.weights(step, np.arange(step + 1)), expect)
 
 
 def test_history_rhs_beyond_the_kernel_rejected():

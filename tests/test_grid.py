@@ -55,7 +55,7 @@ def test_build_grids_small():
 
 def test_element_maps_counts():
     g = build_grids(10, 10)
-    for cells, nodes in zip(*g.element_cells_nodes()):
+    for cells, nodes in zip(g.element_cells(), g._element_maps[1]):
         assert len(cells) == 100
         assert len(nodes) == 121
 
@@ -85,14 +85,14 @@ def test_grid_is_its_two_counts():
 
 def test_partition_of_cells():
     g = build_grids(4, 3)
-    seen = g.element_cells_nodes()[0].ravel()
+    seen = g.element_cells().ravel()
     assert len(seen) == g.n_cells
     assert np.array_equal(np.sort(seen), np.arange(g.n_cells))
 
 
 def test_node_cover():
     g = build_grids(3, 4)
-    union = np.unique(g.element_cells_nodes()[1])
+    union = np.unique(g._element_maps[1])
     assert np.array_equal(union, np.arange(g.n_nodes))
 
 
@@ -100,7 +100,7 @@ def test_node_cover():
 @given(coarse_n=st.integers(2, 5), refine=st.integers(2, 6))
 def test_element_tables_match_loop_oracle(coarse_n, refine):
     g = build_grids(coarse_n, refine)
-    cells, nodes = g.element_cells_nodes()
+    cells, nodes = g.element_cells(), g._element_maps[1]
     oracle = _element_maps_oracle(coarse_n, refine)
     assert cells.shape == (g.coarse_n ** 2, refine ** 2)
     assert nodes.shape == (g.coarse_n ** 2, (refine + 1) ** 2)
@@ -113,7 +113,7 @@ def test_element_tables_match_loop_oracle(coarse_n, refine):
     assert np.array_equal(np.unique(nodes), np.arange(g.n_nodes))
     for a in (cells, nodes):
         assert not a.flags.writeable
-    assert g.element_cells_nodes()[0] is cells
+    assert g.element_cells() is cells
     dof_map = _dof_map_oracle(coarse_n, refine)
     assert np.array_equal(g.interior_nodes(), np.flatnonzero(dof_map >= 0))
 

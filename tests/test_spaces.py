@@ -345,6 +345,106 @@ def test_patch_solves_bit_equal_to_scipy_extraction(monkeypatch, kappa):
     assert np.array_equal(built, build_spaces(sweep_grid, fld, 3, 3, 2).combined.R)
 
 
+def _sparse_lift(maps, n_dofs, Y, XS, k):
+    """Oracle of the table lift in ``_localize``: the element tables
+    scattered into the sparse map E from skeleton values to interior DOFs,
+    as the condensation used to build it, and x = E x_S + Z_e on the
+    interior DOFs, x = x_S on the skeleton.  (Its twin F, to the
+    multipliers, entered only the residual checks, which every basis build
+    passes.)"""
+    ne, nI = maps.interior.shape
+    bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
+    nb = bpos.shape[1]
+    E = assembly._scatter(-Y[:, :nI, :nb], maps.interior[:, :, None],
+                          bpos[:, None, :], (n_dofs, len(maps.skeleton))).tocsr()
+    R = E @ XS
+    R[maps.skeleton] = XS
+    for e in range(ne):
+        R[maps.interior[e], e * k:(e + 1) * k] += Y[e, :nI, nb:]
+    return R
+
+
+@pytest.mark.parametrize("case", ["sweep-1e2", "sweep-1e6", "3x3"])
+def test_table_lift_matches_the_sparse_lift(monkeypatch, case):
+    """Both bases, lifted by the element tables, agree within 1e-14
+    relative with the sparse E lift of the same skeleton solutions."""
+    if case == "3x3":
+        g = t.build_grids(3, 4)
+        fld, L, J, layers = channel_field(g), 2, 1, 1
+    else:
+        g = sweep_grid
+        fld = assembly.PermeabilityField(sweep_fields[0 if case == "sweep-1e2" else 2])
+        L, J, layers = 3, 3, 2
+    tables, skeletons, lifted = [], [], []
+    condense, patch_solves, localize = (spaces._condense, spaces._patch_solves,
+                                        spaces._localize)
+    monkeypatch.setattr(spaces, "_condense",
+                        lambda *a: tables.append(condense(*a)) or tables[-1])
+    monkeypatch.setattr(spaces, "_patch_solves",
+                        lambda *a: skeletons.append(patch_solves(*a)) or skeletons[-1])
+    monkeypatch.setattr(spaces, "_localize",
+                        lambda *a: lifted.append((localize(*a), a[5])) or lifted[-1][0])
+    build_spaces(g, fld, L, J, layers)
+    assert len(lifted) == 2
+    maps = g.index_maps(layers)
+    for (_, Y, _), XS, (R, k) in zip(tables, skeletons, lifted):
+        expect = _sparse_lift(maps, g.n_dofs, Y, XS, k)
+        assert np.max(np.abs(R - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("case", ["5x5", "sweep-1e6"])
+def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
+    """Each space's moment table is bit-equal to the product of the element
+    blocks of its eigenvectors and its weight gathered from the sparse
+    matrices."""
+    if case == "5x5":
+        g = t.build_grids(5, 4)
+        fld = channel_field(g)
+    else:
+        g, fld = sweep_grid, assembly.PermeabilityField(sweep_fields[2])
+    cs = build_spaces(g, fld, 3, 2, 1)
+    interior = g.index_maps(0).interior
+    for aux in (cs.aux1, cs.aux2):
+        V = spaces._blocks(aux.vectors.T, aux.columns, interior)
+        W = spaces._blocks(aux.weight, interior, interior)
+        assert np.array_equal(aux.moments, V @ W)
+
+
+def _assert_kernels_match_null_space(C):
+    """Each stacked kernel basis spans the kernel sla.null_space finds: the
+    orthogonal projectors agree within 1e-12."""
+    for Ce, Ze in zip(C, spaces._kernels(C)):
+        N = sla.null_space(Ce)
+        assert Ze.shape == N.shape
+        assert np.max(np.abs(Ze @ Ze.T - N @ N.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", sweep_fields[:3], ids=["1e2", "1e4", "1e6"])
+def test_stacked_kernels_match_null_space(kappa):
+    """On the first space's moment tables of the sweep grid."""
+    aux1 = build_spaces(sweep_grid, assembly.PermeabilityField(kappa), 3, 3, 2).aux1
+    _assert_kernels_match_null_space(aux1.moments)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ne=st.integers(1, 4), m=st.integers(1, 4), extra=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_match_null_space_on_random_rows(ne, m, extra, seed):
+    C = np.random.default_rng(seed).standard_normal((ne, m, m + extra))
+    _assert_kernels_match_null_space(C)
+
+
+def test_rank_deficient_moment_rows_name_their_element():
+    """Element 4's second moment row is its first: the second spectral
+    problem names element 4 rather than solving in a larger kernel."""
+    g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
+    moments = aux1.moments.copy()
+    moments[4, 1] = moments[4, 0]
+    with pytest.raises(SolveError, match="on element 4: constraint moments are "
+                       "rank deficient"):
+        v2_aux_spectral(g, fld, dataclasses.replace(aux1, moments=moments), 1)
+
+
 def test_zero_constraint_row_names_element():
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     keep = np.ones(aux1.total)
@@ -551,6 +651,24 @@ def test_condensed_target_products_do_not_depend_on_placement(monkeypatch):
         nb = W.shape[2]
         WZ = [products(_placed(W, k), _placed(Y, k))[:, :, nb:] for k in (0, 1)]
         assert np.array_equal(WZ[0], WZ[1])
+
+
+def test_lift_does_not_depend_on_placement(monkeypatch):
+    """With two columns per chunk, the V2 basis of a 3x3 grid at J = 1 (an
+    odd ne * k) ends on a one-column chunk: R is bit-equal when the element
+    tables it is lifted by sit 8 bytes further into memory."""
+    monkeypatch.setattr(spaces, "CHECK_COLUMNS", 2)
+    g = t.build_grids(3, 4)
+    fld = channel_field(g)
+    cs = build_spaces(g, fld, 2, 1, 1)
+    condense = spaces._condense
+
+    def placed(*args):
+        S, Y, WZ = condense(*args)
+        return S, _placed(Y, 1), WZ
+
+    monkeypatch.setattr(spaces, "_condense", placed)
+    assert np.array_equal(v2_basis(g, fld, cs.aux1, cs.aux2, 1).R, cs.basis2.R)
 
 
 def test_combined_basis_full_rank():
