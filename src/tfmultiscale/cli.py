@@ -32,10 +32,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "experiment":
-        cfg = experiment_config(args.number, alpha=args.alpha, out_dir=args.out)
-    else:
-        cfg = ExperimentConfig.from_json(args.config)
+    try:
+        if args.command == "experiment":
+            cfg = experiment_config(args.number, alpha=args.alpha, out_dir=args.out)
+        else:
+            cfg = ExperimentConfig.from_json(args.config)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.command == "stability":
         result = run_experiment(dataclasses.replace(cfg, schemes=()))

@@ -10,7 +10,7 @@ import math
 import numbers
 import os
 import pathlib
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -93,6 +93,9 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
         data["schemes"] = tuple(data.get("schemes", ALL_SCHEMES))
         return cls(**data)
 

@@ -10,7 +10,7 @@ minimizations.
 Both spaces are built by :func:`build_spaces` and nowhere else.  The two
 spectral problems share one element loop, :func:`_local_eigs`; each
 :class:`AuxSpace` carries the matrices it was solved with (every fine matrix
-is assembled once) and its moment tables, the second problem's constraints.
+is assembled once) and its moment table, the one form of its constraint rows.
 
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.  Every element carries the same
@@ -22,10 +22,10 @@ carry them, one per basis column, so a count k stands for the targets.
 Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
-(static condensation, :func:`_condense`, stacked :func:`linalg.kkt_solve`
-calls); a patch then solves only an SPD band system, by banded Cholesky, on
-the fine DOFs of the coarse edges inside it (row-major: width at most
-2 (2 layers + 1) refine).  Its basis columns are lifted by the element
+(static condensation, :func:`_condense`, one stacked :func:`linalg.kkt_solve`
+on the moment table); a patch then solves only an SPD band system, by banded
+Cholesky, on the fine DOFs of the coarse edges inside it (row-major: width
+at most 2 (2 layers + 1) refine).  Its basis columns are lifted by the element
 solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
@@ -43,7 +43,6 @@ one stacked SVD finds (:func:`_kernels`) for the second problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,31 +68,18 @@ class AuxSpace:
     the stiffness the local problems were solved against, and ``A_blocks``
     its element blocks (interior rows, interior-then-boundary columns),
     gathered once for both spaces' spectral problems and condensations.
-    ``moments`` stacks each element's v^T B_e, its functions' moments on
-    its interior, formed where they are solved: the second problem's rows.
+    ``moments`` stacks each element's v^T B_e over its closure, in the
+    columns of ``A_blocks`` (a -1 boundary column reads zero), formed where
+    the functions are solved: the space's constraint rows for both bases,
+    whose interior columns the second spectral problem reads.
     """
 
     values: list            # per element, ascending eigenvalues
-    vectors: sp.csc_matrix  # (n_dofs, total)
+    vectors: sp.csc_matrix  # (n_dofs, n_elements * k)
     weight: sp.csr_matrix
     A: sp.csr_matrix
     A_blocks: np.ndarray    # (n_elements, n_interior, n_interior + n_boundary)
-    moments: np.ndarray     # (n_elements, k, n_interior)
-
-    @property
-    def total(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def columns(self) -> np.ndarray:
-        """(n_elements, k) table of each element's column ids."""
-        return np.arange(self.total).reshape(len(self.values), -1)
-
-    @cached_property
-    def weighted(self) -> sp.csc_matrix:
-        """``weight @ vectors``, formed once: the transposed constraint rows
-        (moments against every function of the space)."""
-        return (self.weight @ self.vectors).tocsc()
+    moments: np.ndarray     # (n_elements, k, n_interior + n_boundary)
 
 
 @dataclass
@@ -170,20 +156,21 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     With a ``constraint`` space, element i's problem is restricted to the
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
-    auxiliary space), the rows of ``constraint.moments``: with Z its kernel
-    basis (:func:`_kernels`), Z^T A Z w = lambda Z^T B Z w is projected by
-    stacked products and solved, v = Z w, by :func:`linalg._eig_smallest`,
-    whose failures are raised naming the element.  Every element block is
-    taken from the grid's index maps in one gather per matrix; with a
-    constraint space, whose stiffness A must be, A's blocks (see
-    :class:`AuxSpace`) are reused from it.
+    auxiliary space), the interior columns of ``constraint.moments``: with Z
+    their kernel basis (:func:`_kernels`), Z^T A Z w = lambda Z^T B Z w is
+    projected by stacked products and solved, v = Z w, by
+    :func:`linalg._eig_smallest`, whose failures are raised naming the
+    element.  Every element block is taken from the grid's index maps in one
+    gather (B's boundary columns, which only the moment table reads, in a
+    second); with a constraint space, whose stiffness A must be, A's blocks
+    (see :class:`AuxSpace`) are reused from it.
     """
     maps = grid.index_maps(0)       # element maps are the same for every layers
     interior, (ne, ni) = maps.interior, maps.interior.shape
     AD = (constraint.A_blocks if constraint is not None else
           _blocks(A, interior, np.hstack([interior, maps.boundary])))
     A_blocks, B_blocks = AD[:, :, :ni], _blocks(B, interior, interior)
-    Z = None if constraint is None else _kernels(constraint.moments)
+    Z = None if constraint is None else _kernels(constraint.moments[:, :, :ni])
     Aloc, Bloc = ((A_blocks, B_blocks) if Z is None else
                   (Z.transpose(0, 2, 1) @ X @ Z for X in (A_blocks, B_blocks)))
     values, data = [], np.empty((ne, ni, k))
@@ -197,7 +184,11 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     vectors = assembly._scatter(data, interior[:, :, None],
                                 np.arange(ne * k).reshape(ne, 1, k),
                                 (grid.n_dofs, ne * k)).tocsc()
-    moments = np.ascontiguousarray(data.transpose(0, 2, 1)) @ B_blocks
+    # B's boundary columns are gathered apart, after the solves: B's closure
+    # blocks held through them raised experiment 1's peak RSS by up to 20 MB.
+    V = np.ascontiguousarray(data.transpose(0, 2, 1))
+    moments = np.concatenate(
+        [V @ B_blocks, V @ _blocks(B, interior, maps.boundary)], axis=2)
     return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD,
                     moments=moments)
 
@@ -258,8 +249,8 @@ def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     The stiffness is ``aux.A``; ``field_`` is unused.
     """
     try:
-        R = _localize(grid, aux.A, aux.A_blocks, aux.weighted.T, aux.columns,
-                      aux.columns.shape[1], layers)
+        R = _localize(grid, aux.A, aux.A_blocks, aux.moments,
+                      aux.moments.shape[1], layers)
     except SolveError as exc:
         raise SolveError(f"CEM basis solve failed {exc}") from exc
     return ReducedBasis(R=R, n1=R.shape[1])
@@ -277,11 +268,10 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
     columns are explicit (n1 = 0).  The stiffness is ``aux1.A``; ``field_``
     is unused.
     """
-    rows = np.hstack([aux1.columns, aux1.total + aux2.columns])
     try:
         R = _localize(grid, aux1.A, aux1.A_blocks,
-                      sp.vstack([aux1.weighted.T, aux2.weighted.T]), rows,
-                      aux2.columns.shape[1], layers)
+                      np.concatenate([aux1.moments, aux2.moments], axis=1),
+                      aux2.moments.shape[1], layers)
     except SolveError as exc:
         raise SolveError(f"V2 basis solve failed {exc}") from exc
     return ReducedBasis(R=R, n1=0)
@@ -290,29 +280,25 @@ def v2_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
 # Columns lifted and checked together: the checks hold a few
 # (n_dofs, CHECK_COLUMNS) arrays.
 CHECK_COLUMNS = 64
-# Element saddle blocks per stacked kkt_solve: the K stack and its
-# temporaries then take about 3 MB on experiment 1's grid, whatever the
-# number of elements.
-SOLVE_ELEMENTS = 16
 # Relative tolerance of every basis column's constraint and stationarity
 # residuals on its patch saddle system.
 RESIDUAL_TOL = 1e-9
 
 
-def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
+def _localize(grid: GridHierarchy, A, AD, CT, k: int,
               layers: int) -> np.ndarray:
     """Constrained energy minimizers on every oversampled patch.
 
-    ``C`` holds one constraint row per auxiliary function; the (ne, m) table
-    ``rows`` lists each coarse element's rows, every row of C exactly once.
-    A row of element e is a moment against a function supported in e, so it
-    lives on e's closure.  Element i has k basis columns; column j's target
-    moments are 1 against row ``rows[i, m - k + j]`` and 0 against every
-    other row (both bases take unit moments, the auxiliary eigenvectors
-    being orthonormal in their weight).  Column j of element i minimizes
-    x^T A x on the patch around i subject to C_P x = g_P.  Columns are
-    returned element-major as an (n_dofs, ne * k) array.  ``AD`` holds A's
-    element blocks (see :class:`AuxSpace`).
+    ``CT`` is the (ne, m, n_interior + n_boundary) table of every coarse
+    element's m constraint rows on its closure, in the columns of A's
+    element blocks ``AD`` (see :class:`AuxSpace`): a row of element e is a
+    moment against a function supported in e.  Element i has k basis
+    columns; column j's target moments are 1 against element i's row
+    m - k + j and 0 against every other row (both bases take unit moments,
+    the auxiliary eigenvectors being orthonormal in their weight).  Column j
+    of element i minimizes x^T A x on the patch around i subject to
+    C_P x = g_P, C_P the rows of the patch's elements.  Columns are returned
+    element-major as an (n_dofs, ne * k) array.
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
@@ -329,29 +315,27 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
     """
     maps = grid.index_maps(layers)
     A = sp.csr_matrix(A)
-    C = sp.csr_matrix(C)
-    ne, m = rows.shape
-    row_elem = np.empty(C.shape[0], dtype=int)
-    row_elem[rows] = np.arange(ne)[:, None]
-    C2 = C.multiply(C).tocsr()
-    norms = np.sqrt(np.asarray(C2.sum(axis=1)).ravel())
-    if np.any(norms <= 0):
-        bad = int(np.flatnonzero(norms <= 0)[0])
-        raise SolveError(f"on element {row_elem[bad]}: zero constraint row {bad}")
+    ne, m, _ = CT.shape
+    norms = np.linalg.norm(CT, axis=2)
+    for e, r in np.argwhere(norms <= 0)[:1]:
+        raise SolveError(f"on element {e}: zero constraint row {r}")
     # R is allocated before the condensation's large temporaries: allocated
     # after them, it keeps their freed heap resident (on experiment 1 the
     # process peak RSS rose by about 18 MB).
     R = np.zeros((grid.n_dofs, ne * k))
-    Cs = C.copy()
-    Cs.data *= np.repeat(1.0 / norms, np.diff(C.indptr))
     # Skeleton position of each boundary node, -1 where it has no DOF.
     bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
-    S, Y, WZ = _condense(maps, A, AD, Cs, rows, k, norms, bpos)
+    S, Y, WZ = _condense(maps, A, AD, CT * (1.0 / norms)[:, :, None], k,
+                         norms, bpos)
 
     XS = _patch_solves(maps, S, WZ, k)
+    C = assembly._scatter(CT, np.arange(ne * m).reshape(ne, m, 1),
+                          np.hstack([maps.interior, maps.boundary])[:, None],
+                          (ne * m, grid.n_dofs)).tocsr()
+    C2 = C.multiply(C).tocsr()
 
     # Lift and check the columns of a few elements at a time, so that no
-    # (n_dofs, total) array but R is held.
+    # (n_dofs, ne * k) array but R is held.
     nI, nb = maps.interior.shape[1], bpos.shape[1]
     unit = np.eye(m, k, k - m)
     diag = np.abs(A.diagonal())
@@ -369,26 +353,25 @@ def _localize(grid: GridHierarchy, A, AD, C, rows, k: int,
         V[e0 + own, :, own * k + np.arange(k)] += Y[e0:e1, :, nb:].transpose(0, 2, 1)
         R[maps.interior, c0:c1] = V[:, :nI]
         R[maps.skeleton, c0:c1] = XS[:, c0:c1]
-        mu = np.empty((C.shape[0], c1 - c0))
-        mu[rows] = V[:, nI:]
+        mu = V[:, nI:].reshape(ne * m, -1)
         G = np.zeros_like(mu)
         inside = np.zeros((grid.n_dofs, c1 - c0))
         diag_max = np.empty(c1 - c0)
         for e in range(e0, e1):
             cols = slice(e * k - c0, (e + 1) * k - c0)
-            G[rows[e], cols] = unit
+            G[e * m:(e + 1) * m, cols] = unit
             inside[maps.patch_dofs[e], cols] = 1.0
             diag_max[cols] = diag[maps.patch_dofs[e]].max()
         X = R[:, c0:c1]
         # Rows of the elements in each column's patch, equilibrated on the
         # patch.  X vanishes outside its patch, so global products equal
         # the patch ones.
-        prow = maps.in_patch[col_elem[c0:c1]][:, row_elem].T
+        prow = np.repeat(maps.in_patch[col_elem[c0:c1]], m, axis=1).T
         pn = np.sqrt(C2 @ inside)
         Gs = np.divide(G, pn, out=np.zeros_like(G), where=prow)
         res = np.linalg.norm(np.divide(C @ X, pn, out=np.zeros_like(G),
                                        where=prow) - Gs, axis=0)
-        lam = np.where(prow, mu / norms[:, None], 0.0)
+        lam = np.where(prow, mu / norms.reshape(-1, 1), 0.0)
         res2 = np.linalg.norm(np.where(inside > 0, A @ X + C.T @ lam, 0.0),
                               axis=0)
         scale = np.maximum(np.linalg.norm(Gs, axis=0), 1.0)
@@ -442,40 +425,36 @@ def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
     return XS
 
 
-def _condense(maps: IndexMaps, A, AD, Cs, rows, k: int, norms, bpos):
+def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
     interior DOFs I and multipliers are coupled to the rest only through its
     boundary skeleton B, by W_e = [[A_IB], [C_eB]], and are eliminated
     through its saddle block K_e = [[A_II, C_eI^T], [C_eI, 0]].  A's element
-    blocks are ``AD`` (see :class:`AuxSpace`); those of the equilibrated
-    constraints ``Cs`` are gathered in one go.  g_e holds the unit targets
-    of the last k of the element's rows (see :func:`_localize`), divided by
-    those rows' norms.  A stacked :func:`linalg.kkt_solve` per
-    SOLVE_ELEMENTS elements solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
+    blocks are ``AD`` (see :class:`AuxSpace`), the equilibrated constraint
+    rows ``CD`` the (ne, m, closure) table in the same columns.  g_e holds
+    the unit targets of the last k of the element's rows (see
+    :func:`_localize`), divided by those rows' ``norms``.  One stacked
+    :func:`linalg.kkt_solve` solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
     its backward-error contract, a failure naming the element.
 
     Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e (one
     :func:`assembly._scatter`, ``bpos`` -1 at a boundary node without a DOF),
     the element tables [Y_e | Z_e] as solved, and the stack of W_e^T Z_e.
     """
-    interior, boundary, skel = maps.interior, maps.boundary, maps.skeleton
-    (ne, nI), nb = interior.shape, bpos.shape[1]
-    CD = _blocks(Cs, rows, np.hstack([interior, boundary]))
-    m = rows.shape[1]
-    g = np.eye(m, k, k - m) / norms[rows][:, :, None]
+    skel = maps.skeleton
+    (ne, nI), nb = maps.interior.shape, bpos.shape[1]
+    m = CD.shape[1]
+    g = np.eye(m, k, k - m) / norms[:, :, None]
     W = np.concatenate([AD[:, :, nI:], CD[:, :, nI:]], axis=1)
     rhs = np.concatenate([W, np.concatenate([np.zeros((ne, nI, k)), g],
                                             axis=1)], axis=2)
-    Y = np.empty_like(rhs)
-    for e0 in range(0, ne, SOLVE_ELEMENTS):
-        at = slice(e0, e0 + SOLVE_ELEMENTS)
-        try:
-            Y[at, :nI], Y[at, nI:] = kkt_solve(AD[at, :, :nI], CD[at, :, :nI],
-                                               rhs[at, :nI], rhs[at, nI:])
-        except SolveError as exc:
-            raise SolveError(f"on element {e0 + exc.block}: {exc.reason}") from exc
+    try:
+        Y = np.concatenate(kkt_solve(AD[:, :, :nI], CD[:, :, :nI],
+                                     rhs[:, :nI], rhs[:, nI:]), axis=1)
+    except SolveError as exc:
+        raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
     WtY = _transposed_products(W, Y)
     ns = len(skel)
     S = (A[skel][:, skel] + assembly._scatter(

@@ -261,7 +261,7 @@ def test_criterion_09_basis_contracts(desk):
     b1, b2 = desk.cs.basis1, desk.cs.basis2
     # first-space basis: unit s-moments against every auxiliary function
     G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
-    r_cem = float(np.max(np.abs(G1 - np.eye(aux1.total))))
+    r_cem = float(np.max(np.abs(G1 - np.eye(aux1.vectors.shape[1]))))
     # second-space basis: s-orthogonality to the first auxiliary space
     r_orth = float(np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))))
     # second-space basis: L2 moments equal those of the target eigenfunctions

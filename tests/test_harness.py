@@ -292,6 +292,13 @@ def test_config_json_round_trip(tmp_path):
     assert back == cfg
 
 
+def test_config_json_rejects_unknown_keys(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"alpha": 0.5, "dtt": 1e-3, "colour": "red"}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['colour', 'dtt'\]"):
+        ExperimentConfig.from_json(p)
+
+
 def test_config_rejects_bad_time_grid():
     with pytest.raises(ValueError):
         ExperimentConfig(T=0.01, dt=3e-5)
@@ -615,6 +622,22 @@ def test_cli_stability(tmp_path, capsys):
 def test_cli_experiment_rejects_bad_number():
     with pytest.raises(SystemExit):
         cli.main(["experiment", "5"])
+
+
+def test_cli_config_errors_are_usage_errors(tmp_path, capsys):
+    """An invalid config, from flags or from a file, ends in one usage error
+    line naming the field and exit status 2, not a traceback."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"alpha": 0.5, "dtt": 1e-3}))
+    for argv, message in ((["experiment", "1", "--alpha", "1.5"],
+                           "alpha must be a real in (0, 1), got 1.5"),
+                          (["solve", "--config", str(p)],
+                           "unknown config keys ['dtt']")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("tfms: error: ") and err[-1].endswith(message)
 
 
 def test_cli_requires_command():

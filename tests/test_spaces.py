@@ -97,7 +97,7 @@ def test_cem_constraint_gram_identity():
     g, fld, _, aux1 = setup_spaces()
     b1 = cem_basis(g, fld, aux1, 2)
     G = aux1.vectors.T @ (aux1.weight @ b1.R)     # s-moments of each basis column
-    expect = np.eye(aux1.total)
+    expect = np.eye(aux1.vectors.shape[1])
     assert np.max(np.abs(G - expect)) <= 1e-8
 
 
@@ -136,7 +136,7 @@ def test_cem_energy_decay_to_global():
 def test_v2_aux_in_pi_kernel():
     g, fld, _, aux1 = setup_spaces()
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
-    for j in range(aux2.total):
+    for j in range(aux2.vectors.shape[1]):
         xi = aux2.vectors[:, j].toarray().ravel()
         coef = aux1.vectors.T @ (aux1.weight @ xi)
         assert np.max(np.abs(coef)) <= 1e-9
@@ -210,15 +210,20 @@ def test_v2_nearly_a_orthogonal_to_cem():
 
 # ------------------------------------------------------------ patch solves
 
+def _columns(aux):
+    """(n_elements, k) table of each element's column ids in ``aux.vectors``."""
+    return np.arange(aux.vectors.shape[1]).reshape(len(aux.values), -1)
+
+
 def _cem_patch_system(g, fld, aux1, i, layers):
     """Stiffness, constraints and target moments of element i's CEM patch."""
     A = assembly.assemble(g, fld, "stiffness")
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
-    acols = aux1.columns[elements].ravel()
+    acols = _columns(aux1)[elements].ravel()
     SPsi = (aux1.weight @ aux1.vectors).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
-    own = np.flatnonzero(np.isin(acols, aux1.columns[i]))
+    own = np.flatnonzero(np.isin(acols, _columns(aux1)[i]))
     G = (aux1.vectors[:, acols].T @ SPsi[:, acols[own]]).toarray()
     return A[dofs][:, dofs], C, G
 
@@ -228,10 +233,10 @@ def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     A = assembly.assemble(g, fld, "stiffness")
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
-    a1, a2 = aux1.columns[elements].ravel(), aux2.columns[elements].ravel()
+    a1, a2 = _columns(aux1)[elements].ravel(), _columns(aux2)[elements].ravel()
     MXi = (aux2.weight @ aux2.vectors).tocsc()
     C = sp.vstack([(aux1.weight @ aux1.vectors)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
-    own = np.flatnonzero(np.isin(a2, aux2.columns[i]))
+    own = np.flatnonzero(np.isin(a2, _columns(aux2)[i]))
     G2 = (aux2.vectors[:, a2].T @ MXi[:, a2[own]]).toarray()
     G = np.vstack([np.zeros((len(a1), len(own))), G2])
     return A[dofs][:, dofs], C, G
@@ -383,7 +388,7 @@ def test_table_lift_matches_the_sparse_lift(monkeypatch, case):
     monkeypatch.setattr(spaces, "_patch_solves",
                         lambda *a: skeletons.append(patch_solves(*a)) or skeletons[-1])
     monkeypatch.setattr(spaces, "_localize",
-                        lambda *a: lifted.append((localize(*a), a[5])) or lifted[-1][0])
+                        lambda *a: lifted.append((localize(*a), a[4])) or lifted[-1][0])
     build_spaces(g, fld, L, J, layers)
     assert len(lifted) == 2
     maps = g.index_maps(layers)
@@ -394,20 +399,27 @@ def test_table_lift_matches_the_sparse_lift(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["5x5", "sweep-1e6"])
 def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
-    """Each space's moment table is bit-equal to the product of the element
-    blocks of its eigenvectors and its weight gathered from the sparse
-    matrices."""
+    """Each space's moment table: its interior columns are bit-equal to the
+    product of the element blocks of its eigenvectors and its weight
+    gathered from the sparse matrices, and the whole table agrees within
+    1e-14 relative with the rows of (weight @ vectors)^T gathered on each
+    element's closure (zero at a boundary node without a DOF)."""
     if case == "5x5":
         g = t.build_grids(5, 4)
         fld = channel_field(g)
     else:
         g, fld = sweep_grid, assembly.PermeabilityField(sweep_fields[2])
     cs = build_spaces(g, fld, 3, 2, 1)
-    interior = g.index_maps(0).interior
+    maps = g.index_maps(0)
+    interior, ni = maps.interior, maps.interior.shape[1]
+    closure = np.hstack([interior, maps.boundary])
     for aux in (cs.aux1, cs.aux2):
-        V = spaces._blocks(aux.vectors.T, aux.columns, interior)
+        V = spaces._blocks(aux.vectors.T, _columns(aux), interior)
         W = spaces._blocks(aux.weight, interior, interior)
-        assert np.array_equal(aux.moments, V @ W)
+        assert np.array_equal(aux.moments[:, :, :ni], V @ W)
+        rows = spaces._blocks((aux.weight @ aux.vectors).T, _columns(aux), closure)
+        assert aux.moments.shape == rows.shape
+        assert np.max(np.abs(aux.moments - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 
 def _assert_kernels_match_null_space(C):
@@ -446,12 +458,14 @@ def test_rank_deficient_moment_rows_name_their_element():
 
 
 def test_zero_constraint_row_names_element():
+    """The second moment row of element 4 is zeroed: the error names the
+    element and the row's index within it."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
-    keep = np.ones(aux1.total)
-    keep[0] = 0.0                      # first aux function of element 0
-    aux1 = dataclasses.replace(aux1, vectors=(aux1.vectors @ sp.diags(keep)).tocsc())
-    with pytest.raises(SolveError,
-                       match="CEM basis solve failed on element 0: zero constraint row"):
+    moments = aux1.moments.copy()
+    moments[4, 1] = 0.0
+    aux1 = dataclasses.replace(aux1, moments=moments)
+    with pytest.raises(SolveError, match="CEM basis solve failed on element 4: "
+                       "zero constraint row 1$"):
         cem_basis(g, fld, aux1, 1)
 
 
@@ -503,13 +517,13 @@ def test_indefinite_patch_system_names_element(monkeypatch):
 
 
 def test_singular_element_block_names_element_and_constraint():
-    """Element 4's first aux function is overwritten by its second, so the
-    LU of its saddle block meets an exactly zero pivot: the element solve
-    names element 4 and the dependent constraint."""
+    """Element 4's first moment row is overwritten by its second, so its
+    constraint block is rank deficient: the element solve names element 4
+    and the dependent constraint."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
-    V = aux1.vectors.tolil()
-    V[:, 8] = V[:, 9]
-    aux1 = dataclasses.replace(aux1, vectors=V.tocsc())
+    moments = aux1.moments.copy()
+    moments[4, 0] = moments[4, 1]
+    aux1 = dataclasses.replace(aux1, moments=moments)
     with pytest.raises(SolveError, match="CEM basis solve failed on element 4: "
                        "constraint matrix is rank deficient .rank 1 of 2.; "
                        "first dependent constraint index 1"):
@@ -520,34 +534,27 @@ def _cem_localize_inputs():
     """``_localize`` arguments of the CEM basis on a 3x3 coarse grid, both
     of each element's rows targeted."""
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
-    SPsi = (aux1.weight @ aux1.vectors).tocsc()
-    rows = np.arange(aux1.total).reshape(g.coarse_n ** 2, -1)
-    return g, aux1.A, aux1.A_blocks, SPsi.T.tocsr(), rows, rows.shape[1]
+    return g, aux1.A, aux1.A_blocks, aux1.moments.copy(), aux1.moments.shape[1]
 
 
 def test_localize_rejects_inconsistent_targets():
     """Element 4's first row twice, with unit targets 1 and 0 on the first
     copy and 0 and 1 on the second."""
-    g, A, AD, C, rows, k = _cem_localize_inputs()
-    first, second = rows[4]
-    order = np.arange(C.shape[0])
-    order[second] = first
+    g, A, AD, CT, k = _cem_localize_inputs()
+    CT[4, 1] = CT[4, 0]
     with pytest.raises(SolveError, match="element 4"):
-        spaces._localize(g, A, AD, C[order], rows, k, 1)
+        spaces._localize(g, A, AD, CT, k, 1)
 
 
-def test_localize_names_a_near_duplicate_constraint_row(monkeypatch):
+def test_localize_names_a_near_duplicate_constraint_row():
     """Element 4's second row is its first up to a relative 1e-13, with
-    another unit target: the element solve names element 4 and the row,
-    also when element 4 is block 1 of the second stack of three elements."""
-    monkeypatch.setattr(spaces, "SOLVE_ELEMENTS", 3)
-    g, A, AD, C, rows, k = _cem_localize_inputs()
-    first, second = rows[4]
-    C = C.tolil()
-    C[second] = C[first] * (1.0 + 1e-13)
+    another unit target: the one stacked element solve names element 4 and
+    the row."""
+    g, A, AD, CT, k = _cem_localize_inputs()
+    CT[4, 1] = CT[4, 0] * (1.0 + 1e-13)
     with pytest.raises(SolveError, match="on element 4: constraint matrix is rank "
                        "deficient .rank 1 of 2.; first dependent constraint index 1"):
-        spaces._localize(g, A, AD, C.tocsr(), rows, k, 1)
+        spaces._localize(g, A, AD, CT, k, 1)
 
 
 def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
@@ -564,15 +571,6 @@ def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
     cs = build_spaces(g, channel_field(g), 2, 1, 1)
     assert sum(X is cs.A for X in gathered) == 1
     assert cs.aux1.A_blocks is cs.aux2.A_blocks
-
-
-def test_condensation_chunks_leave_the_bases_unchanged(monkeypatch):
-    g = t.build_grids(3, 4)
-    fld = channel_field(g)
-    whole = build_spaces(g, fld, 2, 1, 1).combined.R
-    monkeypatch.setattr(spaces, "SOLVE_ELEMENTS", 2)
-    chunked = build_spaces(g, fld, 2, 1, 1).combined.R
-    assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 @settings(max_examples=8, deadline=None)
@@ -605,9 +603,9 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
     # must be orthonormal in its weight.
     for aux in (aux1, aux2):
         gram = (aux.vectors.T @ (aux.weight @ aux.vectors)).toarray()
-        assert np.max(np.abs(gram - np.eye(aux.total))) <= 1e-12
+        assert np.max(np.abs(gram - np.eye(aux.vectors.shape[1]))) <= 1e-12
     G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
-    assert np.max(np.abs(G1 - np.eye(aux1.total))) <= 1e-9
+    assert np.max(np.abs(G1 - np.eye(aux1.vectors.shape[1]))) <= 1e-9
     assert np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))) <= 1e-9
     G2 = aux2.vectors.T @ (aux2.weight @ b2.R)
     XtMX = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
