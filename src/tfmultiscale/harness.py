@@ -91,8 +91,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        """The config held by the JSON object in ``path``; a file that cannot
+        be read, is not JSON or holds no object raises ValueError naming it."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read the config ({exc.strerror})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON config ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a config must be a JSON object, "
+                             f"got {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")

@@ -4,12 +4,13 @@ solve called on every element, and the Gamma function.
 
 Sparse matrices are scipy CSR/CSC throughout.  :func:`_sparse_lu` factors
 the SPD fine-space systems in SuperLU's symmetric mode (minimum degree on
-A^T + A, diagonal pivots).  :func:`_banded_cholesky` factors an SPD patch
+A^T + A, diagonal pivots).  :func:`_banded_cholesky` solves an SPD patch
 skeleton system of the basis builders (see :mod:`spaces`) from its LAPACK
 lower band, with no permutation, by ``pbtrf``/``pbtrs`` called directly, as
 dense LU calls ``getrf``/``getrs``.  Element saddle solves and fine-space
 solves must pass one residual contract, a normwise backward error
-(:func:`_check_backward_error`).
+(:func:`_check_backward_error`); the patch solutions are checked by their
+basis builder on the full patch saddle systems.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ def _sparse_lu(K):
         raise SolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def _banded_cholesky(band):
-    """Solve function of the SPD matrix K whose LAPACK lower band is the
-    (width, n) ``band`` (row d holds K[j + d, j]), by ``pbtrf``/``pbtrs`` in
-    K's own order; SolveError names the first non-positive leading minor."""
+def _banded_cholesky(band, b):
+    """Solution of K x = b for the SPD matrix K whose LAPACK lower band is
+    the (width, n) ``band`` (row d holds K[j + d, j]), by one ``pbtrf`` and
+    one ``pbtrs`` in K's own order; SolveError names the first non-positive
+    leading minor."""
     cb, info = dpbtrf(band, lower=1)
     if info > 0:
         raise SolveError(f"not positive definite (leading minor {info} of {band.shape[1]})")
-    return lambda b: dpbtrs(cb, b, lower=1)[0]
+    return dpbtrs(cb, b, lower=1)[0]
 
 
 def _check_backward_error(Kx, norm_K, x, r):

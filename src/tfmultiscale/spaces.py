@@ -302,10 +302,10 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
 
     Constraint rows are equilibrated to unit norm (mass-type rows carry h^2
     factors) and condensed onto the coarse skeleton by :func:`_condense`.
-    Patch i then factors the skeleton operator S on its interior skeleton
-    (SPD) by banded Cholesky (a failure names the element), and solves its
-    right-hand sides as one block with one refinement step
-    (:func:`_patch_solves`).
+    Patch i then solves the skeleton operator S on its interior skeleton
+    (SPD) for its right-hand sides as one block, by one banded Cholesky
+    factorization and solve (:func:`_patch_solves`; a failure names the
+    element).
     A chunk of columns at a time, the skeleton solutions x_S of all patches
     are then lifted by the condensation's element tables, -Y_e x_S (x_S on
     e's boundary) plus Z_e in e's own columns, and every column's constraint
@@ -391,16 +391,15 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
 def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
     """Every patch's skeleton solutions, (n_skeleton, ne * k): the right-hand
     sides -W_i^T Z_i scattered once, then patch i's lower band on its
-    skeleton sk read from the rows of the canonical CSR S, factored by
-    :func:`linalg._banded_cholesky`, and refined once by the residual
-    (S @ x)[sk] (x zero off sk), bit-equal to the patch system's product."""
+    skeleton sk read from the rows of the canonical CSR S and solved once by
+    :func:`linalg._banded_cholesky`."""
     S.sum_duplicates()
     ns, ne = S.shape[0], len(maps.patch_skeleton)
     e, p = np.nonzero(maps.boundary_mask)
     XS = np.zeros((ns, ne * k))
     XS[maps.skeleton_pos[maps.boundary[e, p]][:, None],
        e[:, None] * k + np.arange(k)] = -WZ[e, p]
-    at_patch, x = np.full(ns, -1), np.zeros((ns, k))
+    at_patch = np.full(ns, -1)
     for i, sk in enumerate(maps.patch_skeleton):
         cols = slice(i * k, (i + 1) * k)
         rhs = XS[sk, cols]
@@ -416,12 +415,9 @@ def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
         band = np.zeros((int(d[low].max(initial=0)) + 1, len(sk)))
         band[d[low], c[low]] = S.data[at[low]]
         try:
-            solve = _banded_cholesky(band)
+            XS[sk, cols] = _banded_cholesky(band, rhs)
         except SolveError as exc:
             raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
-        x[sk] = solve(rhs)
-        XS[sk, cols] = x[sk] + solve(rhs - (S @ x)[sk])
-        x[sk] = 0.0
     return XS
 
 

@@ -640,6 +640,27 @@ def test_cli_config_errors_are_usage_errors(tmp_path, capsys):
         assert err[-1].startswith("tfms: error: ") and err[-1].endswith(message)
 
 
+@pytest.mark.parametrize("command", ["solve", "stability"])
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read the config (No such file or directory)"),
+    ("3", "a config must be a JSON object, got int"),
+    ("[1, 2]", "a config must be a JSON object, got list"),
+    ('{"alpha": ', "not a JSON config (Expecting value: line 1 column 11"),
+], ids=["missing", "number", "list", "malformed"])
+def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys, command,
+                                                content, message):
+    """A config file that is missing, not JSON or not a JSON object ends in
+    one usage error line naming the file, and exit status 2."""
+    p = tmp_path / "cfg.json"
+    if content is not None:
+        p.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"tfms: error: {p}: {message}")
+
+
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         cli.main([])

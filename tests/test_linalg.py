@@ -131,7 +131,7 @@ def test_banded_cholesky_solves_random_spd_bands(nrhs, seed, n, bw, holes):
     rng = np.random.default_rng(seed)
     K = random_band_spd(rng, n, bw, holes)
     r = rng.standard_normal((n, nrhs))
-    x = _banded_cholesky(lower_band(K, bw))(r)
+    x = _banded_cholesky(lower_band(K, bw), r)
     _check_backward_error(K @ x, np.abs(K).sum(axis=0).max(), x, r)
 
 
@@ -148,7 +148,7 @@ def test_banded_cholesky_rejects_indefinite_or_singular(data, singular, seed, n,
     K[p, p] = 0.0 if singular else -1.0
     with pytest.raises(SolveError, match=rf"not positive definite \(leading minor "
                                          rf"{p + 1} of {n}\)"):
-        _banded_cholesky(lower_band(K, bw))
+        _banded_cholesky(lower_band(K, bw), np.ones((n, 1)))
 
 
 # ------------------------------------------------------------- _eig_smallest

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
 from tfmultiscale import assembly, harness, spaces
-from tfmultiscale.linalg import SolveError, _banded_cholesky
+from tfmultiscale.linalg import (SolveError, _banded_cholesky,
+                                 _check_backward_error)
 from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
                                  v2_aux_spectral, v2_basis)
 
@@ -287,8 +288,8 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     aux1 = aux_spectral(g, fld, kt, cfg.L)
     centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2
     factored, condensed = [], []
-    monkeypatch.setattr(spaces, "_banded_cholesky",
-                        lambda band: factored.append(band) or _banded_cholesky(band))
+    monkeypatch.setattr(spaces, "_banded_cholesky", lambda band, b:
+                        factored.append(band) or _banded_cholesky(band, b))
     condense = spaces._condense
     monkeypatch.setattr(spaces, "_condense",
                         lambda *a: condensed.append(condense(*a)) or condensed[-1])
@@ -308,8 +309,7 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
 def _scipy_patch_solves(maps, S, WZ, k):
     """Oracle of ``spaces._patch_solves``: each patch system extracted by
     scipy's ``S[sk][:, sk]``, its lower band summed from its COO entries and
-    solved by scipy's ``cholesky_banded``/``cho_solve_banded``, with one
-    refinement step on the patch system's own product."""
+    solved once by scipy's ``cholesky_banded``/``cho_solve_banded``."""
     ns, ne = S.shape[0], len(maps.patch_skeleton)
     XS = np.zeros((ns, ne * k))
     S = S.tocsc()
@@ -320,16 +320,14 @@ def _scipy_patch_solves(maps, S, WZ, k):
         rhs = np.zeros((ns, k))
         rhs[maps.skeleton_pos[maps.boundary[i][valid]]] = -WZ[i][valid]
         rhs = rhs[sk]
-        SP = S[sk][:, sk]
-        K = SP.tocoo()
+        K = S[sk][:, sk].tocoo()
         n, d = K.shape[0], K.row - K.col.astype(np.int64)
         low, width = d >= 0, int(d.max(initial=0)) + 1
         band = np.bincount((d * n + K.col)[low], weights=K.data[low],
                            minlength=width * n).reshape(width, n)
         cb = sla.cholesky_banded(band, lower=True, check_finite=False)
-        xs = sla.cho_solve_banded((cb, True), rhs, check_finite=False)
-        xs += sla.cho_solve_banded((cb, True), rhs - SP @ xs, check_finite=False)
-        XS[sk, i * k:(i + 1) * k] = xs
+        XS[sk, i * k:(i + 1) * k] = sla.cho_solve_banded((cb, True), rhs,
+                                                         check_finite=False)
     return XS
 
 
@@ -348,6 +346,33 @@ def test_patch_solves_bit_equal_to_scipy_extraction(monkeypatch, kappa):
     built = build_spaces(sweep_grid, fld, 3, 3, 2).combined.R
     monkeypatch.setattr(spaces, "_patch_solves", _scipy_patch_solves)
     assert np.array_equal(built, build_spaces(sweep_grid, fld, 3, 3, 2).combined.R)
+
+
+def _from_lower_band(band):
+    """The dense symmetric matrix whose LAPACK lower band is ``band``."""
+    n = band.shape[1]
+    K = sum(np.diag(band[d, :n - d], -d) for d in range(len(band)))
+    return K + np.tril(K, -1).T
+
+
+@pytest.mark.parametrize("kappa", [sweep_fields[2], sweep_fields[3]],
+                         ids=["1e6", "lognormal"])
+def test_patch_solves_are_backward_stable(monkeypatch, kappa):
+    """Both bases on the contrast-sweep grid (geometry 2 at 1e6, and a
+    log-normal field): every patch system's one-shot solution has a
+    normwise backward error within BACKWARD_TOL on its own band system."""
+    solved = []
+
+    def solve(band, b):
+        solved.append((band, b, _banded_cholesky(band, b)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(spaces, "_banded_cholesky", solve)
+    build_spaces(sweep_grid, assembly.PermeabilityField(kappa), 3, 3, 2)
+    assert len(solved) == 2 * sweep_grid.coarse_n ** 2
+    for band, b, x in solved:
+        K = _from_lower_band(band)
+        _check_backward_error(K @ x, np.abs(K).sum(axis=0).max(), x, b)
 
 
 def _sparse_lift(maps, n_dofs, Y, XS, k):
@@ -472,10 +497,10 @@ def test_zero_constraint_row_names_element():
 def test_residual_failure_names_element(monkeypatch):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     aux2 = v2_aux_spectral(g, fld, aux1, 1)
-    # A factorization of 2K leaves a residual that one refinement step
-    # cannot remove, so the residual check must reject the first patch.
+    # Solving 2K halves every skeleton solution, so the residual check must
+    # reject the first patch.
     monkeypatch.setattr(spaces, "_banded_cholesky",
-                        lambda K: _banded_cholesky(2.0 * K))
+                        lambda band, b: _banded_cholesky(2.0 * band, b))
     with pytest.raises(SolveError,
                        match="V2 basis solve failed on element 0: column 0"):
         v2_basis(g, fld, aux1, aux2, 1)
@@ -487,9 +512,9 @@ def test_residual_failure_names_its_own_patch(monkeypatch):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     factored = []
 
-    def chol(K):
-        factored.append(K)
-        return _banded_cholesky(2.0 * K if len(factored) == 5 else K)
+    def chol(band, b):
+        factored.append(band)
+        return _banded_cholesky(2.0 * band if len(factored) == 5 else band, b)
 
     monkeypatch.setattr(spaces, "_banded_cholesky", chol)
     with pytest.raises(SolveError,
@@ -504,9 +529,9 @@ def test_indefinite_patch_system_names_element(monkeypatch):
     g, fld, _, aux1 = setup_spaces(coarse_n=3, refine=4, L=2)
     factored = []
 
-    def chol(K):
-        factored.append(K)
-        return _banded_cholesky(-K if len(factored) == 5 else K)
+    def chol(band, b):
+        factored.append(band)
+        return _banded_cholesky(-band if len(factored) == 5 else band, b)
 
     monkeypatch.setattr(spaces, "_banded_cholesky", chol)
     with pytest.raises(SolveError, match=r"CEM basis solve failed on element 4: "
