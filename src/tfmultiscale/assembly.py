@@ -217,10 +217,8 @@ def write_raster(path, nx: int, ny: int, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float).ravel()
     if len(values) != nx * ny:
         raise ValueError(f"expected {nx * ny} values, got {len(values)}")
-    with open(path, "w") as fh:
-        fh.write(f"{nx} {ny}\n")
-        for row in values.reshape(ny, nx):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, values.reshape(ny, nx), fmt="%.17g", header=f"{nx} {ny}",
+               comments="")
 
 
 def read_raster(path):

@@ -10,6 +10,7 @@ import math
 import numbers
 import os
 import pathlib
+import sys
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from importlib import resources
 
@@ -23,6 +24,7 @@ from .schemes import (ReducedSystem, Trajectory, fine_reference, reduce,
                       run_scheme)
 
 ALL_SCHEMES = ("fine", "cem", "tildeU", "scem")
+_DEFAULT_RASTER = "kappa_test1.txt"
 
 
 @dataclass
@@ -42,26 +44,22 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for name in ("T", "dt", "dt_fine"):
-            value = getattr(self, name)
-            if not _is_finite_positive(value):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        _check_spec("field", self.field)
-        _check_spec("forcing", self.forcing)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _KINDS:
+                _check_spec(f.name, value)
+            else:
+                _check_value(f.name, value)
+        for name in _COUNTS:
+            setattr(self, name, int(getattr(self, name)))
+        self.schemes = tuple(self.schemes)
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-9 * max(n, 1):
             raise ValueError("dt must divide T")
         m = self.dt / self.dt_fine
         if abs(m - round(m)) > 1e-9 * max(m, 1):
             raise ValueError("dt_fine must divide dt")
-        for name, least in (("coarse_n", 2), ("refine", 2), ("layers", 0),
-                            ("L", 1), ("J", 1)):
-            value = getattr(self, name)
-            if not (_is_number(value) and float(value).is_integer()
-                    and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            setattr(self, name, int(value))
-        raster, nf = _field_raster(self.field), self.coarse_n * self.refine
+        raster, nf = _field_raster(**self.field), self.coarse_n * self.refine
         if raster is not None:
             with raster.open() as fh:
                 size = fh.readline().split()
@@ -74,12 +72,6 @@ class ExperimentConfig:
                 f"L + J = {self.L + self.J} local eigenpairs exceed the "
                 f"{(self.refine - 1) ** 2} interior DOFs of a coarse element "
                 f"at refine={self.refine}")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be a real in (0, 1), got {self.alpha!r}")
-        unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
-        if unknown:
-            raise ValueError(f"schemes: unknown {unknown}, expected names from "
-                             f"{ALL_SCHEMES}")
 
     @property
     def n_steps(self) -> int:
@@ -106,14 +98,11 @@ class ExperimentConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
-        data["schemes"] = tuple(data.get("schemes", ALL_SCHEMES))
         return cls(**data)
 
     def to_json(self, path) -> None:
-        data = asdict(self)
-        data["schemes"] = list(self.schemes)
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2, default=os.fspath)
             fh.write("\n")
 
 
@@ -133,14 +122,6 @@ def _is_number(v, kind=numbers.Real) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
-def _is_finite_positive(v) -> bool:
-    return _is_number(v) and math.isfinite(v) and v > 0
-
-
-def _is_count(v) -> bool:
-    return _is_number(v, numbers.Integral) and v >= 0
-
-
 def _is_pair(v) -> bool:
     return (isinstance(v, (list, tuple)) and len(v) == 2
             and all(_is_number(x) and math.isfinite(x) for x in v))
@@ -156,12 +137,28 @@ def _is_raster(v) -> bool:
                         for x in np.asarray(v, dtype=object).flat))
 
 
-# Per key of a field or forcing spec, what its value must be.
+# What each value must be, per config field and per key of a field or
+# forcing spec; the specs themselves are checked by _check_spec.  A count of
+# the config (_COUNTS gives its least value) may be a float with an integral
+# value, as JSON written by other tools may carry, and is stored as an int.
+# An int too large for a float is not finite.
+_COUNTS = {"coarse_n": 2, "refine": 2, "layers": 0, "L": 1, "J": 1}
+_FINITE_POSITIVE = ("finite and positive",
+                    lambda v: _is_number(v) and 0 < v <= sys.float_info.max)
+_COUNT = ("a non-negative integer", lambda v: _is_number(v, numbers.Integral) and v >= 0)
 _VALUES = {
-    "contrast": ("finite and positive", _is_finite_positive),
-    "seed": ("a non-negative integer", _is_count),
-    "n_channels": ("a non-negative integer", _is_count),
-    "n_inclusions": ("a non-negative integer", _is_count),
+    "alpha": ("a real in (0, 1)", lambda v: _is_number(v) and 0.0 < v < 1.0),
+    "T": _FINITE_POSITIVE, "dt": _FINITE_POSITIVE, "dt_fine": _FINITE_POSITIVE,
+    **{name: (f"an integer >= {least}", lambda v, least=least: (
+        _is_number(v, numbers.Integral) or _is_number(v) and float(v).is_integer())
+        and v >= least) for name, least in _COUNTS.items()},
+    "schemes": (f"a list or tuple of names from {ALL_SCHEMES}", lambda v:
+                isinstance(v, (list, tuple))
+                and all(isinstance(s, str) and s in ALL_SCHEMES for s in v)),
+    "out_dir": ("a non-empty str or os.PathLike", lambda v:
+                isinstance(v, (str, os.PathLike)) and len(os.fspath(v)) > 0),
+    "contrast": _FINITE_POSITIVE,
+    "seed": _COUNT, "n_channels": _COUNT, "n_inclusions": _COUNT,
     "path": ("an existing file", lambda v: isinstance(v, (str, os.PathLike))
              and os.path.isfile(v)),
     "name": ("a bundled raster", lambda v: isinstance(v, str)
@@ -170,6 +167,12 @@ _VALUES = {
     "levels": ("a pair of finite reals", _is_pair),
     "values": ("a non-empty square raster of finite values", _is_raster),
 }
+
+
+def _check_value(key: str, value, prefix: str = "") -> None:
+    what, ok = _VALUES[key]
+    if not ok(value):
+        raise ValueError(f"{prefix}{key} must be {what}, got {value!r}")
 
 
 def _check_spec(name: str, spec) -> None:
@@ -183,19 +186,30 @@ def _check_spec(name: str, spec) -> None:
         raise ValueError(f"{name}: kind {kind!r} takes the keys {sorted(accepted)}"
                          f"{' (required)' * (kind in _REQUIRED)}, got {sorted(keys)}")
     for key in sorted(keys):
-        what, ok = _VALUES[key]
-        if not ok(spec[key]):
-            raise ValueError(f"{name} {key} must be {what}, got {spec[key]!r}")
+        _check_value(key, spec[key], f"{name} ")
 
 
-def gen_field(kind: str, nx: int = 100, ny: int = 100, contrast: float = 1e5,
-              seed: int = 0, path=None, n_channels: int = 4,
-              n_inclusions: int = 12) -> PermeabilityField:
-    """Binary permeability fields: background 1, features at ``contrast``."""
+def _field_raster(kind: str = "channels", path=None,
+                  name: str = _DEFAULT_RASTER, **_):
+    """The raster file of a file or bundled field spec, else None."""
     if kind == "file":
-        rnx, rny, values = read_raster(path)
+        return pathlib.Path(path)
+    if kind == "bundled":
+        return resources.files("tfmultiscale.data") / name
+
+
+def gen_field(kind: str = "channels", nx: int = 100, ny: int = 100,
+              contrast: float = 1e5, seed: int = 0, path=None,
+              name: str = _DEFAULT_RASTER, n_channels: int = 4,
+              n_inclusions: int = 12) -> PermeabilityField:
+    """A field spec's permeability on an ``nx`` x ``ny`` grid: a raster (file,
+    bundled) or binary, background 1 and features at ``contrast``."""
+    raster = _field_raster(kind, path, name)
+    if raster is not None:
+        with resources.as_file(raster) as p:
+            rnx, rny, values = read_raster(p)
         if (rnx, rny) != (nx, ny):
-            raise ValueError(f"{path}: the raster is {rnx} x {rny}, expected {nx} x {ny}")
+            raise ValueError(f"{raster}: the raster is {rnx} x {rny}, expected {nx} x {ny}")
         return PermeabilityField(values=values)
     if kind == "channels":
         mask = channel_geometry(nx, ny, seed=seed, n_channels=n_channels,
@@ -241,7 +255,7 @@ def channel_geometry(nx: int, ny: int, seed: int = 0, n_channels: int = 4,
     return mask
 
 
-def gen_forcing(kind: str, values=None, square=(0.3, 0.7), levels=(0.0, 1.0)):
+def gen_forcing(kind: str = "smooth", values=None, square=(0.3, 0.7), levels=(0.0, 1.0)):
     """Forcing callables f(x, y, t), none of which depends on t, so a run
     builds its load once.
 
@@ -333,30 +347,6 @@ class ExperimentResult:
     errors: dict
 
 
-def _field_raster(spec: dict):
-    """The raster file of a file or bundled field spec, else None."""
-    if spec.get("kind") == "file":
-        return pathlib.Path(spec["path"])
-    if spec.get("kind") == "bundled":
-        return resources.files("tfmultiscale.data") / spec.get("name", "kappa_test1.txt")
-
-
-def _field_from_config(cfg: ExperimentConfig) -> PermeabilityField:
-    raster, nf = _field_raster(cfg.field), cfg.coarse_n * cfg.refine
-    if raster is not None:
-        with resources.as_file(raster) as p:
-            return gen_field("file", nx=nf, ny=nf, path=str(p))
-    spec = dict(cfg.field)
-    kind = spec.pop("kind", "channels")
-    return gen_field(kind, nx=nf, ny=nf, **spec)
-
-
-def _forcing_from_config(cfg: ExperimentConfig):
-    spec = dict(cfg.forcing)
-    kind = spec.pop("kind", "smooth")
-    return gen_forcing(kind, **spec)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured scheme, write CSV/raster artifacts, return results.
 
@@ -366,9 +356,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     grid = build_grids(cfg.coarse_n, cfg.refine)
-    field_ = _field_from_config(cfg)
-    forcing = _forcing_from_config(cfg)
     nf = grid.n_fine
+    field_ = gen_field(nx=nf, ny=nf, **cfg.field)
+    forcing = gen_forcing(**cfg.forcing)
     write_raster(os.path.join(cfg.out_dir, "kappa.txt"), nf, nf, field_.values)
 
     cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
@@ -462,12 +452,8 @@ def experiment_config(number: int, alpha: float = 0.9,
     predicted (and observed) unstable.  Four oversampling layers are needed
     at contrast 1e5 for the localized basis to reach its accuracy plateau.
     """
-    if number == 1:
-        return ExperimentConfig(alpha=alpha, out_dir=out_dir, J=1, layers=4,
-                                field={"kind": "bundled", "name": "kappa_test1.txt"},
-                                forcing={"kind": "smooth"})
-    if number == 2:
-        return ExperimentConfig(alpha=alpha, out_dir=out_dir, J=1, layers=4,
-                                field={"kind": "bundled", "name": "kappa_test2.txt"},
-                                forcing={"kind": "discontinuous"})
-    raise ValueError("experiment number must be 1 or 2")
+    if number not in (1, 2):
+        raise ValueError("experiment number must be 1 or 2")
+    return ExperimentConfig(alpha=alpha, out_dir=out_dir, J=1, layers=4,
+                            field={"kind": "bundled", "name": f"kappa_test{number}.txt"},
+                            forcing={"kind": ("smooth", "discontinuous")[number - 1]})

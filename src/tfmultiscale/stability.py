@@ -177,7 +177,6 @@ def contrast_sweep(grid, geometry_mask: np.ndarray, contrasts, alpha: float,
 
 def sweep_to_csv(rows, path) -> None:
     cols = ["contrast", "lambda_full", "lambda_v2", "gamma", "dt_exp", "dt_partial"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[c]:.12g}" for c in cols) + "\n")
+    table = np.reshape([[row[c] for c in cols] for row in rows], (-1, len(cols)))
+    np.savetxt(path, table, fmt="%.12g", delimiter=",", header=",".join(cols),
+               comments="")

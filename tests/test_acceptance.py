@@ -190,7 +190,7 @@ def paper():
     dt/5, contrast 1e5, smooth forcing, alpha=0.9."""
     cfg = experiment_config(1)
     g = build_grids(cfg.coarse_n, cfg.refine)
-    fld = harness._field_from_config(cfg)
+    fld = harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
     forcing = gen_forcing("smooth")
     cs = spaces.build_spaces(g, fld, cfg.L, cfg.J, cfg.layers)
     A, M, basis1, both = cs.A, cs.M, cs.basis1, cs.combined

@@ -527,6 +527,23 @@ def test_raster_round_trip_exact_on_random_values(data, nx, ny):
     assert np.array_equal(back[2], vals)
 
 
+# Values at the edges of float formatting: signed zeros, subnormals, the
+# largest float, infinities, NaN and a value needing all 17 digits.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+               0.1, 1.0 / 3.0, 1e16]
+
+
+def test_raster_bytes_match_a_17_digit_format(tmp_path):
+    """write_raster writes what "{:.17g}" gives, value by value."""
+    vals = np.array(EDGE_VALUES)
+    p = tmp_path / "edge.txt"
+    write_raster(p, 4, 3, vals)
+    oracle = "4 3\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in vals.reshape(3, 4))
+    assert p.read_bytes() == oracle.encode()
+
+
 def test_raster_bad_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("4\n1 2 3 4\n")

@@ -1,7 +1,11 @@
 """Tests for the experiment harness: field/forcing generators, error
 series, configs, determinism, and the CLI entry points."""
 
+import dataclasses
 import json
+import os
+import tempfile
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfmultiscale import assembly, cli, harness, spaces
 from tfmultiscale.grid import build_grids
-from tfmultiscale.harness import (ExperimentConfig, _field_from_config,
+from tfmultiscale.harness import (ALL_SCHEMES, ExperimentConfig,
                                   channel_geometry, error_series,
                                   experiment_config, gen_field, gen_forcing,
                                   run_experiment)
@@ -290,6 +294,10 @@ def test_config_json_round_trip(tmp_path):
     cfg.to_json(p)
     back = ExperimentConfig.from_json(p)
     assert back == cfg
+    # An out_dir given as a path is written as its string.
+    dataclasses.replace(cfg, out_dir=tmp_path / "x").to_json(p)
+    assert ExperimentConfig.from_json(p) == dataclasses.replace(
+        cfg, out_dir=str(tmp_path / "x"))
 
 
 def test_config_json_rejects_unknown_keys(tmp_path):
@@ -344,6 +352,10 @@ def test_config_rejects_bad_time_grid():
     ("field", {"kind": "inclusions", "contrast": True}),
     ("forcing", {"kind": "discontinuous", "levels": (0.0, True)}),
     ("forcing", {"kind": "custom", "values": [True, False, 1.0, 0.5]}),
+    ("schemes", 3), ("out_dir", 3), ("out_dir", ""),
+    pytest.param("T", 10**400, id="T-int-too-large-for-a-float"),
+    pytest.param("field", {"kind": "channels", "contrast": 10**400},
+                 id="field-contrast-int-too-large-for-a-float"),
 ])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -383,13 +395,141 @@ def test_config_accepts_every_field_and_forcing_kind(tmp_path):
         assert ExperimentConfig(forcing=forcing).forcing == forcing
 
 
+def test_gen_field_and_gen_forcing_take_a_spec_as_it_is(tmp_path):
+    """A run passes its field and forcing specs to gen_field and gen_forcing
+    as they are.  A spec without a kind has the default one ("channels",
+    "smooth"), and a file or bundled raster is read unchanged: the fields
+    are bit-equal to their oracles, and so are the forcings at the fine
+    nodes of the default grid."""
+    nf = 100
+    path = tmp_path / "kappa.txt"
+    values = np.random.default_rng(0).uniform(1.0, 1e5, nf * nf)
+    assembly.write_raster(path, nf, nf, values)
+    data = resources.files("tfmultiscale.data")
+
+    def channels(contrast, **kw):
+        return np.where(channel_geometry(nf, nf, **kw).ravel(), contrast, 1.0)
+
+    for spec, oracle in (
+            ({"contrast": 10.0}, channels(10.0)),
+            ({"kind": "inclusions", "seed": 2, "n_inclusions": 3},
+             gen_field("inclusions", nf, nf, seed=2, n_inclusions=3).values),
+            ({"kind": "channels", "contrast": 1e3, "seed": 1, "n_channels": 2,
+              "n_inclusions": 5}, channels(1e3, seed=1, n_channels=2, n_inclusions=5)),
+            ({"kind": "file", "path": str(path)}, values),
+            ({"kind": "bundled"}, assembly.read_raster(data / "kappa_test1.txt")[2]),
+            ({"kind": "bundled", "name": "kappa_test2.txt"},
+             assembly.read_raster(data / "kappa_test2.txt")[2])):
+        cfg = ExperimentConfig(field=spec)
+        assert np.array_equal(gen_field(nx=nf, ny=nf, **cfg.field).values, oracle)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, nf + 1), np.linspace(0.0, 1.0, nf + 1))
+    for spec, oracle in (
+            ({}, gen_forcing("smooth")),
+            ({"kind": "discontinuous", "square": (0.2, 0.8), "levels": (0, 2)},
+             gen_forcing("discontinuous", square=(0.2, 0.8), levels=(0, 2))),
+            ({"kind": "custom", "values": [1.0, 2.0, 3.0, 4.0]},
+             gen_forcing("custom", values=[1.0, 2.0, 3.0, 4.0]))):
+        cfg = ExperimentConfig(forcing=spec)
+        assert np.array_equal(gen_forcing(**cfg.forcing)(x, y, 0.0), oracle(x, y, 0.0))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PAIR = st.lists(_FINITE, min_size=2, max_size=2)
+
+
+@st.composite
+def valid_configs(draw):
+    """The keyword arguments of a valid config, in JSON's types (lists, not
+    tuples), with a time grid whose steps divide one another."""
+    dt_fine = draw(st.floats(1e-8, 1.0))
+    dt = dt_fine * draw(st.integers(1, 5))
+    refine = draw(st.integers(3, 8))
+    L = draw(st.integers(1, (refine - 1) ** 2 - 1))
+    field = draw(st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["channels", "inclusions"]),
+        "contrast": st.floats(0.0, exclude_min=True, allow_infinity=False),
+        "seed": st.integers(0, 2**32), "n_channels": st.integers(0, 20),
+        "n_inclusions": st.integers(0, 20)}))
+    forcing = draw(st.one_of(
+        st.fixed_dictionaries({}, optional={"kind": st.just("smooth")}),
+        st.fixed_dictionaries({"kind": st.just("discontinuous")},
+                              optional={"square": _PAIR, "levels": _PAIR}),
+        st.fixed_dictionaries({"kind": st.just("custom"), "values": st.integers(1, 4).flatmap(
+            lambda side: st.lists(_FINITE, min_size=side ** 2, max_size=side ** 2))})))
+    return dict(alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                T=dt * draw(st.integers(1, 50)), dt=dt, dt_fine=dt_fine,
+                coarse_n=draw(st.integers(2, 12)), refine=refine,
+                layers=draw(st.integers(0, 4)), L=L,
+                J=draw(st.integers(1, (refine - 1) ** 2 - L)), field=field,
+                forcing=forcing, schemes=draw(st.lists(st.sampled_from(ALL_SCHEMES))),
+                out_dir=draw(st.text(min_size=1)))
+
+
+def _not_a_count(least):
+    return st.one_of(st.integers(max_value=least - 1),
+                     st.floats().filter(lambda v: not v.is_integer()),
+                     st.sampled_from([True, False, "3", None]))
+
+
+# Per config field, invalid values: wrong types, bools, NaN, out of range.
+_INVALID = {
+    "alpha": st.one_of(st.floats(min_value=1.0), st.floats(max_value=0.0),
+                       st.sampled_from([_NAN, True, False, "0.5", None])),
+    **{name: st.one_of(st.floats(max_value=0.0), st.integers(min_value=2**1024),
+                       st.sampled_from([_NAN, _INF, True, "1", None]))
+       for name in ("T", "dt", "dt_fine")},
+    **{name: _not_a_count(least) for name, least in (
+        ("coarse_n", 2), ("refine", 2), ("layers", 0), ("L", 1), ("J", 1))},
+    "field": st.one_of(
+        st.sampled_from(["channels", None, [], {"kind": "perlin"},
+                         {"kind": "file"}, {"kind": "channels", "nx": 7}]),
+        st.fixed_dictionaries({"contrast": st.one_of(
+            st.floats(max_value=0.0), st.sampled_from([_NAN, _INF, True, "1"]))}),
+        st.fixed_dictionaries({"kind": st.just("inclusions"),
+                               "seed": st.one_of(st.integers(max_value=-1), st.just(True))})),
+    "forcing": st.one_of(
+        st.sampled_from(["smooth", None, {"kind": "wavy"}, {"kind": "custom"},
+                         {"kind": "custom", "values": [1.0, 2.0, 3.0]}]),
+        st.fixed_dictionaries({"kind": st.just("discontinuous"), "levels": st.one_of(
+            st.lists(_FINITE, max_size=1), st.just([0.0, _NAN]), st.just([0.0, True]))})),
+    "schemes": st.one_of(st.integers(), st.text(), st.none(),
+                         st.lists(st.text().filter(lambda s: s not in ALL_SCHEMES), min_size=1),
+                         st.just(["fine", 3])),
+    "out_dir": st.one_of(st.just(""), st.integers(), st.floats(), st.none(), st.booleans(),
+                         st.just(b"out"), st.just(["out"])),
+}
+
+
+def test_every_config_field_has_invalid_values():
+    assert set(_INVALID) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kwargs=valid_configs())
+def test_a_valid_config_survives_json(kwargs):
+    cfg = ExperimentConfig(**kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        cfg.to_json(path)
+        assert ExperimentConfig.from_json(path) == cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kwargs=valid_configs(), field=st.sampled_from(sorted(_INVALID)))
+def test_an_invalid_value_is_rejected_naming_its_field(data, kwargs, field):
+    kwargs[field] = data.draw(_INVALID[field], label=field)
+    with pytest.raises(ValueError, match=rf"^{field}[ :]"):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_limits_local_eigenpairs_to_element_interior():
     """An element of refine 3 has 4 interior DOFs: L + J = 4 builds both
     spaces, L + J = 5 is rejected when the config is built."""
     cfg = ExperimentConfig(coarse_n=3, refine=3, L=3, J=1, layers=1)
     grid = build_grids(cfg.coarse_n, cfg.refine)
-    cs = spaces.build_spaces(grid, _field_from_config(cfg), cfg.L, cfg.J,
-                             cfg.layers)
+    fld = gen_field(nx=grid.n_fine, ny=grid.n_fine, **cfg.field)
+    cs = spaces.build_spaces(grid, fld, cfg.L, cfg.J, cfg.layers)
     assert cs.combined.n == grid.coarse_n ** 2 * 4
     with pytest.raises(ValueError, match="L \\+ J = 5 .*refine=3"):
         ExperimentConfig(coarse_n=3, refine=3, L=3, J=2)
@@ -533,7 +673,7 @@ def test_run_experiment_holds_each_basis_once(tmp_path, monkeypatch):
 def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
     cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
     grid = build_grids(cfg.coarse_n, cfg.refine)
-    forcing = harness._forcing_from_config(cfg)
+    forcing = gen_forcing(**cfg.forcing)
     for name, basis in (("cem", cs.basis1), ("tildeU", cs.combined),
                         ("scem", cs.combined)):
         F = runs[name][1]
@@ -659,6 +799,26 @@ def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys, command,
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith(f"tfms: error: {p}: {message}")
+
+
+@pytest.mark.parametrize("command", ["solve", "stability"])
+@pytest.mark.parametrize("field, value", [("schemes", 3), ("out_dir", 3), ("out_dir", "")])
+def test_cli_invalid_schemes_or_out_dir_is_a_usage_error(tmp_path, capsys, command,
+                                                         field, value):
+    """A config file whose schemes or out_dir has the wrong type, or whose
+    out_dir is empty, ends in one usage error line naming the field and exit
+    status 2, not in a traceback from the run."""
+    p, _ = _write_cfg(tmp_path)
+    data = json.loads(p.read_text())
+    data[field] = value
+    p.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("tfms: error: ")] == [err[-1]]
+    assert err[-1].startswith(f"tfms: error: {field} must be ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_command():

@@ -283,7 +283,7 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     operator S, so S's symmetry covers all of them."""
     cfg = harness.experiment_config(1)
     g = t.build_grids(cfg.coarse_n, cfg.refine)
-    fld = harness._field_from_config(cfg)
+    fld = harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
     kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
     aux1 = aux_spectral(g, fld, kt, cfg.L)
     centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2

@@ -323,6 +323,51 @@ def test_contrast_sweep_lambda_growth(tmp_path):
     assert len(lines) == 3
 
 
+# The eight symmetries of the square, acting on a (ny, nx) mask.
+SQUARE_SYMMETRIES = {
+    "identity": lambda m: m, "flip x": lambda m: m[:, ::-1],
+    "flip y": lambda m: m[::-1, :], "transpose": lambda m: m.T,
+    "anti-transpose": lambda m: m[::-1, ::-1].T, "rotate 90": np.rot90,
+    "rotate 180": lambda m: np.rot90(m, 2), "rotate 270": lambda m: np.rot90(m, 3),
+}
+
+
+@pytest.mark.parametrize("geometry", [0, 2, 7])
+def test_contrast_sweep_is_invariant_under_the_symmetries_of_the_square(geometry):
+    """Reflecting or rotating the field maps the problem onto itself, so
+    every symmetry leaves the sweep's rows unchanged up to round-off; a
+    wrong patch, skeleton or boundary index map breaks the symmetry.  On the
+    sweep grid (4x4 coarse, refine 6, two layers, alpha 0.9) geometries 0-9
+    agree to 1.1e-13 at contrast 1e2 and 1.6e-11 at 1e4.  At 1e6 they
+    differ by up to 9.8e-7, the local eigensolves' round-off (ROADMAP item 1), so
+    1e6 is not checked."""
+    g = t.build_grids(4, 6)
+    mask = harness.channel_geometry(g.n_fine, g.n_fine, seed=geometry)
+    keys = ("lambda_full", "lambda_v2", "gamma", "dt_partial")
+    sweeps = {name: contrast_sweep(g, sym(mask), [1e2, 1e4], 0.9, layers=2)
+              for name, sym in SQUARE_SYMMETRIES.items()}
+    for name, rows in sweeps.items():
+        for row, ref in zip(rows, sweeps["identity"]):
+            for key in keys:
+                assert row[key] == pytest.approx(ref[key], rel=1e-10, abs=0.0), (
+                    name, row["contrast"], key)
+
+
+def test_sweep_csv_bytes_match_a_12_digit_format(tmp_path):
+    """sweep_to_csv writes what "{:.12g}" gives, value by value, under the
+    header; no rows give the header alone."""
+    cols = ["contrast", "lambda_full", "lambda_v2", "gamma", "dt_exp", "dt_partial"]
+    edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+            float("inf"), float("-inf"), float("nan"), 0.1, 1.0 / 3.0, 1e16, 123456789012.5]
+    rows = [dict(zip(cols, edge[k:k + 6])) for k in (0, 6)]
+    for written in (rows, []):
+        out = tmp_path / "sweep.csv"
+        sweep_to_csv(written, out)
+        oracle = ",".join(cols) + "\n" + "".join(
+            ",".join(f"{row[c]:.12g}" for c in cols) + "\n" for row in written)
+        assert out.read_bytes() == oracle.encode()
+
+
 def test_contrast_sweep_rejects_nonpositive(monkeypatch):
     """Every contrast is checked before any space is built."""
     built = []
