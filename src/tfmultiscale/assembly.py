@@ -96,6 +96,11 @@ def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,
                     conn[:, None, :], (grid.n_nodes, grid.n_nodes)).tocsr()
 
 
+def _check_cells(grid: GridHierarchy, values) -> None:
+    if len(values) != grid.n_cells:
+        raise ValueError(f"field has {len(values)} cells, grid has {grid.n_cells}")
+
+
 def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     """Assemble a global matrix on interior DOFs.
 
@@ -114,8 +119,7 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
         ref = element_mass(h)
     else:
         raise ValueError(f"unknown weight kind {weight!r}")
-    if len(w) != grid.n_cells:
-        raise ValueError(f"field has {len(w)} cells, grid has {grid.n_cells}")
+    _check_cells(grid, w)
     K = _assemble_nodes(grid, w, ref)
     idx = grid.interior_nodes()
     return K[idx][:, idx].tocsr()
@@ -140,6 +144,7 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     solved on its own, and the backward errors are checked in one pass, a
     failure naming the element.
     """
+    _check_cells(grid, field.values)
     r = grid.refine
     n = (r + 1) ** 2                    # local nodes of one element, x fastest
     ly, lx = np.divmod(np.arange(n), r + 1)

@@ -341,7 +341,6 @@ def error_series(runs: dict, reference: Trajectory, A_fine, M_fine) -> dict:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     report: stability.StabilityReport
     trajectories: dict
     errors: dict
@@ -350,9 +349,10 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured scheme, write CSV/raster artifacts, return results.
 
-    Outputs in cfg.out_dir: per-scheme trajectory dumps and final-time
-    rasters, an error CSV over coarse time levels, the stability report, and
-    the permeability raster.  Instability is recorded as data, not a failure.
+    Outputs in cfg.out_dir: per-scheme trajectory dumps, final-time rasters
+    of every run that did not diverge, an error CSV over coarse time levels
+    (with the fine reference), the stability report, and the permeability
+    raster.  Instability is recorded as data, not a failure.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     grid = build_grids(cfg.coarse_n, cfg.refine)
@@ -362,12 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     write_raster(os.path.join(cfg.out_dir, "kappa.txt"), nf, nf, field_.values)
 
     cs = spaces.build_spaces(grid, field_, cfg.L, cfg.J, cfg.layers)
-    # Only the fine matrices and the bases are used from here on: dropping
-    # the auxiliary spaces and the element blocks they carry keeps them out
-    # of the run's peak memory (8 MB on experiment 1).  basis1 is a column
-    # view of combined.R, so every basis column is held once.
-    A, M, basis1, combined = cs.A, cs.M, cs.basis1, cs.combined
-    del cs
+    A, M, combined = cs.A, cs.M, cs.combined
     # The report, tildeU and scem share one reduction of the combined space.
     sys_both = reduce(A, M, combined)
     report = stability.build_report(sys_both, cfg.alpha)
@@ -379,9 +374,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trajectories["fine"] = fine_reference(
             grid, A, M, cfg.alpha, cfg.dt_fine, forcing, N * cfg.stride)
 
-    # cem's space is the leading block of the combined one, so its system
-    # and its loads are the leading blocks of the combined ones.
-    n1 = basis1.n
+    # cem's space is the leading block of the combined one: its basis is a
+    # column view, and its system and loads are the leading blocks.
+    n1 = combined.n1
+    basis1 = spaces.ReducedBasis(R=combined.R[:, :n1], n1=n1)
     sys_cem = ReducedSystem(M=sys_both.M[:n1, :n1].copy(),
                             A=sys_both.A[:n1, :n1].copy(), n1=n1)
     runs = {name: run for name, run in (
@@ -407,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             replace(traj, dt=cfg.dt, states=traj.states[::cfg.stride]).save(path)
             continue
         traj.save(path)
-        if name in errors:
+        if not traj.diverged:
             final = runs[name][1].R @ traj.states[-1]
             _write_solution_raster(grid, final,
                                    os.path.join(cfg.out_dir, f"final_{name}.txt"))
@@ -416,8 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                os.path.join(cfg.out_dir, "final_fine.txt"))
         _write_error_csv(cfg, errors, os.path.join(cfg.out_dir, "errors.csv"))
 
-    return ExperimentResult(config=cfg, report=report,
-                            trajectories=trajectories, errors=errors)
+    return ExperimentResult(report, trajectories, errors)
 
 
 def _write_solution_raster(grid, dof_values, path) -> None:

@@ -7,10 +7,12 @@ kernel of the projection Pi and is built from L2-normalized eigenfunctions
 of the constrained local problem, localized by doubly-constrained
 minimizations.
 
-Both spaces are built by :func:`build_spaces` and nowhere else.  The two
-spectral problems share one element loop, :func:`_local_eigs`; each
-:class:`AuxSpace` carries the matrices it was solved with (every fine matrix
-is assembled once) and its moment table, the one form of its constraint rows.
+Both spaces are built by :func:`build_spaces` and nowhere else; it returns
+what the online phase reads, the fine stiffness and mass and the combined
+basis.  The two spectral problems share one element loop,
+:func:`_local_eigs`; each :class:`AuxSpace` carries the matrices it was
+solved with (every fine matrix is assembled once), its functions as a dense
+element table and its moment table, the one form of its constraint rows.
 
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.  Every element carries the same
@@ -60,9 +62,10 @@ DEFAULT_NBASIS = 3
 class AuxSpace:
     """Per-element local eigenpairs, ``weight``-orthonormal within each element.
 
-    Every element carries the same number k of functions.  ``vectors``
-    stacks all eigenvectors as sparse columns, element-major: column
-    e * k + j is function j of element e.  For the first space ``weight`` is
+    Every element carries the same number k of functions, stacked in
+    ``functions``: ``functions[e, :, j]`` is function j of element e on the
+    DOFs ``interior[e]`` of the grid's index maps (zero elsewhere).  For the
+    first space ``weight`` is
     S, the kappa_tilde-weighted mass realizing the s-bilinear form; for the
     second it is the mass M and every vector lies in the Pi-kernel.  ``A`` is
     the stiffness the local problems were solved against, and ``A_blocks``
@@ -75,7 +78,7 @@ class AuxSpace:
     """
 
     values: list            # per element, ascending eigenvalues
-    vectors: sp.csc_matrix  # (n_dofs, n_elements * k)
+    functions: np.ndarray   # (n_elements, n_interior, k)
     weight: sp.csr_matrix
     A: sp.csr_matrix
     A_blocks: np.ndarray    # (n_elements, n_interior, n_interior + n_boundary)
@@ -99,33 +102,23 @@ class ReducedBasis:
 @dataclass
 class CoarseSpaces:
     """Both coarse spaces of one field and the fine matrices they share;
-    ``basis1`` and ``basis2`` are column views of ``combined.R``."""
+    V_{H,1} is the first ``combined.n1`` columns of ``combined.R``."""
 
     A: sp.csr_matrix       # fine stiffness
     M: sp.csr_matrix       # fine mass
-    aux1: AuxSpace
-    aux2: AuxSpace
-    basis1: ReducedBasis   # V_{H,1}
-    basis2: ReducedBasis   # V_{H,2}
     combined: ReducedBasis
 
 
 def build_spaces(grid: GridHierarchy, field_: assembly.PermeabilityField,
                  L: int, J: int, layers: int) -> CoarseSpaces:
     """Partition of unity, kappa_tilde, both spectral problems and bases;
-    the spectral problems assemble stiffness, weighted mass and mass.  Each
-    basis column is stored once: the bases are views of the combined one."""
-    pou = assembly.msfem_partition(grid, field_)
-    kt = assembly.kappa_tilde(field_, pou)
+    the spectral problems assemble stiffness, weighted mass and mass."""
+    kt = assembly.kappa_tilde(field_, assembly.msfem_partition(grid, field_))
     aux1 = aux_spectral(grid, field_, kt, L)
     basis1 = cem_basis(grid, field_, aux1, layers)
     aux2 = v2_aux_spectral(grid, field_, aux1, J)
-    combined = combine(basis1, v2_basis(grid, field_, aux1, aux2, layers))
-    n1 = combined.n1
-    return CoarseSpaces(A=aux1.A, M=aux2.weight, aux1=aux1, aux2=aux2,
-                        basis1=ReducedBasis(R=combined.R[:, :n1], n1=n1),
-                        basis2=ReducedBasis(R=combined.R[:, n1:], n1=0),
-                        combined=combined)
+    basis2 = v2_basis(grid, field_, aux1, aux2, layers)
+    return CoarseSpaces(A=aux1.A, M=aux2.weight, combined=combine(basis1, basis2))
 
 
 def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
@@ -181,15 +174,12 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
             raise SolveError(f"on element {i}: {exc}") from exc
         values.append(vals)
         data[i] = vecs if Z is None else Z[i] @ vecs
-    vectors = assembly._scatter(data, interior[:, :, None],
-                                np.arange(ne * k).reshape(ne, 1, k),
-                                (grid.n_dofs, ne * k)).tocsc()
     # B's boundary columns are gathered apart, after the solves: B's closure
     # blocks held through them raised experiment 1's peak RSS by up to 20 MB.
     V = np.ascontiguousarray(data.transpose(0, 2, 1))
     moments = np.concatenate(
         [V @ B_blocks, V @ _blocks(B, interior, maps.boundary)], axis=2)
-    return AuxSpace(values=values, vectors=vectors, weight=B, A=A, A_blocks=AD,
+    return AuxSpace(values=values, functions=data, weight=B, A=A, A_blocks=AD,
                     moments=moments)
 
 

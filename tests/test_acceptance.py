@@ -23,6 +23,7 @@ from tfmultiscale.stability import (build_report, contrast_sweep,
 from test_fractional import caputo
 from test_linalg import charpoly_eigs_bisect, kkt_dense_oracle, random_spd
 from test_schemes import gram_schmidt_m, make_basis
+from test_spaces import aux_spaces, coarse_bases, vectors
 
 
 def _verdict(num, name, ok, detail):
@@ -193,7 +194,8 @@ def paper():
     fld = harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
     forcing = gen_forcing("smooth")
     cs = spaces.build_spaces(g, fld, cfg.L, cfg.J, cfg.layers)
-    A, M, basis1, both = cs.A, cs.M, cs.basis1, cs.combined
+    A, M, both = cs.A, cs.M, cs.combined
+    basis1, _ = coarse_bases(cs)
     sys_cem = reduce(A, M, basis1)
     sys_both = reduce(A, M, both)
     report = build_report(sys_both, cfg.alpha)
@@ -257,23 +259,24 @@ def test_criterion_08_alpha_instability(paper):
 # ---------------------------------------------------------------- criterion 9
 
 def test_criterion_09_basis_contracts(desk):
-    aux1, aux2 = desk.cs.aux1, desk.cs.aux2
-    b1, b2 = desk.cs.basis1, desk.cs.basis2
+    aux1, aux2 = aux_spaces(desk.g, desk.fld, 3, 3)
+    V1, V2 = vectors(desk.g, aux1), vectors(desk.g, aux2)
+    b1, b2 = coarse_bases(desk.cs)
     # first-space basis: unit s-moments against every auxiliary function
-    G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
-    r_cem = float(np.max(np.abs(G1 - np.eye(aux1.vectors.shape[1]))))
+    G1 = V1.T @ (aux1.weight @ b1.R)
+    r_cem = float(np.max(np.abs(G1 - np.eye(V1.shape[1]))))
     # second-space basis: s-orthogonality to the first auxiliary space
-    r_orth = float(np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))))
+    r_orth = float(np.max(np.abs(V1.T @ (aux1.weight @ b2.R))))
     # second-space basis: L2 moments equal those of the target eigenfunctions
-    G2 = aux2.vectors.T @ (aux2.weight @ b2.R)
-    XtMX = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
+    G2 = V2.T @ (aux2.weight @ b2.R)
+    XtMX = (V2.T @ (aux2.weight @ V2)).toarray()
     r_mom = 0.0
     for j in range(b2.n):
         r_mom = max(r_mom, float(np.max(np.abs(G2[:, j] - XtMX[:, j]))))
     # idempotence of the element-wise s-orthogonal projection Pi onto the
     # first auxiliary space
     def project_pi(v):
-        return aux1.vectors @ (aux1.vectors.T @ (aux1.weight @ v))
+        return V1 @ (V1.T @ (aux1.weight @ v))
 
     rng = np.random.default_rng(5)
     r_pi = 0.0

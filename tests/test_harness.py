@@ -20,6 +20,8 @@ from tfmultiscale.harness import (ALL_SCHEMES, ExperimentConfig,
                                   run_experiment)
 from tfmultiscale.schemes import Trajectory, reduce
 
+from test_spaces import coarse_bases
+
 
 # -------------------------------------------------------------------- fields
 
@@ -649,8 +651,9 @@ def _rel(a, b):
 def test_run_experiment_cem_system_is_its_own_reduction(tmp_path, monkeypatch):
     cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
     sys_cem = runs["cem"][0]
-    oracle = reduce(cs.A, cs.M, cs.basis1)
-    assert (sys_cem.n1, sys_cem.n) == (oracle.n1, oracle.n) == (cs.basis1.n,) * 2
+    basis1, _ = coarse_bases(cs)
+    oracle = reduce(cs.A, cs.M, basis1)
+    assert (sys_cem.n1, sys_cem.n) == (oracle.n1, oracle.n) == (basis1.n,) * 2
     assert _rel(sys_cem.M, oracle.M) <= 1e-12
     assert _rel(sys_cem.A, oracle.A) <= 1e-12
 
@@ -667,14 +670,15 @@ def test_run_experiment_holds_each_basis_once(tmp_path, monkeypatch):
     assert measured["tildeU"][1] is measured["scem"][1] is cs.combined
     cem = measured["cem"][1].R
     assert cem.base is cs.combined.R and np.shares_memory(cem, cs.combined.R)
-    assert np.array_equal(cem, cs.combined.R[:, :cs.basis1.n])
+    assert np.array_equal(cem, cs.combined.R[:, :cs.combined.n1])
 
 
 def test_run_experiment_reduced_loads_per_step(tmp_path, monkeypatch):
     cfg, cs, runs = _record_tiny_run(tmp_path, monkeypatch)
     grid = build_grids(cfg.coarse_n, cfg.refine)
     forcing = gen_forcing(**cfg.forcing)
-    for name, basis in (("cem", cs.basis1), ("tildeU", cs.combined),
+    cem, _ = coarse_bases(cs)
+    for name, basis in (("cem", cem), ("tildeU", cs.combined),
                         ("scem", cs.combined)):
         F = runs[name][1]
         for k in range(cfg.n_steps):
@@ -707,6 +711,33 @@ def test_run_experiment_scheme_subset(tmp_path):
     result = run_experiment(cfg)
     assert set(result.trajectories) == {"fine", "cem"}
     assert set(result.errors) == {"cem"}
+
+
+def test_run_without_fine_writes_final_rasters(tmp_path):
+    """Without the fine reference a run takes no errors, but a coarse scheme
+    that did not diverge still writes its final raster, with the bytes a
+    run with the reference writes."""
+    run_experiment(_tiny_config(tmp_path / "coarse", schemes=("cem",)))
+    run_experiment(_tiny_config(tmp_path / "both", schemes=("fine", "cem")))
+    coarse = tmp_path / "coarse"
+    assert sorted(p.name for p in coarse.iterdir()) == [
+        "final_cem.txt", "kappa.txt", "stability_report.txt", "trajectory_cem.txt"]
+    assert ((coarse / "final_cem.txt").read_bytes()
+            == (tmp_path / "both" / "final_cem.txt").read_bytes())
+
+
+def test_a_diverged_scheme_writes_no_final_raster(tmp_path):
+    """At alpha 0.3 and contrast 1e4 the partially explicit scheme diverges
+    on the tiny grid: its trajectory is dumped, its final raster is not."""
+    cfg = _tiny_config(tmp_path / "run", alpha=0.3, schemes=("cem", "scem"),
+                       field={"kind": "channels", "contrast": 1e4, "seed": 1})
+    result = run_experiment(cfg)
+    assert result.trajectories["scem"].diverged
+    assert not result.trajectories["cem"].diverged
+    out = tmp_path / "run"
+    assert (out / "final_cem.txt").exists()
+    assert (out / "trajectory_scem.txt").exists()
+    assert not (out / "final_scem.txt").exists()
 
 
 # ----------------------------------------------------------------------- CLI

@@ -1,6 +1,8 @@
 """Tests for the three time steppers, the reduction machinery, the
 divergence guard, and the fine reference solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,25 @@ def test_implicit_no_stiffness_matches_caputo_identity():
         [t_grid[step + 1] ** (1 - alpha) / gamma_fn(2 - alpha)])
     traj = run_scheme("implicit", sys_r, k, np.zeros(1), forcing)
     assert np.allclose(traj.states[:, 0], t_grid, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_implicit_l1_converges_at_order_two_minus_alpha(alpha):
+    """u = t^2 solves D^alpha u + u = f with f(t) = 2 t^(2-alpha) /
+    Gamma(3-alpha) + t^2 (M = A = 1, T = 1); the largest error over the
+    time levels falls as dt^(2-alpha) from N = 160 to N = 320.  A forcing
+    taken one step early, at t_k, falls only at first order."""
+    errs = []
+    for N in (160, 320):
+        t_grid = np.arange(N + 1) / N
+        forcing = lambda step: np.array(
+            [2.0 * t_grid[step + 1] ** (2 - alpha) / math.gamma(3 - alpha)
+             + t_grid[step + 1] ** 2])
+        traj = run_scheme("implicit", scalar_system(1.0),
+                          make_kernel(alpha, 1.0 / N, N), np.zeros(1), forcing)
+        errs.append(np.max(np.abs(traj.states[:, 0] - t_grid ** 2)))
+    rate = np.log2(errs[0] / errs[1])
+    assert abs(rate - (2 - alpha)) <= 0.05
 
 
 def test_explicit_scalar_first_step():

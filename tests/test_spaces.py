@@ -38,6 +38,30 @@ def setup_spaces(coarse_n=5, refine=4, contrast=1e5, L=3, J=2):
     return g, fld, kt, aux1
 
 
+def aux_spaces(g, fld, L, J):
+    """The two auxiliary spaces ``build_spaces(g, fld, L, J, layers)`` solves,
+    by the public functions it calls."""
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    aux1 = aux_spectral(g, fld, kt, L)
+    return aux1, v2_aux_spectral(g, fld, aux1, J)
+
+
+def vectors(g, aux):
+    """``aux.functions`` as sparse (n_dofs, n_elements * k) columns,
+    element-major: column e * k + j is function j of element e."""
+    ne, _, k = aux.functions.shape
+    return assembly._scatter(aux.functions, g.index_maps(0).interior[:, :, None],
+                             np.arange(ne * k).reshape(ne, 1, k),
+                             (g.n_dofs, ne * k)).tocsc()
+
+
+def coarse_bases(cs):
+    """V_{H,1} and V_{H,2} of ``cs``: column views of its combined basis."""
+    R, n1 = cs.combined.R, cs.combined.n1
+    return (spaces.ReducedBasis(R=R[:, :n1], n1=n1),
+            spaces.ReducedBasis(R=R[:, n1:], n1=0))
+
+
 # ----------------------------------------------------------------- aux_spectral
 
 def test_aux_eigenvalues_ascending_nonnegative():
@@ -49,7 +73,8 @@ def test_aux_eigenvalues_ascending_nonnegative():
 
 def test_aux_s_orthonormal_per_element():
     g, _, _, aux1 = setup_spaces()
-    G = (aux1.vectors.T @ (aux1.weight @ aux1.vectors)).toarray()
+    V1 = vectors(g, aux1)
+    G = (V1.T @ (aux1.weight @ V1)).toarray()
     # disjoint element-interior supports make the global Gram the identity
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
@@ -97,8 +122,9 @@ def test_non_spd_local_weight_names_its_element():
 def test_cem_constraint_gram_identity():
     g, fld, _, aux1 = setup_spaces()
     b1 = cem_basis(g, fld, aux1, 2)
-    G = aux1.vectors.T @ (aux1.weight @ b1.R)     # s-moments of each basis column
-    expect = np.eye(aux1.vectors.shape[1])
+    V1 = vectors(g, aux1)
+    G = V1.T @ (aux1.weight @ b1.R)     # s-moments of each basis column
+    expect = np.eye(V1.shape[1])
     assert np.max(np.abs(G - expect)) <= 1e-8
 
 
@@ -137,9 +163,10 @@ def test_cem_energy_decay_to_global():
 def test_v2_aux_in_pi_kernel():
     g, fld, _, aux1 = setup_spaces()
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
-    for j in range(aux2.vectors.shape[1]):
-        xi = aux2.vectors[:, j].toarray().ravel()
-        coef = aux1.vectors.T @ (aux1.weight @ xi)
+    V1, V2 = vectors(g, aux1), vectors(g, aux2)
+    for j in range(V2.shape[1]):
+        xi = V2[:, j].toarray().ravel()
+        coef = V1.T @ (aux1.weight @ xi)
         assert np.max(np.abs(coef)) <= 1e-9
 
 
@@ -149,7 +176,8 @@ def test_v2_aux_ascending_l2_orthonormal():
     for vals in aux2.values:
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] >= -1e-10
-    G = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
+    V2 = vectors(g, aux2)
+    G = (V2.T @ (aux2.weight @ V2)).toarray()
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
 
@@ -188,13 +216,14 @@ def test_v2_basis_constraints():
     g, fld, _, aux1 = setup_spaces()
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
     b2 = v2_basis(g, fld, aux1, aux2, 2)
+    V1, V2 = vectors(g, aux1), vectors(g, aux2)
     # s-orthogonality to every aux1 function
-    G1 = aux1.vectors.T @ (aux1.weight @ b2.R)
+    G1 = V1.T @ (aux1.weight @ b2.R)
     assert np.max(np.abs(G1)) <= 1e-8
     # L2 moments match those of the target eigenfunctions
     M = aux2.weight
-    G2 = aux2.vectors.T @ (M @ b2.R)
-    XtMX = (aux2.vectors.T @ (M @ aux2.vectors)).toarray()
+    G2 = V2.T @ (M @ b2.R)
+    XtMX = (V2.T @ (M @ V2)).toarray()
     for j in range(b2.n):   # V2 column j targets aux2 column j
         assert np.max(np.abs(G2[:, j] - XtMX[:, j])) <= 1e-8
 
@@ -202,7 +231,7 @@ def test_v2_basis_constraints():
 def test_v2_nearly_a_orthogonal_to_cem():
     g = t.build_grids(5, 4)
     cs = build_spaces(g, channel_field(g), 3, 2, 3)
-    A, b1, b2 = cs.A, cs.basis1, cs.basis2
+    A, (b1, b2) = cs.A, coarse_bases(cs)
     cross = b2.R.T @ (A @ b1.R)
     na = np.sqrt(np.einsum("ij,ij->j", b2.R, A @ b2.R))
     nb = np.sqrt(np.einsum("ij,ij->j", b1.R, A @ b1.R))
@@ -212,8 +241,9 @@ def test_v2_nearly_a_orthogonal_to_cem():
 # ------------------------------------------------------------ patch solves
 
 def _columns(aux):
-    """(n_elements, k) table of each element's column ids in ``aux.vectors``."""
-    return np.arange(aux.vectors.shape[1]).reshape(len(aux.values), -1)
+    """(n_elements, k) table of each element's column ids in ``vectors``."""
+    ne, _, k = aux.functions.shape
+    return np.arange(ne * k).reshape(ne, k)
 
 
 def _cem_patch_system(g, fld, aux1, i, layers):
@@ -222,10 +252,11 @@ def _cem_patch_system(g, fld, aux1, i, layers):
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
     acols = _columns(aux1)[elements].ravel()
-    SPsi = (aux1.weight @ aux1.vectors).tocsc()
+    V1 = vectors(g, aux1)
+    SPsi = (aux1.weight @ V1).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
     own = np.flatnonzero(np.isin(acols, _columns(aux1)[i]))
-    G = (aux1.vectors[:, acols].T @ SPsi[:, acols[own]]).toarray()
+    G = (V1[:, acols].T @ SPsi[:, acols[own]]).toarray()
     return A[dofs][:, dofs], C, G
 
 
@@ -235,10 +266,11 @@ def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     maps = g.index_maps(layers)
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
     a1, a2 = _columns(aux1)[elements].ravel(), _columns(aux2)[elements].ravel()
-    MXi = (aux2.weight @ aux2.vectors).tocsc()
-    C = sp.vstack([(aux1.weight @ aux1.vectors)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
+    V1, V2 = vectors(g, aux1), vectors(g, aux2)
+    MXi = (aux2.weight @ V2).tocsc()
+    C = sp.vstack([(aux1.weight @ V1)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
     own = np.flatnonzero(np.isin(a2, _columns(aux2)[i]))
-    G2 = (aux2.vectors[:, a2].T @ MXi[:, a2[own]]).toarray()
+    G2 = (V2[:, a2].T @ MXi[:, a2[own]]).toarray()
     G = np.vstack([np.zeros((len(a1), len(own))), G2])
     return A[dofs][:, dofs], C, G
 
@@ -434,15 +466,15 @@ def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
         fld = channel_field(g)
     else:
         g, fld = sweep_grid, assembly.PermeabilityField(sweep_fields[2])
-    cs = build_spaces(g, fld, 3, 2, 1)
     maps = g.index_maps(0)
     interior, ni = maps.interior, maps.interior.shape[1]
     closure = np.hstack([interior, maps.boundary])
-    for aux in (cs.aux1, cs.aux2):
-        V = spaces._blocks(aux.vectors.T, _columns(aux), interior)
+    for aux in aux_spaces(g, fld, 3, 2):
+        X = vectors(g, aux)
+        V = spaces._blocks(X.T, _columns(aux), interior)
         W = spaces._blocks(aux.weight, interior, interior)
         assert np.array_equal(aux.moments[:, :, :ni], V @ W)
-        rows = spaces._blocks((aux.weight @ aux.vectors).T, _columns(aux), closure)
+        rows = spaces._blocks((aux.weight @ X).T, _columns(aux), closure)
         assert aux.moments.shape == rows.shape
         assert np.max(np.abs(aux.moments - rows)) <= 1e-14 * np.max(np.abs(rows))
 
@@ -459,7 +491,7 @@ def _assert_kernels_match_null_space(C):
 @pytest.mark.parametrize("kappa", sweep_fields[:3], ids=["1e2", "1e4", "1e6"])
 def test_stacked_kernels_match_null_space(kappa):
     """On the first space's moment tables of the sweep grid."""
-    aux1 = build_spaces(sweep_grid, assembly.PermeabilityField(kappa), 3, 3, 2).aux1
+    aux1, _ = aux_spaces(sweep_grid, assembly.PermeabilityField(kappa), 3, 3)
     _assert_kernels_match_null_space(aux1.moments)
 
 
@@ -592,10 +624,16 @@ def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
         return gather(X, rows, cols)
 
     monkeypatch.setattr(spaces, "_blocks", blocks)
+    solved = []
+    for name in ("aux_spectral", "v2_aux_spectral"):
+        solve = getattr(spaces, name)
+        monkeypatch.setattr(spaces, name, lambda *a, solve=solve:
+                            solved.append(solve(*a)) or solved[-1])
     g = t.build_grids(3, 4)
     cs = build_spaces(g, channel_field(g), 2, 1, 1)
     assert sum(X is cs.A for X in gathered) == 1
-    assert cs.aux1.A_blocks is cs.aux2.A_blocks
+    aux1, aux2 = solved
+    assert aux1.A_blocks is aux2.A_blocks
 
 
 @settings(max_examples=8, deadline=None)
@@ -622,18 +660,19 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
     g = t.build_grids(coarse_n, refine)
     mask = np.random.default_rng(seed).random(g.n_cells) < 0.3
     fld = assembly.PermeabilityField(np.where(mask, contrast, 1.0))
-    cs = build_spaces(g, fld, 2, 1, 1)
-    aux1, aux2, b1, b2 = cs.aux1, cs.aux2, cs.basis1, cs.basis2
+    b1, b2 = coarse_bases(build_spaces(g, fld, 2, 1, 1))
+    aux1, aux2 = aux_spaces(g, fld, 2, 1)
+    V1, V2 = vectors(g, aux1), vectors(g, aux2)
     # Both bases take unit moments as their targets: each auxiliary space
     # must be orthonormal in its weight.
-    for aux in (aux1, aux2):
-        gram = (aux.vectors.T @ (aux.weight @ aux.vectors)).toarray()
-        assert np.max(np.abs(gram - np.eye(aux.vectors.shape[1]))) <= 1e-12
-    G1 = aux1.vectors.T @ (aux1.weight @ b1.R)
-    assert np.max(np.abs(G1 - np.eye(aux1.vectors.shape[1]))) <= 1e-9
-    assert np.max(np.abs(aux1.vectors.T @ (aux1.weight @ b2.R))) <= 1e-9
-    G2 = aux2.vectors.T @ (aux2.weight @ b2.R)
-    XtMX = (aux2.vectors.T @ (aux2.weight @ aux2.vectors)).toarray()
+    for aux, V in ((aux1, V1), (aux2, V2)):
+        gram = (V.T @ (aux.weight @ V)).toarray()
+        assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-12
+    G1 = V1.T @ (aux1.weight @ b1.R)
+    assert np.max(np.abs(G1 - np.eye(V1.shape[1]))) <= 1e-9
+    assert np.max(np.abs(V1.T @ (aux1.weight @ b2.R))) <= 1e-9
+    G2 = V2.T @ (aux2.weight @ b2.R)
+    XtMX = (V2.T @ (aux2.weight @ V2)).toarray()
     assert np.max(np.abs(G2 - XtMX)) <= 1e-9
 
 
@@ -644,13 +683,14 @@ def test_bases_are_column_views_of_the_combined_basis():
     fld = channel_field(g)
     cs = build_spaces(g, fld, 2, 1, 1)
     R, n1 = cs.combined.R, cs.combined.n1
-    for basis in (cs.basis1, cs.basis2):
+    basis1, basis2 = coarse_bases(cs)
+    for basis in (basis1, basis2):
         assert basis.R.base is R and np.shares_memory(basis.R, R)
-    assert np.array_equal(cs.basis1.R, R[:, :n1])
-    assert np.array_equal(cs.basis2.R, R[:, n1:])
-    assert (cs.basis1.n1, cs.basis2.n1, n1) == (cs.basis1.n, 0, cs.basis1.n)
-    cem = cem_basis(g, fld, cs.aux1, 1).R
-    assert np.max(np.abs(cs.basis1.R - cem)) <= 1e-12 * np.max(np.abs(cem))
+    assert np.array_equal(basis1.R, R[:, :n1])
+    assert np.array_equal(basis2.R, R[:, n1:])
+    assert (basis1.n1, basis2.n1, n1) == (basis1.n, 0, basis1.n)
+    cem = cem_basis(g, fld, aux_spaces(g, fld, 2, 1)[0], 1).R
+    assert np.max(np.abs(basis1.R - cem)) <= 1e-12 * np.max(np.abs(cem))
 
 
 def _placed(X, offset):
@@ -683,7 +723,8 @@ def test_lift_does_not_depend_on_placement(monkeypatch):
     monkeypatch.setattr(spaces, "CHECK_COLUMNS", 2)
     g = t.build_grids(3, 4)
     fld = channel_field(g)
-    cs = build_spaces(g, fld, 2, 1, 1)
+    _, basis2 = coarse_bases(build_spaces(g, fld, 2, 1, 1))
+    aux1, aux2 = aux_spaces(g, fld, 2, 1)
     condense = spaces._condense
 
     def placed(*args):
@@ -691,7 +732,7 @@ def test_lift_does_not_depend_on_placement(monkeypatch):
         return S, _placed(Y, 1), WZ
 
     monkeypatch.setattr(spaces, "_condense", placed)
-    assert np.array_equal(v2_basis(g, fld, cs.aux1, cs.aux2, 1).R, cs.basis2.R)
+    assert np.array_equal(v2_basis(g, fld, aux1, aux2, 1).R, basis2.R)
 
 
 def test_combined_basis_full_rank():
@@ -701,5 +742,5 @@ def test_combined_basis_full_rank():
     Mr = both.R.T @ (M @ both.R)
     w = np.linalg.eigvalsh(0.5 * (Mr + Mr.T))
     assert w.min() > 1e-10 * w.max()
-    assert both.n1 == cs.basis1.n == both.n - g.coarse_n ** 2 * 2
+    assert both.n1 == coarse_bases(cs)[0].n == both.n - g.coarse_n ** 2 * 2
 

@@ -323,6 +323,20 @@ def test_contrast_sweep_lambda_growth(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("side", [30, 20])
+def test_contrast_sweep_rejects_a_mask_of_another_size(side):
+    """A 30x30 or 20x20 mask on the 24x24 sweep grid is rejected before the
+    partition of unity reads it, with the message assemble gives."""
+    g = t.build_grids(4, 6)
+    mask = harness.channel_geometry(side, side, seed=0)
+    message = f"^field has {side * side} cells, grid has 576$"
+    with pytest.raises(ValueError, match=message):
+        contrast_sweep(g, mask, [1e2], 0.9, layers=2)
+    with pytest.raises(ValueError, match=message):
+        assembly.assemble(g, assembly.PermeabilityField(mask.ravel() + 1.0),
+                          "stiffness")
+
+
 # The eight symmetries of the square, acting on a (ny, nx) mask.
 SQUARE_SYMMETRIES = {
     "identity": lambda m: m, "flip x": lambda m: m[:, ::-1],
