@@ -88,6 +88,60 @@ def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
     return sp.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
+# The most entries a plan may hold and still be kept on its grid.  Every
+# plan of the contrast-sweep grid is kept (the largest, its patch bands,
+# holds 23,092).  Experiment 1's grid serves one build and keeps its three
+# smallest plans (25,601 entries): keeping the others too (0.39M; its bands
+# hold 2.47M) raised the benchmark's peak memory by 8-10 %.
+PLAN_ENTRIES = 2 ** 15
+
+
+def _plan(grid: GridHierarchy, key, X, build):
+    """The plan of where a build reads the data of X: the parts that
+    ``build(X)`` yields, each with its entry count.  It is kept on ``grid``
+    under ``key`` for the ``indptr`` and ``indices`` of X (with X None, for
+    the key alone) if it holds at most PLAN_ENTRIES entries, and else used
+    part by part as it is built; read it to the end."""
+    plans = grid.__dict__.setdefault("_plans", {})
+    pattern = () if X is None else (X.indptr, X.indices)
+    kept = plans.get(key)
+    if kept is not None and all(map(np.array_equal, kept[0], pattern)):
+        yield from kept[1]
+        return
+    plans.pop(key, None)
+    # A read-only pattern (A's, S's and M's: see _moved) cannot change.
+    pattern = tuple(a.copy() if a.flags.writeable else a for a in pattern)
+    parts, entries = [], 0
+    for part, n in build(X):
+        entries += n
+        if entries <= PLAN_ENTRIES:
+            parts.append(part)
+        else:
+            parts.clear()
+        yield part
+    if entries <= PLAN_ENTRIES:
+        plans[key] = (pattern, parts, entries)
+
+
+def _moved(grid: GridHierarchy, key, X, values, make):
+    """The sparse matrix ``make(values)``, which moves ``values`` and sums
+    none, its structure and their places taken from ``make(1, 2, ...)``."""
+    def build(_):
+        T = make(np.arange(1.0, len(values) + 1))
+        T.data = T.data.astype(np.intp) - 1         # positions in values
+        T.indices.flags.writeable = T.indptr.flags.writeable = False
+        yield T, T.nnz
+
+    (T,) = _plan(grid, key, X, build)
+    return type(T)((values[T.data], T.indices, T.indptr), shape=T.shape)
+
+
+def _submatrix(grid: GridHierarchy, key, X, rows, cols):
+    """``X[rows][:, cols]`` of a CSR or CSC matrix X, by :func:`_moved`."""
+    return _moved(grid, key, X, X.data, lambda v: type(X)(
+        (v, X.indices, X.indptr), shape=X.shape)[rows][:, cols])
+
+
 def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,
                     elem_ref: np.ndarray) -> sp.csr_matrix:
     """Assemble sum_c w_c * elem_ref over all fine cells, on all nodes."""
@@ -105,9 +159,12 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     """Assemble a global matrix on interior DOFs.
 
     weight is one of 'mass' (field ignored), 'stiffness' (PermeabilityField)
-    or 'weighted_mass' (WeightedField, i.e. the s-bilinear form).
+    or 'weighted_mass' (WeightedField, i.e. the s-bilinear form).  The mass
+    matrix is assembled once per grid, its arrays read-only.
     """
     h = grid.h
+    if weight == "mass" and "_mass" in grid.__dict__:
+        return grid.__dict__["_mass"]
     if weight == "mass":
         w = np.ones(grid.n_cells)
         ref = element_mass(h)
@@ -122,7 +179,11 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     _check_cells(grid, w)
     K = _assemble_nodes(grid, w, ref)
     idx = grid.interior_nodes()
-    return K[idx][:, idx].tocsr()
+    out = _submatrix(grid, "dofs", K, idx, idx)
+    if weight == "mass":
+        out.data.flags.writeable = False
+        grid.__dict__["_mass"] = out
+    return out
 
 
 def _local_cells(r: int) -> np.ndarray:
@@ -162,10 +223,11 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     nodes = _local_cells(r) + off[:, :, None]         # (ne, r * r, 4)
     A = _scatter(field.values[elem_cells][:, :, None, None] * _STIFF_REF,
                  nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
-    A_in = A[(inner + off).ravel()]
-    A_ii = A_in[:, (inner + off).ravel()].tocsc()
+    rows = (inner + off).ravel()
+    A_ii = _submatrix(grid, "pou interior", A, rows, rows)
     G = hats[bdy]                                     # boundary data, 4 corners
-    rhs = -A_in[:, (bdy + off).ravel()] @ np.tile(G, (ne, 1))
+    rhs = -_submatrix(grid, "pou boundary", A, rows,
+                      (bdy + off).ravel()) @ np.tile(G, (ne, 1))
     sol = np.empty_like(rhs)
     nnz = A_ii.nnz // ne                # all element blocks share one pattern
     for e, data in enumerate(A_ii.data.reshape(ne, nnz)):

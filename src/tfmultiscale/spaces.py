@@ -31,13 +31,12 @@ at most 2 (2 layers + 1) refine).  Its basis columns are lifted by the element
 solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
-:meth:`GridHierarchy.index_maps`; every element block of a sparse matrix is
-read from its compressed structure in one gather (:func:`_blocks`), each
-patch's lower band straight from the rows of the skeleton operator
-(:func:`_patch_solves`), and every sparse matrix made of element blocks is
-written by one :func:`assembly._scatter`.  The gather and the scatter share
-one convention: an index of -1 (a boundary node without a DOF) is padding,
-read as zero by ``_blocks`` and by the lift, dropped by ``_scatter``.  Element
+:meth:`GridHierarchy.index_maps`.  Element blocks (:func:`_blocks`), patch
+bands (:func:`_patch_solves`) and the constraint rows are gathered by the
+grid's read plans (:func:`assembly._plan`), and every sparse matrix made of
+element blocks is written by one :func:`assembly._scatter`.  An index of -1
+(a boundary node without a DOF) is padding, read as zero by ``_blocks`` and
+by the lift, dropped by ``_scatter``.  Element
 eigenproblems are solved by :func:`linalg._eig_smallest`, in the kernels that
 one stacked SVD finds (:func:`_kernels`) for the second problem.
 """
@@ -153,16 +152,15 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     their kernel basis (:func:`_kernels`), Z^T A Z w = lambda Z^T B Z w is
     projected by stacked products and solved, v = Z w, by
     :func:`linalg._eig_smallest`, whose failures are raised naming the
-    element.  Every element block is taken from the grid's index maps in one
-    gather (B's boundary columns, which only the moment table reads, in a
-    second); with a constraint space, whose stiffness A must be, A's blocks
-    (see :class:`AuxSpace`) are reused from it.
+    element.  B's boundary blocks, which only the moment table reads, are
+    gathered apart; with a constraint space, whose stiffness A must be, A's
+    blocks (see :class:`AuxSpace`) are reused from it.
     """
     maps = grid.index_maps(0)       # element maps are the same for every layers
     interior, (ne, ni) = maps.interior, maps.interior.shape
     AD = (constraint.A_blocks if constraint is not None else
-          _blocks(A, interior, np.hstack([interior, maps.boundary])))
-    A_blocks, B_blocks = AD[:, :, :ni], _blocks(B, interior, interior)
+          _blocks(grid, "closure", A, interior, np.hstack([interior, maps.boundary])))
+    A_blocks, B_blocks = AD[:, :, :ni], _blocks(grid, "interior", B, interior, interior)
     Z = None if constraint is None else _kernels(constraint.moments[:, :, :ni])
     Aloc, Bloc = ((A_blocks, B_blocks) if Z is None else
                   (Z.transpose(0, 2, 1) @ X @ Z for X in (A_blocks, B_blocks)))
@@ -178,7 +176,8 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     # blocks held through them raised experiment 1's peak RSS by up to 20 MB.
     V = np.ascontiguousarray(data.transpose(0, 2, 1))
     moments = np.concatenate(
-        [V @ B_blocks, V @ _blocks(B, interior, maps.boundary)], axis=2)
+        [V @ B_blocks, V @ _blocks(grid, "boundary", B, interior, maps.boundary)],
+        axis=2)
     return AuxSpace(values=values, functions=data, weight=B, A=A, A_blocks=AD,
                     moments=moments)
 
@@ -204,27 +203,32 @@ def _row_entries(X, rows):
             + np.arange(count.sum())), count
 
 
-def _blocks(X, rows, cols) -> np.ndarray:
-    """Dense blocks ``X[rows[e]][:, cols[e]]`` stacked over e, read from the
-    sparse structure of X (without duplicate entries) in one gather; a
-    column index of -1 pads with zeros.  The column indices of each block
-    must be distinct."""
+def _blocks(grid: GridHierarchy, key, X, rows, cols) -> np.ndarray:
+    """Dense blocks ``X[rows[e]][:, cols[e]]`` stacked over e (a column of -1
+    reads zeros) of X without duplicate entries, by the grid's plan ``key``
+    (:func:`assembly._plan`): where each entry of the rows goes in the
+    blocks, flat, and where it is in ``X.data``.  The column indices of each
+    block must be distinct."""
     X = sp.csr_matrix(X)
-    n = X.shape[1]
     out = np.zeros(rows.shape + cols.shape[1:])
-    ce, cq = np.nonzero(cols >= 0)
-    if not len(ce):
-        return out
-    k, count = _row_entries(X, rows.ravel())
-    e, p = np.divmod(np.repeat(np.arange(rows.size), count), rows.shape[1])
-    # Locate each entry's column in its own block's column list.
-    keys = ce * n + cols[ce, cq]
-    order = np.argsort(keys)
-    keys, cq = keys[order], cq[order]
-    probe = e * n + X.indices[k]
-    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    hit = keys[at] == probe
-    out[e[hit], p[hit], cq[at[hit]]] = X.data[k[hit]]
+
+    def build(X):
+        n = X.shape[1]
+        ce, cq = np.nonzero(cols >= 0)
+        k, count = _row_entries(X, rows.ravel())
+        e, p = np.divmod(np.repeat(np.arange(rows.size), count), rows.shape[1])
+        # Locate each entry's column in its own block's column list.
+        keys = ce * n + cols[ce, cq]
+        order = np.argsort(keys)
+        keys, cq = keys[order], cq[order]
+        probe = e * n + X.indices[k]
+        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        hit = keys[at] == probe
+        yield (np.ravel_multi_index((e[hit], p[hit], cq[at[hit]]), out.shape),
+               k[hit]), int(hit.sum())
+
+    ((flat, pos),) = assembly._plan(grid, key, X, build)
+    out.reshape(-1)[flat] = X.data[pos]
     return out
 
 
@@ -304,7 +308,6 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     reported.
     """
     maps = grid.index_maps(layers)
-    A = sp.csr_matrix(A)
     ne, m, _ = CT.shape
     norms = np.linalg.norm(CT, axis=2)
     for e, r in np.argwhere(norms <= 0)[:1]:
@@ -315,14 +318,17 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     R = np.zeros((grid.n_dofs, ne * k))
     # Skeleton position of each boundary node, -1 where it has no DOF.
     bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
-    S, Y, WZ = _condense(maps, A, AD, CT * (1.0 / norms)[:, :, None], k,
+    A_SS = assembly._submatrix(grid, "skeleton", A, maps.skeleton, maps.skeleton)
+    S, Y, WZ = _condense(maps, A_SS, AD, CT * (1.0 / norms)[:, :, None], k,
                          norms, bpos)
 
-    XS = _patch_solves(maps, S, WZ, k)
-    C = assembly._scatter(CT, np.arange(ne * m).reshape(ne, m, 1),
+    XS = _patch_solves(grid, layers, S, WZ, k)
+    # The moment table scatters without duplicates, so C is the table moved.
+    C = assembly._moved(grid, ("constraints", m), None, CT.ravel(), lambda v: (
+        assembly._scatter(v.reshape(CT.shape), np.arange(ne * m).reshape(ne, m, 1),
                           np.hstack([maps.interior, maps.boundary])[:, None],
-                          (ne * m, grid.n_dofs)).tocsr()
-    C2 = C.multiply(C).tocsr()
+                          (ne * m, grid.n_dofs)).tocsr()))
+    C2 = sp.csr_matrix((np.square(C.data), C.indices, C.indptr), shape=C.shape)
 
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, ne * k) array but R is held.
@@ -378,40 +384,51 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     return R
 
 
-def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
+def _patch_solves(grid: GridHierarchy, layers: int, S, WZ, k: int) -> np.ndarray:
     """Every patch's skeleton solutions, (n_skeleton, ne * k): the right-hand
     sides -W_i^T Z_i scattered once, then patch i's lower band on its
-    skeleton sk read from the rows of the canonical CSR S and solved once by
-    :func:`linalg._banded_cholesky`."""
+    skeleton sk gathered from the canonical CSR S and solved once by
+    :func:`linalg._banded_cholesky`.  The grid's plan of the bands
+    (:func:`assembly._plan`) holds, read from the rows of S, each one's
+    width, and where each entry goes (flat) and is in ``S.data``."""
     S.sum_duplicates()
+    maps = grid.index_maps(layers)
     ns, ne = S.shape[0], len(maps.patch_skeleton)
     e, p = np.nonzero(maps.boundary_mask)
     XS = np.zeros((ns, ne * k))
     XS[maps.skeleton_pos[maps.boundary[e, p]][:, None],
        e[:, None] * k + np.arange(k)] = -WZ[e, p]
-    at_patch = np.full(ns, -1)
-    for i, sk in enumerate(maps.patch_skeleton):
+
+    def build(S):
+        at_patch = np.full(ns, -1)
+        for sk in maps.patch_skeleton:
+            at_patch[sk] = np.arange(len(sk))
+            at, count = _row_entries(S, sk)
+            c = at_patch[S.indices[at]]
+            d = np.repeat(np.arange(len(sk)), count) - c
+            at_patch[sk] = -1
+            low = np.flatnonzero((c >= 0) & (d >= 0))
+            yield (int(d[low].max(initial=0)) + 1, d[low] * len(sk) + c[low],
+                   at[low]), len(low)
+
+    bands = assembly._plan(grid, ("bands", layers), S, build)
+    for i, (width, flat, pos) in enumerate(bands):
+        sk = maps.patch_skeleton[i]
         cols = slice(i * k, (i + 1) * k)
         rhs = XS[sk, cols]
         XS[:, cols] = 0.0
         if not len(sk):
             continue
-        at_patch[sk] = np.arange(len(sk))
-        at, count = _row_entries(S, sk)
-        c = at_patch[S.indices[at]]
-        d = np.repeat(np.arange(len(sk)), count) - c
-        at_patch[sk] = -1
-        low = (c >= 0) & (d >= 0)
-        band = np.zeros((int(d[low].max(initial=0)) + 1, len(sk)))
-        band[d[low], c[low]] = S.data[at[low]]
+        band = np.zeros(width * len(sk))
+        band[flat] = S.data[pos]
         try:
-            XS[sk, cols] = _banded_cholesky(band, rhs)
+            XS[sk, cols] = _banded_cholesky(band.reshape(width, -1), rhs)
         except SolveError as exc:
             raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
     return XS
 
 
-def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
+def _condense(maps: IndexMaps, A_SS, AD, CD, k: int, norms, bpos):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -425,11 +442,10 @@ def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
     :func:`linalg.kkt_solve` solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
     its backward-error contract, a failure naming the element.
 
-    Returns the skeleton operator S = A_SS - sum_e W_e^T K_e^-1 W_e (one
+    Returns the skeleton operator S = ``A_SS`` - sum_e W_e^T K_e^-1 W_e (one
     :func:`assembly._scatter`, ``bpos`` -1 at a boundary node without a DOF),
     the element tables [Y_e | Z_e] as solved, and the stack of W_e^T Z_e.
     """
-    skel = maps.skeleton
     (ne, nI), nb = maps.interior.shape, bpos.shape[1]
     m = CD.shape[1]
     g = np.eye(m, k, k - m) / norms[:, :, None]
@@ -442,9 +458,8 @@ def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
     except SolveError as exc:
         raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
     WtY = _transposed_products(W, Y)
-    ns = len(skel)
-    S = (A[skel][:, skel] + assembly._scatter(
-        -WtY[:, :, :nb], bpos[:, :, None], bpos[:, None, :], (ns, ns))).tocsr()
+    S = (A_SS + assembly._scatter(
+        -WtY[:, :, :nb], bpos[:, :, None], bpos[:, None, :], A_SS.shape)).tocsr()
     return S, Y, WtY[:, :, nb:]
 
 

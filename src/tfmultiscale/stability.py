@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,20 @@ def contrast_sweep(grid, geometry_mask: np.ndarray, contrasts, alpha: float,
     """Stability quantities per contrast on a fixed high-kappa geometry.
 
     Returns a list of dict rows with keys contrast, lambda_full, lambda_v2,
-    gamma, dt_exp, dt_partial (the CSV schema of the sweep output).
+    gamma, dt_exp, dt_partial (the CSV schema of the sweep output).  Every
+    argument is checked before any space is built.
     """
     contrasts = [float(c) for c in contrasts]
     if not all(math.isfinite(c) and c > 0 for c in contrasts):
         raise ValueError(f"contrasts must be finite and positive, got {contrasts}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be a real in (0, 1), got {alpha!r}")
+    for name, value, least in (("L", L, 1), ("J", J, 1), ("layers", layers, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if L + J > (grid.refine - 1) ** 2:
+        raise ValueError(f"L + J = {L + J} exceeds the {(grid.refine - 1) ** 2} "
+                         f"interior DOFs of a coarse element")
     mask = np.asarray(geometry_mask, dtype=bool).ravel()
     rows = []
     for c in contrasts:

@@ -3,6 +3,7 @@ vectors, and the raster file format."""
 
 import os
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +78,56 @@ def test_mass_matrix_pd():
     g = build_grids(2, 2)
     M = assemble(g, None, "mass").toarray()
     assert np.all(sla.eigvalsh(M) > 0)
+
+
+def test_mass_matrix_is_assembled_once_per_grid_and_read_only():
+    """The mass matrix of a grid is assembled once and shared, its arrays
+    read-only, and equals the restriction of the all-node assembly."""
+    g = build_grids(3, 4)
+    M = assemble(g, None, "mass")
+    assert assemble(g, None, "mass") is M
+    assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+    with pytest.raises(ValueError, match="read-only"):
+        M.data[0] = 0.0
+    K = assembly._assemble_nodes(g, np.ones(g.n_cells), assembly.element_mass(g.h))
+    idx = g.interior_nodes()
+    expect = K[idx][:, idx]
+    assert all(np.array_equal(a, b) for a, b in ((M.data, expect.data),
+                                                 (M.indices, expect.indices),
+                                                 (M.indptr, expect.indptr)))
+    assert assemble(build_grids(3, 4), None, "mass") is not M
+
+
+@pytest.mark.parametrize("limit", [2, 4])
+def test_a_plan_is_kept_up_to_plan_entries_and_else_not_held(monkeypatch, limit):
+    """A plan of four one-entry parts: kept whole with PLAN_ENTRIES at 4 and
+    read from the grid the next time; with PLAN_ENTRIES at 2 not kept, and
+    each part let go once the count passes the limit, so that a large plan
+    (experiment 1's patch bands) is never held whole."""
+    monkeypatch.setattr(assembly, "PLAN_ENTRIES", limit)
+
+    class Part:
+        pass
+
+    made = []
+
+    def build(_):
+        for _ in range(4):
+            part = Part()
+            made.append(weakref.ref(part))
+            yield part, 1
+
+    g = build_grids(2, 2)
+    held = []
+    for part in assembly._plan(g, "test", None, build):
+        del part
+        held.append([ref() is not None for ref in made])
+    if limit == 4:
+        assert all(all(step) for step in held)
+        assert len(list(assembly._plan(g, "test", None, build))) == 4 and len(made) == 4
+    else:
+        assert held[2][:2] == [False, False] and not any(held[3][:3])
+        assert "test" not in g.__dict__["_plans"]
 
 
 def smallest_laplace_eig(g):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import tfmultiscale as t
-from tfmultiscale import assembly, harness, spaces
+from tfmultiscale import assembly, harness, spaces, stability
 from tfmultiscale.linalg import (SolveError, _banded_cholesky,
                                  _check_backward_error)
 from tfmultiscale.spaces import (aux_spectral, build_spaces, cem_basis,
@@ -338,10 +338,11 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     assert (bw + 1) * n < 703_387
 
 
-def _scipy_patch_solves(maps, S, WZ, k):
+def _scipy_patch_solves(grid, layers, S, WZ, k):
     """Oracle of ``spaces._patch_solves``: each patch system extracted by
     scipy's ``S[sk][:, sk]``, its lower band summed from its COO entries and
     solved once by scipy's ``cholesky_banded``/``cho_solve_banded``."""
+    maps = grid.index_maps(layers)
     ns, ne = S.shape[0], len(maps.patch_skeleton)
     XS = np.zeros((ns, ne * k))
     S = S.tocsc()
@@ -471,10 +472,11 @@ def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
     closure = np.hstack([interior, maps.boundary])
     for aux in aux_spaces(g, fld, 3, 2):
         X = vectors(g, aux)
-        V = spaces._blocks(X.T, _columns(aux), interior)
-        W = spaces._blocks(aux.weight, interior, interior)
+        V = spaces._blocks(g, "test V", X.T, _columns(aux), interior)
+        W = spaces._blocks(g, "test W", aux.weight, interior, interior)
         assert np.array_equal(aux.moments[:, :, :ni], V @ W)
-        rows = spaces._blocks((aux.weight @ X).T, _columns(aux), closure)
+        rows = spaces._blocks(g, "test rows", (aux.weight @ X).T, _columns(aux),
+                              closure)
         assert aux.moments.shape == rows.shape
         assert np.max(np.abs(aux.moments - rows)) <= 1e-14 * np.max(np.abs(rows))
 
@@ -619,9 +621,9 @@ def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
     stiffness's element blocks."""
     gather, gathered = spaces._blocks, []
 
-    def blocks(X, rows, cols):
+    def blocks(grid, key, X, rows, cols):
         gathered.append(X)
-        return gather(X, rows, cols)
+        return gather(grid, key, X, rows, cols)
 
     monkeypatch.setattr(spaces, "_blocks", blocks)
     solved = []
@@ -744,3 +746,122 @@ def test_combined_basis_full_rank():
     assert w.min() > 1e-10 * w.max()
     assert both.n1 == coarse_bases(cs)[0].n == both.n - g.coarse_n ** 2 * 2
 
+
+# ------------------------------------------------------------------ read plans
+
+@pytest.mark.parametrize("geometry", [0, 2, 7])
+def test_read_plans_give_the_bases_of_a_fresh_grid(monkeypatch, geometry):
+    """The contrast sweep (1e2, 1e4, 1e6) gives bit-equal bases and equal
+    rows on its first call on a grid, which builds the grid's read plans, on
+    its second, which reuses them, and on a fresh grid; so does a one-layer
+    build on the warm grid, whose patch bands need a plan of their own."""
+    mask = harness.channel_geometry(24, 24, seed=geometry)
+    g = t.build_grids(4, 6)
+    built, build = [], spaces.build_spaces
+    monkeypatch.setattr(spaces, "build_spaces",
+                        lambda *a: built.append(build(*a)) or built[-1])
+    rows = [stability.contrast_sweep(grid, mask, (1e2, 1e4, 1e6), 0.9, layers=2)
+            for grid in (g, g, t.build_grids(4, 6))]
+    assert rows[0] == rows[1] == rows[2]
+    for first, second, fresh in zip(built[:3], built[3:6], built[6:]):
+        assert np.array_equal(first.combined.R, second.combined.R)
+        assert np.array_equal(first.combined.R, fresh.combined.R)
+    fld = assembly.PermeabilityField(np.where(mask.ravel(), 1e4, 1.0))
+    assert np.array_equal(build(g, fld, 3, 3, 1).combined.R,
+                          build(t.build_grids(4, 6), fld, 3, 3, 1).combined.R)
+
+
+def test_read_plans_give_the_bases_of_a_fresh_grid_on_the_reduced_sweep_grid():
+    """Both bases on the reduced-sweep grid (10x10 coarse, refine 5, L = 3,
+    J = 1, two layers): bit-equal on the first and second build on one grid
+    and on a fresh grid."""
+    g = t.build_grids(10, 5)
+    fld = harness.gen_field("channels", nx=50, ny=50, contrast=1e5, seed=0)
+    first, second, fresh = (build_spaces(grid, fld, 3, 1, 2).combined.R
+                            for grid in (g, g, t.build_grids(10, 5)))
+    assert np.array_equal(first, second) and np.array_equal(first, fresh)
+
+
+def _without(X, i, j):
+    """The CSR matrix X without its entries (i, j) and (j, i), as when they
+    cancel to exactly zero in a sum."""
+    X = X.tocsr(copy=True)
+    X[i, j] = X[j, i] = 0.0
+    X.eliminate_zeros()
+    return X
+
+
+def _same_csr(X, Y):
+    return all(np.array_equal(a, b) for a, b in ((X.indptr, Y.indptr),
+                                                 (X.indices, Y.indices),
+                                                 (X.data, Y.data)))
+
+
+def test_a_pattern_that_lost_an_entry_rebuilds_its_plans(monkeypatch):
+    """After a warm build, matrices whose pattern lost one entry pair still
+    match their scipy oracles bit for bit, and each plan is built anew for
+    the new pattern: the patch solves of a skeleton operator S without its
+    smallest off-diagonal entry in the centre patch (``_scipy_patch_solves``),
+    the skeleton stiffness of a stiffness A without one skeleton entry
+    (``A[skel][:, skel]``) and A's element closure blocks (dense indexing)."""
+    g = t.build_grids(4, 6)
+    calls, solves = [], spaces._patch_solves
+    monkeypatch.setattr(spaces, "_patch_solves",
+                        lambda *a: calls.append(a) or solves(*a))
+    cs = build_spaces(g, assembly.PermeabilityField(sweep_fields[2]), 3, 3, 2)
+    plans = g.__dict__["_plans"]
+    _, _, S, WZ, k = calls[-1]
+    maps = g.index_maps(2)
+    sk = maps.patch_skeleton[5]
+    P = S[sk][:, sk].tocoo()
+    off = np.flatnonzero(P.row != P.col)
+    at = off[np.argmin(np.abs(P.data[off]))]
+    S2 = _without(S, sk[P.row[at]], sk[P.col[at]])
+    assert S2.nnz == S.nnz - 2
+    assert np.array_equal(spaces._patch_solves(g, 2, S2, WZ, k),
+                          _scipy_patch_solves(g, 2, S2, WZ, k))
+    assert np.array_equal(plans[("bands", 2)][0][1], S2.indices)
+
+    skel = maps.skeleton
+    P = cs.A[skel][:, skel].tocoo()
+    at = np.flatnonzero(P.row != P.col)[0]
+    A2 = _without(cs.A, skel[P.row[at]], skel[P.col[at]])
+    assert _same_csr(assembly._submatrix(g, "skeleton", A2, skel, skel),
+                     A2[skel][:, skel])
+    assert np.array_equal(plans["skeleton"][0][1], A2.indices)
+    closure = np.hstack([maps.interior, maps.boundary])
+    D = np.pad(A2.toarray(), ((0, 0), (0, 1)))      # column -1 reads zero
+    assert np.array_equal(
+        spaces._blocks(g, "closure", A2, maps.interior, closure),
+        D[maps.interior[:, :, None], closure[:, None, :]])
+    assert np.array_equal(plans["closure"][0][1], A2.indices)
+
+
+def test_a_plan_above_plan_entries_is_used_and_not_kept(monkeypatch):
+    """With PLAN_ENTRIES at 3,000 the sweep grid's larger plans (its patch
+    bands hold 23,092 entries) serve each build and are not kept, the
+    smaller ones are, and both builds are bit-equal to a build on a grid
+    that keeps every plan."""
+    fld = assembly.PermeabilityField(sweep_fields[2])
+    expect = build_spaces(t.build_grids(4, 6), fld, 3, 3, 2).combined.R
+    monkeypatch.setattr(assembly, "PLAN_ENTRIES", 3000)
+    g = t.build_grids(4, 6)
+    for _ in range(2):
+        assert np.array_equal(build_spaces(g, fld, 3, 3, 2).combined.R, expect)
+    kept = g.__dict__["_plans"]
+    assert ("bands", 2) not in kept and "dofs" not in kept
+    assert "skeleton" in kept and ("constraints", 3) in kept
+    assert all(entries <= 3000 for _, _, entries in kept.values())
+
+
+def test_experiment_1_keeps_no_band_plan():
+    """Experiment 1's grid (10x10 coarse, refine 10, 4 layers) keeps no
+    patch-band plan (2,471,600 entries, above PLAN_ENTRIES) and at most
+    0.5M plan entries in all."""
+    cfg = harness.experiment_config(1)
+    g = t.build_grids(cfg.coarse_n, cfg.refine)
+    build_spaces(g, harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field),
+                 cfg.L, cfg.J, cfg.layers)
+    kept = g.__dict__["_plans"]
+    assert cfg.layers == 4 and ("bands", 4) not in kept
+    assert sum(entries for _, _, entries in kept.values()) <= 500_000

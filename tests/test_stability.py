@@ -391,3 +391,32 @@ def test_contrast_sweep_rejects_nonpositive(monkeypatch):
         with pytest.raises(ValueError, match="contrasts must be finite and positive"):
             contrast_sweep(g, fixed_channel_mask(g.n_fine), [1e2, bad], 0.9)
     assert built == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": 0.0}, r"alpha must be a real in \(0, 1\), got 0\.0"),
+    ({"alpha": 1.0}, r"alpha must be a real in \(0, 1\), got 1\.0"),
+    ({"alpha": -0.2}, r"alpha must be a real in \(0, 1\), got -0\.2"),
+    ({"alpha": 1.5}, r"alpha must be a real in \(0, 1\), got 1\.5"),
+    ({"alpha": float("nan")}, r"alpha must be a real in \(0, 1\), got nan"),
+    ({"layers": 1.5}, r"layers must be an integer >= 0, got 1\.5"),
+    ({"layers": -1}, r"layers must be an integer >= 0, got -1"),
+    ({"L": 0}, r"L must be an integer >= 1, got 0"),
+    ({"J": 0}, r"J must be an integer >= 1, got 0"),
+    ({"L": 2.0}, r"L must be an integer >= 1, got 2\.0"),
+    ({"L": 5, "J": 5}, r"L \+ J = 10 exceeds the 9 interior DOFs of a coarse element"),
+], ids=["alpha=0", "alpha=1", "alpha=-0.2", "alpha=1.5", "alpha=nan",
+        "layers=1.5", "layers=-1", "L=0", "J=0", "L=2.0", "L+J=10"])
+def test_contrast_sweep_checks_its_arguments_before_building(monkeypatch, kwargs,
+                                                             message):
+    """alpha, L, J and layers are checked before any space is built, with a
+    message naming the argument: on a 3x3/refine-4 grid these used to build
+    (alpha 0 then divided by zero; alpha 1 and -0.2 returned rows) or failed
+    inside scipy or the gamma function."""
+    built = []
+    monkeypatch.setattr(spaces, "build_spaces", lambda *a: built.append(a))
+    g = t.build_grids(3, 4)
+    args = {"alpha": 0.9, "L": 3, "J": 3, "layers": 1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        contrast_sweep(g, fixed_channel_mask(g.n_fine), [1e2], **args)
+    assert built == []
