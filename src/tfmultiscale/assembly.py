@@ -8,14 +8,17 @@ The partition of unity chi, kept as per-element tables (all kappa_tilde
 reads), and kappa_tilde are computed for all coarse elements at once, and
 must stay bit-equal to the per-element loops: at contrast 1e6 a relative
 1e-15 change in either moves the stability report by about 1e-6 (ROADMAP
-item 1), beyond the benchmark's 1e-9 references.  Every sparse matrix built
-from element tables is one :func:`_scatter`, whose entry order fixes the
-order in which duplicates are summed.
+item 1), beyond the benchmark's 1e-9 references.  A global matrix is one
+:func:`_scatter`, whose entry order fixes the order in which duplicates are
+summed: cell order.  Every coarse element's dense block is summed from the
+element's own cells in that order (:func:`element_blocks`), so it is
+bit-equal to the assembled matrix's block without a gather from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,8 +82,8 @@ def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
     """The sparse matrix with entries ``values`` at (``rows``, ``cols``), the
     three broadcast together and listed in C order, so that duplicates are
     summed in that order on conversion.  An entry whose row or column is
-    negative (-1, the padding of :func:`spaces._blocks`) is dropped, by a
-    mask made only when there is such an entry."""
+    negative (-1, a node without a DOF) is dropped, by a mask made only when
+    there is such an entry."""
     values, rows, cols = np.broadcast_arrays(values, rows, cols)
     if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
         keep = (rows >= 0) & (cols >= 0)
@@ -88,66 +91,30 @@ def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
     return sp.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
-# The most entries a plan may hold and still be kept on its grid.  Every
-# plan of the contrast-sweep grid is kept (the largest, its patch bands,
-# holds 23,092).  Experiment 1's grid serves one build and keeps its three
-# smallest plans (25,601 entries): keeping the others too (0.39M; its bands
-# hold 2.47M) raised the benchmark's peak memory by 8-10 %.
-PLAN_ENTRIES = 2 ** 15
-
-
-def _plan(grid: GridHierarchy, key, X, build):
-    """The plan of where a build reads the data of X: the parts that
-    ``build(X)`` yields, each with its entry count.  It is kept on ``grid``
-    under ``key`` for the ``indptr`` and ``indices`` of X (with X None, for
-    the key alone) if it holds at most PLAN_ENTRIES entries, and else used
-    part by part as it is built; read it to the end."""
-    plans = grid.__dict__.setdefault("_plans", {})
-    pattern = () if X is None else (X.indptr, X.indices)
-    kept = plans.get(key)
-    if kept is not None and all(map(np.array_equal, kept[0], pattern)):
-        yield from kept[1]
-        return
-    plans.pop(key, None)
-    # A read-only pattern (A's, S's and M's: see _moved) cannot change.
-    pattern = tuple(a.copy() if a.flags.writeable else a for a in pattern)
-    parts, entries = [], 0
-    for part, n in build(X):
-        entries += n
-        if entries <= PLAN_ENTRIES:
-            parts.append(part)
-        else:
-            parts.clear()
-        yield part
-    if entries <= PLAN_ENTRIES:
-        plans[key] = (pattern, parts, entries)
-
-
-def _moved(grid: GridHierarchy, key, X, values, make):
-    """The sparse matrix ``make(values)``, which moves ``values`` and sums
-    none, its structure and their places taken from ``make(1, 2, ...)``."""
-    def build(_):
-        T = make(np.arange(1.0, len(values) + 1))
-        T.data = T.data.astype(np.intp) - 1         # positions in values
-        T.indices.flags.writeable = T.indptr.flags.writeable = False
-        yield T, T.nnz
-
-    (T,) = _plan(grid, key, X, build)
-    return type(T)((values[T.data], T.indices, T.indptr), shape=T.shape)
-
-
-def _submatrix(grid: GridHierarchy, key, X, rows, cols):
-    """``X[rows][:, cols]`` of a CSR or CSC matrix X, by :func:`_moved`."""
-    return _moved(grid, key, X, X.data, lambda v: type(X)(
-        (v, X.indices, X.indptr), shape=X.shape)[rows][:, cols])
-
-
-def _assemble_nodes(grid: GridHierarchy, cell_weights: np.ndarray,
-                    elem_ref: np.ndarray) -> sp.csr_matrix:
-    """Assemble sum_c w_c * elem_ref over all fine cells, on all nodes."""
-    conn = grid.cell_nodes()
-    return _scatter(cell_weights[:, None, None] * elem_ref, conn[:, :, None],
-                    conn[:, None, :], (grid.n_nodes, grid.n_nodes)).tocsr()
+def element_blocks(grid: GridHierarchy, cell_weights: np.ndarray,
+                   elem_ref: np.ndarray, cols) -> np.ndarray:
+    """Every coarse element's dense block of sum_c w_c * elem_ref over its own
+    fine cells, stacked: the rows of its interior nodes and the columns
+    ``cols`` of its closure, positions in the list of its interior nodes then
+    its perimeter nodes (the order of the grid's element maps), one list for
+    every element or one per element, distinct, a column of -1 reading zero.
+    The cells are added in cell order, the order in which :func:`assemble`'s
+    COO sums them, so every block is bit-equal to the assembled matrix's."""
+    r = grid.refine
+    (closure, cells), ni = _closure(r), (r - 1) ** 2
+    cols = np.atleast_2d(cols)
+    ne, nc = grid.coarse_n ** 2, cols.shape[1]
+    # Output column of each closure position, -1 where not asked for (a
+    # column of -1 writes the spare last position).  An entry outside the
+    # interior rows and the asked columns goes to its element's spare place.
+    out_col = np.full((len(cols), len(closure) + 1), -1)
+    out_col[np.arange(len(cols))[:, None], cols] = np.arange(nc)
+    row, col = cells[:, :, None], out_col[:, cells[:, None, :]]
+    at = np.where((row < ni) & (col >= 0), row * nc + col, ni * nc)
+    flat = at + (ni * nc + 1) * np.arange(ne)[:, None, None, None]
+    values = cell_weights[grid.element_cells()][:, :, None, None] * elem_ref
+    return np.bincount(flat.ravel(), weights=values.ravel(), minlength=ne * (ni * nc + 1)
+                       ).reshape(ne, -1)[:, :-1].reshape(ne, ni, nc)
 
 
 def _check_cells(grid: GridHierarchy, values) -> None:
@@ -159,31 +126,42 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     """Assemble a global matrix on interior DOFs.
 
     weight is one of 'mass' (field ignored), 'stiffness' (PermeabilityField)
-    or 'weighted_mass' (WeightedField, i.e. the s-bilinear form).  The mass
-    matrix is assembled once per grid, its arrays read-only.
+    or 'weighted_mass' (WeightedField, i.e. the s-bilinear form).  Every
+    cell's element matrix is scattered straight onto the DOFs, an entry at a
+    node without a DOF dropped.  The mass matrix is assembled once per grid,
+    its arrays read-only.  The pipeline reads the weighted mass only by
+    element blocks (:func:`element_blocks`); the global one is their oracle.
     """
-    h = grid.h
+    if weight not in ("mass", "stiffness", "weighted_mass"):
+        raise ValueError(f"unknown weight kind {weight!r}")
     if weight == "mass" and "_mass" in grid.__dict__:
         return grid.__dict__["_mass"]
-    if weight == "mass":
-        w = np.ones(grid.n_cells)
-        ref = element_mass(h)
-    elif weight == "stiffness":
-        w = np.asarray(field.values, dtype=float)
-        ref = _STIFF_REF
-    elif weight == "weighted_mass":
-        w = np.asarray(field.values, dtype=float)
-        ref = element_mass(h)
-    else:
-        raise ValueError(f"unknown weight kind {weight!r}")
+    w = np.ones(grid.n_cells) if weight == "mass" else np.asarray(field.values, dtype=float)
+    ref = _STIFF_REF if weight == "stiffness" else element_mass(grid.h)
     _check_cells(grid, w)
-    K = _assemble_nodes(grid, w, ref)
-    idx = grid.interior_nodes()
-    out = _submatrix(grid, "dofs", K, idx, idx)
+    dof = np.full(grid.n_nodes, -1)
+    dof[grid.interior_nodes()] = np.arange(grid.n_dofs)
+    conn = dof[grid.cell_nodes()]
+    out = _scatter(w[:, None, None] * ref, conn[:, :, None], conn[:, None, :],
+                   (grid.n_dofs, grid.n_dofs)).tocsr()
     if weight == "mass":
-        out.data.flags.writeable = False
+        for a in (out.data, out.indices, out.indptr):
+            a.flags.writeable = False
         grid.__dict__["_mass"] = out
     return out
+
+
+@cache
+def _closure(r: int) -> tuple:
+    """One element's local nodes (x fastest) in closure order, its interior
+    nodes then its perimeter nodes, each ascending, and the closure
+    positions of its cells' nodes; read-only, built once per ``refine``."""
+    ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
+    closure = np.argsort((lx % r == 0) | (ly % r == 0), kind="stable")
+    cells = np.argsort(closure)[_local_cells(r)]
+    for a in (closure, cells):
+        a.flags.writeable = False
+    return closure, cells
 
 
 def _local_cells(r: int) -> np.ndarray:
@@ -198,50 +176,43 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
 
     On each coarse element, chi_i solves the local Dirichlet problem with
     bilinear boundary data (1 at vertex i, 0 at the others, linear on edges).
-    The local stiffnesses are one block-diagonal COO, elements in order and
-    each one's entries in single-element order, so that duplicate entries
-    are summed in the order of one element at a time; its blocks and the
-    boundary-data product are taken once.  Each interior block is factored by SuperLU (COLAMD) and
-    solved on its own, and the backward errors are checked in one pass, a
-    failure naming the element.
+    The local stiffnesses are the elements' closure blocks
+    (:func:`element_blocks`); the boundary-data product sums each row over
+    its perimeter columns in ascending order, as a sparse product does.  The
+    interior blocks share one pattern, so one CSC takes each element's values
+    in turn to be factored by SuperLU (COLAMD) and solved, and the backward
+    errors are checked in one pass, a failure naming the element.
     """
     _check_cells(grid, field.values)
     r = grid.refine
-    n = (r + 1) ** 2                    # local nodes of one element, x fastest
-    ly, lx = np.divmod(np.arange(n), r + 1)
+    (closure, _), ni = _closure(r), (r - 1) ** 2
+    ly, lx = np.divmod(closure[ni:], r + 1)
     lx, ly = lx / r, ly / r
-    on_bdy = (lx == 0) | (lx == 1) | (ly == 0) | (ly == 1)
-    bdy = np.flatnonzero(on_bdy)
-    inner = np.flatnonzero(~on_bdy)
-    ni = len(inner)
-    # Bilinear corner hats evaluated at local nodes; corner order SW,SE,NE,NW.
-    hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
+    # Boundary data: the corner hats (SW, SE, NE, NW) at the perimeter nodes.
+    G = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
 
-    elem_cells = grid.element_cells()
-    ne = len(elem_cells)
-    off = n * np.arange(ne)[:, None]
-    nodes = _local_cells(r) + off[:, :, None]         # (ne, r * r, 4)
-    A = _scatter(field.values[elem_cells][:, :, None, None] * _STIFF_REF,
-                 nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
-    rows = (inner + off).ravel()
-    A_ii = _submatrix(grid, "pou interior", A, rows, rows)
-    G = hats[bdy]                                     # boundary data, 4 corners
-    rhs = -_submatrix(grid, "pou boundary", A, rows,
-                      (bdy + off).ravel()) @ np.tile(G, (ne, 1))
+    blocks = element_blocks(grid, field.values, _STIFF_REF, np.arange(len(closure)))
+    ne, A_ii = len(blocks), blocks[:, :, :ni]
+    rhs = np.zeros((ne, ni, 4))
+    for j, g in enumerate(G):
+        rhs -= blocks[:, :, ni + j, None] * g
+    # Interior nodes are coupled where they share a cell.
+    iy, ix = np.divmod(np.arange(ni), r - 1)
+    K = sp.csc_matrix((np.abs(ix[:, None] - ix) <= 1) & (np.abs(iy[:, None] - iy) <= 1),
+                      dtype=float)
+    data = A_ii[:, K.indices, np.repeat(np.arange(ni), np.diff(K.indptr))].copy()
     sol = np.empty_like(rhs)
-    nnz = A_ii.nnz // ne                # all element blocks share one pattern
-    for e, data in enumerate(A_ii.data.reshape(ne, nnz)):
-        K = sp.csc_matrix((data, A_ii.indices[:nnz], A_ii.indptr[:ni + 1]), shape=(ni, ni))
-        sol[e * ni:(e + 1) * ni] = spla.splu(K).solve(rhs[e * ni:(e + 1) * ni])
-    norms = np.asarray(abs(A_ii).sum(axis=0)).reshape(ne, ni).max(axis=1)
+    for e in range(ne):
+        K.data = data[e]
+        sol[e] = spla.splu(K).solve(rhs[e])
     try:
-        _check_backward_error((A_ii @ sol).reshape(ne, ni, 4), norms,
-                              sol.reshape(ne, ni, 4), rhs.reshape(ne, ni, 4))
+        _check_backward_error(A_ii @ sol, np.abs(A_ii).sum(axis=1).max(axis=1),
+                              sol, rhs)
     except SolveError as exc:
         raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
-    values = np.empty((ne, n, 4))
-    values[:, bdy] = G
-    values[:, inner] = sol.reshape(ne, ni, 4)
+    values = np.empty((ne, len(closure), 4))
+    values[:, closure[:ni]] = sol
+    values[:, closure[ni:]] = G
     return PartitionOfUnity(grid=grid, values=values)
 
 
@@ -250,6 +221,7 @@ def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedFiel
     cell only the chi_i of its element's corners are nonzero; their terms
     are summed in ascending vertex order (corners 0, 1, 3, 2), as over all i."""
     grid = pou.grid
+    _check_cells(grid, field.values)
     h = grid.h
     u = pou.values[:, _local_cells(grid.refine)]      # (ne, r * r, 4 nodes, 4 corners)
     gx = ((u[:, :, 1] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 3])) / (2 * h)

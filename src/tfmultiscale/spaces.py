@@ -10,9 +10,10 @@ minimizations.
 Both spaces are built by :func:`build_spaces` and nowhere else; it returns
 what the online phase reads, the fine stiffness and mass and the combined
 basis.  The two spectral problems share one element loop,
-:func:`_local_eigs`; each :class:`AuxSpace` carries the matrices it was
-solved with (every fine matrix is assembled once), its functions as a dense
-element table and its moment table, the one form of its constraint rows.
+:func:`_local_eigs`; each :class:`AuxSpace` carries the stiffness and its
+element blocks (every fine matrix is assembled once), its functions as a
+dense element table and its moment table, the one form of its constraint
+rows.
 
 All vectors are expressed on interior fine DOFs; every basis column is
 supported inside its oversampling patch.  Every element carries the same
@@ -31,14 +32,17 @@ at most 2 (2 layers + 1) refine).  Its basis columns are lifted by the element
 solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
-:meth:`GridHierarchy.index_maps`.  Element blocks (:func:`_blocks`), patch
-bands (:func:`_patch_solves`) and the constraint rows are gathered by the
-grid's read plans (:func:`assembly._plan`), and every sparse matrix made of
-element blocks is written by one :func:`assembly._scatter`.  An index of -1
-(a boundary node without a DOF) is padding, read as zero by ``_blocks`` and
-by the lift, dropped by ``_scatter``.  Element
-eigenproblems are solved by :func:`linalg._eig_smallest`, in the kernels that
-one stacked SVD finds (:func:`_kernels`) for the second problem.
+:meth:`GridHierarchy.index_maps`.  Every element block of the stiffness, the
+weighted mass and the mass is summed from the element's own cells
+(:func:`assembly.element_blocks`), so no global weighted mass is assembled.
+An index of -1 (a boundary node without a DOF) is padding, read as zero by
+the blocks and by the lift, dropped by :func:`assembly._scatter`.  The patch
+bands are the one gather from a sparse matrix through a read plan
+(:func:`_plan`): the condensed skeleton operator's pattern depends on its
+values, for an entry that cancels to exactly zero is dropped, so the plan is
+checked against the pattern on every use.  Element eigenproblems are solved
+by :func:`linalg._eig_smallest`, in the kernels that one stacked SVD finds
+(:func:`_kernels`) for the second problem.
 """
 
 from __future__ import annotations
@@ -59,17 +63,18 @@ DEFAULT_NBASIS = 3
 
 @dataclass(frozen=True)
 class AuxSpace:
-    """Per-element local eigenpairs, ``weight``-orthonormal within each element.
+    """Per-element local eigenpairs, orthonormal in their weight within each
+    element.
 
     Every element carries the same number k of functions, stacked in
     ``functions``: ``functions[e, :, j]`` is function j of element e on the
     DOFs ``interior[e]`` of the grid's index maps (zero elsewhere).  For the
-    first space ``weight`` is
-    S, the kappa_tilde-weighted mass realizing the s-bilinear form; for the
-    second it is the mass M and every vector lies in the Pi-kernel.  ``A`` is
-    the stiffness the local problems were solved against, and ``A_blocks``
-    its element blocks (interior rows, interior-then-boundary columns),
-    gathered once for both spaces' spectral problems and condensations.
+    first space the weight is S, the kappa_tilde-weighted mass realizing the
+    s-bilinear form; for the second it is the mass M and every vector lies
+    in the Pi-kernel.  ``A`` is the stiffness the local problems were solved
+    against, and ``A_blocks`` its element blocks (interior rows,
+    interior-then-boundary columns), summed once for both spaces' spectral
+    problems and condensations.
     ``moments`` stacks each element's v^T B_e over its closure, in the
     columns of ``A_blocks`` (a -1 boundary column reads zero), formed where
     the functions are solved: the space's constraint rows for both bases,
@@ -78,7 +83,6 @@ class AuxSpace:
 
     values: list            # per element, ascending eigenvalues
     functions: np.ndarray   # (n_elements, n_interior, k)
-    weight: sp.csr_matrix
     A: sp.csr_matrix
     A_blocks: np.ndarray    # (n_elements, n_interior, n_interior + n_boundary)
     moments: np.ndarray     # (n_elements, k, n_interior + n_boundary)
@@ -111,13 +115,15 @@ class CoarseSpaces:
 def build_spaces(grid: GridHierarchy, field_: assembly.PermeabilityField,
                  L: int, J: int, layers: int) -> CoarseSpaces:
     """Partition of unity, kappa_tilde, both spectral problems and bases;
-    the spectral problems assemble stiffness, weighted mass and mass."""
+    the first spectral problem assembles the stiffness, and the mass is the
+    grid's."""
     kt = assembly.kappa_tilde(field_, assembly.msfem_partition(grid, field_))
     aux1 = aux_spectral(grid, field_, kt, L)
     basis1 = cem_basis(grid, field_, aux1, layers)
     aux2 = v2_aux_spectral(grid, field_, aux1, J)
     basis2 = v2_basis(grid, field_, aux1, aux2, layers)
-    return CoarseSpaces(A=aux1.A, M=aux2.weight, combined=combine(basis1, basis2))
+    return CoarseSpaces(A=aux1.A, M=assembly.assemble(grid, None, "mass"),
+                        combined=combine(basis1, basis2))
 
 
 def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
@@ -127,25 +133,26 @@ def combine(first: ReducedBasis, second: ReducedBasis) -> ReducedBasis:
 def aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
                  kt: assembly.WeightedField, L: int = DEFAULT_NBASIS) -> AuxSpace:
     """L smallest eigenpairs per element of local stiffness vs s_i; assembles
-    the stiffness A and the weighted mass S."""
-    A = assembly.assemble(grid, field_, "stiffness")
-    S = assembly.assemble(grid, kt, "weighted_mass")
-    return _local_eigs(grid, A, S, L)
+    the stiffness A."""
+    return _local_eigs(grid, field_, kt.values, L)
 
 
 def v2_aux_spectral(grid: GridHierarchy, field_: assembly.PermeabilityField,
                     aux1: AuxSpace, J: int = DEFAULT_NBASIS) -> AuxSpace:
-    """J smallest local eigenpairs of stiffness vs mass in the Pi-kernel;
-    assembles the mass M.  The stiffness is ``aux1.A``; ``field_`` is unused."""
-    M = assembly.assemble(grid, None, "mass")
-    return _local_eigs(grid, aux1.A, M, J, constraint=aux1)
+    """J smallest local eigenpairs of stiffness vs mass in the Pi-kernel.
+    The stiffness is ``aux1.A``; ``field_`` is unused."""
+    return _local_eigs(grid, field_, np.ones(grid.n_cells), J, constraint=aux1)
 
 
-def _local_eigs(grid: GridHierarchy, A, B, k: int,
+def _local_eigs(grid: GridHierarchy, field_, weights, k: int,
                 constraint: AuxSpace | None = None) -> AuxSpace:
-    """k smallest eigenpairs of A v = lambda B v on every element interior.
+    """k smallest eigenpairs of A v = lambda B v on every element interior,
+    A the stiffness of ``field_`` and B the mass weighted by the per-cell
+    ``weights``, both element blocks summed from the element's cells
+    (:func:`assembly.element_blocks`).
 
-    With a ``constraint`` space, element i's problem is restricted to the
+    With a ``constraint`` space, whose stiffness and its blocks (see
+    :class:`AuxSpace`) are reused, element i's problem is restricted to the
     kernel of the weighted moments against the constraint's functions on
     element i (s_i-orthogonality to them when the constraint is the first
     auxiliary space), the interior columns of ``constraint.moments``: with Z
@@ -153,14 +160,21 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
     projected by stacked products and solved, v = Z w, by
     :func:`linalg._eig_smallest`, whose failures are raised naming the
     element.  B's boundary blocks, which only the moment table reads, are
-    gathered apart; with a constraint space, whose stiffness A must be, A's
-    blocks (see :class:`AuxSpace`) are reused from it.
+    summed apart.
     """
     maps = grid.index_maps(0)       # element maps are the same for every layers
-    interior, (ne, ni) = maps.interior, maps.interior.shape
-    AD = (constraint.A_blocks if constraint is not None else
-          _blocks(grid, "closure", A, interior, np.hstack([interior, maps.boundary])))
-    A_blocks, B_blocks = AD[:, :, :ni], _blocks(grid, "interior", B, interior, interior)
+    closure = np.hstack([maps.interior, maps.boundary])
+    (ne, ni), nc = maps.interior.shape, closure.shape[1]
+    # Closure positions of every element's columns, -1 at a node without a DOF.
+    cols = np.where(closure >= 0, np.arange(nc), -1)
+    if constraint is None:
+        A = assembly.assemble(grid, field_, "stiffness")
+        AD = assembly.element_blocks(grid, field_.values, assembly._STIFF_REF, cols)
+    else:
+        A, AD = constraint.A, constraint.A_blocks
+    mass = assembly.element_mass(grid.h)
+    A_blocks = AD[:, :, :ni]
+    B_blocks = assembly.element_blocks(grid, weights, mass, np.arange(ni))
     Z = None if constraint is None else _kernels(constraint.moments[:, :, :ni])
     Aloc, Bloc = ((A_blocks, B_blocks) if Z is None else
                   (Z.transpose(0, 2, 1) @ X @ Z for X in (A_blocks, B_blocks)))
@@ -172,13 +186,13 @@ def _local_eigs(grid: GridHierarchy, A, B, k: int,
             raise SolveError(f"on element {i}: {exc}") from exc
         values.append(vals)
         data[i] = vecs if Z is None else Z[i] @ vecs
-    # B's boundary columns are gathered apart, after the solves: B's closure
+    # B's boundary columns are summed apart, after the solves: B's closure
     # blocks held through them raised experiment 1's peak RSS by up to 20 MB.
     V = np.ascontiguousarray(data.transpose(0, 2, 1))
     moments = np.concatenate(
-        [V @ B_blocks, V @ _blocks(grid, "boundary", B, interior, maps.boundary)],
+        [V @ B_blocks, V @ assembly.element_blocks(grid, weights, mass, cols[:, ni:])],
         axis=2)
-    return AuxSpace(values=values, functions=data, weight=B, A=A, A_blocks=AD,
+    return AuxSpace(values=values, functions=data, A=A, A_blocks=AD,
                     moments=moments)
 
 
@@ -191,45 +205,6 @@ def _kernels(C) -> np.ndarray:
         raise SolveError(f"on element {e}: constraint moments are rank deficient "
                          f"(singular values {sv[e, 0]:.3e} to {sv[e, -1]:.3e})")
     return np.ascontiguousarray(vt[:, C.shape[1]:].transpose(0, 2, 1))
-
-
-def _row_entries(X, rows):
-    """Positions in ``X.indices``/``X.data`` of every entry of the compressed
-    rows (CSR) or columns (CSC) ``rows``, one after another, and each one's
-    entry count."""
-    start = X.indptr[rows]
-    count = X.indptr[rows + 1] - start
-    return (np.repeat(start - np.cumsum(count) + count, count)
-            + np.arange(count.sum())), count
-
-
-def _blocks(grid: GridHierarchy, key, X, rows, cols) -> np.ndarray:
-    """Dense blocks ``X[rows[e]][:, cols[e]]`` stacked over e (a column of -1
-    reads zeros) of X without duplicate entries, by the grid's plan ``key``
-    (:func:`assembly._plan`): where each entry of the rows goes in the
-    blocks, flat, and where it is in ``X.data``.  The column indices of each
-    block must be distinct."""
-    X = sp.csr_matrix(X)
-    out = np.zeros(rows.shape + cols.shape[1:])
-
-    def build(X):
-        n = X.shape[1]
-        ce, cq = np.nonzero(cols >= 0)
-        k, count = _row_entries(X, rows.ravel())
-        e, p = np.divmod(np.repeat(np.arange(rows.size), count), rows.shape[1])
-        # Locate each entry's column in its own block's column list.
-        keys = ce * n + cols[ce, cq]
-        order = np.argsort(keys)
-        keys, cq = keys[order], cq[order]
-        probe = e * n + X.indices[k]
-        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-        hit = keys[at] == probe
-        yield (np.ravel_multi_index((e[hit], p[hit], cq[at[hit]]), out.shape),
-               k[hit]), int(hit.sum())
-
-    ((flat, pos),) = assembly._plan(grid, key, X, build)
-    out.reshape(-1)[flat] = X.data[pos]
-    return out
 
 
 def cem_basis(grid: GridHierarchy, field_: assembly.PermeabilityField,
@@ -318,16 +293,18 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     R = np.zeros((grid.n_dofs, ne * k))
     # Skeleton position of each boundary node, -1 where it has no DOF.
     bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
-    A_SS = assembly._submatrix(grid, "skeleton", A, maps.skeleton, maps.skeleton)
+    A_SS = A[maps.skeleton][:, maps.skeleton]
     S, Y, WZ = _condense(maps, A_SS, AD, CT * (1.0 / norms)[:, :, None], k,
                          norms, bpos)
 
     XS = _patch_solves(grid, layers, S, WZ, k)
-    # The moment table scatters without duplicates, so C is the table moved.
-    C = assembly._moved(grid, ("constraints", m), None, CT.ravel(), lambda v: (
-        assembly._scatter(v.reshape(CT.shape), np.arange(ne * m).reshape(ne, m, 1),
-                          np.hstack([maps.interior, maps.boundary])[:, None],
-                          (ne * m, grid.n_dofs)).tocsr()))
+    # C is the moment table in CSR, each element's closure columns sorted.
+    closure = np.hstack([maps.interior, maps.boundary])
+    order = np.argsort(closure, axis=1)
+    dofs = np.broadcast_to(np.take_along_axis(closure, order, axis=1)[:, None], CT.shape)
+    keep = dofs >= 0
+    C = sp.csr_matrix((np.take_along_axis(CT, order[:, None], axis=2)[keep], dofs[keep],
+                       np.r_[0, np.cumsum(keep.sum(axis=2))]), shape=(ne * m, grid.n_dofs))
     C2 = sp.csr_matrix((np.square(C.data), C.indices, C.indptr), shape=C.shape)
 
     # Lift and check the columns of a few elements at a time, so that no
@@ -384,12 +361,44 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     return R
 
 
+# The most entries a plan may hold and still be kept on its grid: the
+# contrast-sweep grid keeps its patch bands (23,092 entries), experiment 1's
+# grid uses its (2,471,600) patch by patch as they are built.
+PLAN_ENTRIES = 2 ** 15
+
+
+def _plan(grid: GridHierarchy, key, X, build):
+    """The plan of where a build reads the data of the CSR matrix X: the
+    parts that ``build(X)`` yields, each with its entry count.  It is kept
+    on ``grid`` under ``key`` for the ``indptr`` and ``indices`` of X if it
+    holds at most PLAN_ENTRIES entries, and else used part by part as it is
+    built; read it to the end."""
+    plans = grid.__dict__.setdefault("_plans", {})
+    pattern = (X.indptr, X.indices)
+    kept = plans.get(key)
+    if kept is not None and all(map(np.array_equal, kept[0], pattern)):
+        yield from kept[1]
+        return
+    plans.pop(key, None)
+    pattern = tuple(a.copy() for a in pattern)
+    parts, entries = [], 0
+    for part, n in build(X):
+        entries += n
+        if entries <= PLAN_ENTRIES:
+            parts.append(part)
+        else:
+            parts.clear()
+        yield part
+    if entries <= PLAN_ENTRIES:
+        plans[key] = (pattern, parts, entries)
+
+
 def _patch_solves(grid: GridHierarchy, layers: int, S, WZ, k: int) -> np.ndarray:
     """Every patch's skeleton solutions, (n_skeleton, ne * k): the right-hand
     sides -W_i^T Z_i scattered once, then patch i's lower band on its
     skeleton sk gathered from the canonical CSR S and solved once by
     :func:`linalg._banded_cholesky`.  The grid's plan of the bands
-    (:func:`assembly._plan`) holds, read from the rows of S, each one's
+    (:func:`_plan`) holds, read from the rows of S, each one's
     width, and where each entry goes (flat) and is in ``S.data``."""
     S.sum_duplicates()
     maps = grid.index_maps(layers)
@@ -403,7 +412,10 @@ def _patch_solves(grid: GridHierarchy, layers: int, S, WZ, k: int) -> np.ndarray
         at_patch = np.full(ns, -1)
         for sk in maps.patch_skeleton:
             at_patch[sk] = np.arange(len(sk))
-            at, count = _row_entries(S, sk)
+            # Positions in S.indices of every entry of the rows sk, in turn.
+            start = S.indptr[sk]
+            count = S.indptr[sk + 1] - start
+            at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
             c = at_patch[S.indices[at]]
             d = np.repeat(np.arange(len(sk)), count) - c
             at_patch[sk] = -1
@@ -411,7 +423,7 @@ def _patch_solves(grid: GridHierarchy, layers: int, S, WZ, k: int) -> np.ndarray
             yield (int(d[low].max(initial=0)) + 1, d[low] * len(sk) + c[low],
                    at[low]), len(low)
 
-    bands = assembly._plan(grid, ("bands", layers), S, build)
+    bands = _plan(grid, ("bands", layers), S, build)
     for i, (width, flat, pos) in enumerate(bands):
         sk = maps.patch_skeleton[i]
         cols = slice(i * k, (i + 1) * k)

@@ -23,7 +23,7 @@ from tfmultiscale.stability import (build_report, contrast_sweep,
 from test_fractional import caputo
 from test_linalg import charpoly_eigs_bisect, kkt_dense_oracle, random_spd
 from test_schemes import gram_schmidt_m, make_basis
-from test_spaces import aux_spaces, coarse_bases, vectors
+from test_spaces import aux_spaces, aux_weights, coarse_bases, vectors
 
 
 def _verdict(num, name, ok, detail):
@@ -261,22 +261,23 @@ def test_criterion_08_alpha_instability(paper):
 def test_criterion_09_basis_contracts(desk):
     aux1, aux2 = aux_spaces(desk.g, desk.fld, 3, 3)
     V1, V2 = vectors(desk.g, aux1), vectors(desk.g, aux2)
+    S, M = aux_weights(desk.g, desk.fld)
     b1, b2 = coarse_bases(desk.cs)
     # first-space basis: unit s-moments against every auxiliary function
-    G1 = V1.T @ (aux1.weight @ b1.R)
+    G1 = V1.T @ (S @ b1.R)
     r_cem = float(np.max(np.abs(G1 - np.eye(V1.shape[1]))))
     # second-space basis: s-orthogonality to the first auxiliary space
-    r_orth = float(np.max(np.abs(V1.T @ (aux1.weight @ b2.R))))
+    r_orth = float(np.max(np.abs(V1.T @ (S @ b2.R))))
     # second-space basis: L2 moments equal those of the target eigenfunctions
-    G2 = V2.T @ (aux2.weight @ b2.R)
-    XtMX = (V2.T @ (aux2.weight @ V2)).toarray()
+    G2 = V2.T @ (M @ b2.R)
+    XtMX = (V2.T @ (M @ V2)).toarray()
     r_mom = 0.0
     for j in range(b2.n):
         r_mom = max(r_mom, float(np.max(np.abs(G2[:, j] - XtMX[:, j]))))
     # idempotence of the element-wise s-orthogonal projection Pi onto the
     # first auxiliary space
     def project_pi(v):
-        return V1 @ (V1.T @ (aux1.weight @ v))
+        return V1 @ (V1.T @ (S @ v))
 
     rng = np.random.default_rng(5)
     r_pi = 0.0

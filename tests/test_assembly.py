@@ -3,7 +3,6 @@ vectors, and the raster file format."""
 
 import os
 import tempfile
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tfmultiscale import assembly
+from tfmultiscale import assembly, harness
 from tfmultiscale.assembly import (PermeabilityField, WeightedField, assemble,
                                    element_mass, kappa_tilde, load_vector,
                                    msfem_partition, read_raster, write_raster)
@@ -59,10 +58,13 @@ def test_element_stiffness_unit():
 
 
 def test_element_stiffness_rows_sum_zero():
+    """The reference stiffness's rows, and every element's interior rows of
+    the stiffness over its whole closure, sum to zero."""
     assert np.allclose(assembly._STIFF_REF.sum(axis=1), 0.0, atol=1e-14)
     g = build_grids(2, 3)
-    K = assembly._assemble_nodes(g, np.full(g.n_cells, 3.3), assembly._STIFF_REF)
-    assert np.allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-13)
+    K = assembly.element_blocks(g, np.full(g.n_cells, 3.3), assembly._STIFF_REF,
+                                np.arange((g.refine + 1) ** 2))
+    assert np.allclose(K.sum(axis=2), 0.0, atol=1e-13)
 
 
 def test_element_stiffness_linear_in_kappa():
@@ -82,52 +84,18 @@ def test_mass_matrix_pd():
 
 def test_mass_matrix_is_assembled_once_per_grid_and_read_only():
     """The mass matrix of a grid is assembled once and shared, its arrays
-    read-only, and equals the restriction of the all-node assembly."""
+    read-only, and equals the restriction of an all-node assembly."""
     g = build_grids(3, 4)
     M = assemble(g, None, "mass")
     assert assemble(g, None, "mass") is M
     assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
     with pytest.raises(ValueError, match="read-only"):
         M.data[0] = 0.0
-    K = assembly._assemble_nodes(g, np.ones(g.n_cells), assembly.element_mass(g.h))
-    idx = g.interior_nodes()
-    expect = K[idx][:, idx]
+    expect = _assemble_by_repeat_and_tile(g, np.ones(g.n_cells), element_mass(g.h))
     assert all(np.array_equal(a, b) for a, b in ((M.data, expect.data),
                                                  (M.indices, expect.indices),
                                                  (M.indptr, expect.indptr)))
     assert assemble(build_grids(3, 4), None, "mass") is not M
-
-
-@pytest.mark.parametrize("limit", [2, 4])
-def test_a_plan_is_kept_up_to_plan_entries_and_else_not_held(monkeypatch, limit):
-    """A plan of four one-entry parts: kept whole with PLAN_ENTRIES at 4 and
-    read from the grid the next time; with PLAN_ENTRIES at 2 not kept, and
-    each part let go once the count passes the limit, so that a large plan
-    (experiment 1's patch bands) is never held whole."""
-    monkeypatch.setattr(assembly, "PLAN_ENTRIES", limit)
-
-    class Part:
-        pass
-
-    made = []
-
-    def build(_):
-        for _ in range(4):
-            part = Part()
-            made.append(weakref.ref(part))
-            yield part, 1
-
-    g = build_grids(2, 2)
-    held = []
-    for part in assembly._plan(g, "test", None, build):
-        del part
-        held.append([ref() is not None for ref in made])
-    if limit == 4:
-        assert all(all(step) for step in held)
-        assert len(list(assembly._plan(g, "test", None, build))) == 4 and len(made) == 4
-    else:
-        assert held[2][:2] == [False, False] and not any(held[3][:3])
-        assert "test" not in g.__dict__["_plans"]
 
 
 def smallest_laplace_eig(g):
@@ -247,6 +215,42 @@ def test_assemble_bit_equal_to_repeat_and_tile_coo(weight):
     got, oracle = assemble(g, field, weight), _assemble_by_repeat_and_tile(g, w, ref)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(oracle, name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coarse_n=st.integers(2, 5), refine=st.integers(2, 7),
+       kind=st.sampled_from(["mass", "stiffness", "weighted_mass"]),
+       cols=st.sampled_from(["interior", "boundary", "closure"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_element_blocks_bit_equal_to_the_assembled_blocks(coarse_n, refine, kind,
+                                                           cols, seed):
+    """Every element's block summed from its own cells, cell weights from
+    1e-4 to 1e8, is bit-equal to the same block sliced out of the assembled
+    matrix by scipy, a column of -1 (a perimeter node without a DOF) reading
+    zero; the interior columns are asked for by one list for every element,
+    the others by one list per element."""
+    g = build_grids(coarse_n, refine)
+    w = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 8.0, g.n_cells)
+    field, ref = {"mass": (None, element_mass(g.h)),
+                  "stiffness": (PermeabilityField(w), assembly._STIFF_REF),
+                  "weighted_mass": (WeightedField(w), element_mass(g.h))}[kind]
+    if kind == "mass":
+        w = np.ones(g.n_cells)
+    maps = g.index_maps(0)
+    ni = maps.interior.shape[1]
+    closure = np.hstack([maps.interior, maps.boundary])
+    at = {"interior": np.arange(ni), "boundary": np.arange(ni, closure.shape[1]),
+          "closure": np.arange(closure.shape[1])}[cols]
+    dofs = closure[:, at]
+    got = assembly.element_blocks(g, w, ref, at if cols == "interior" else
+                                  np.where(dofs >= 0, at, -1))
+    X = assemble(g, field, kind)
+    assert got.shape == (g.coarse_n ** 2, ni, len(at))
+    for e, rows in enumerate(maps.interior):
+        valid = dofs[e] >= 0
+        expect = np.zeros((ni, len(at)))
+        expect[:, valid] = X[rows][:, dofs[e][valid]].toarray()
+        assert np.array_equal(got[e], expect)
 
 
 def test_field_validation():
@@ -429,6 +433,65 @@ def test_partition_and_kappa_tilde_bit_equal_to_element_loops(coarse_n, refine,
                           _kappa_tilde_loop(fld, g, _global_chi(g, oracle)))
 
 
+def _msfem_partition_block_diagonal(grid, field):
+    """``msfem_partition`` as built before the element blocks were summed
+    from their own cells: the local stiffnesses as one block-diagonal COO,
+    elements in order, its interior blocks and boundary product sliced out
+    by scipy, and a new CSC per element factored by SuperLU."""
+    r = grid.refine
+    n = (r + 1) ** 2
+    ly, lx = np.divmod(np.arange(n), r + 1)
+    lx, ly = lx / r, ly / r
+    on_bdy = (lx == 0) | (lx == 1) | (ly == 0) | (ly == 1)
+    bdy, inner = np.flatnonzero(on_bdy), np.flatnonzero(~on_bdy)
+    ni = len(inner)
+    hats = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
+    elem_cells = grid.element_cells()
+    ne = len(elem_cells)
+    off = n * np.arange(ne)[:, None]
+    nodes = assembly._local_cells(r) + off[:, :, None]
+    A = assembly._scatter(field.values[elem_cells][:, :, None, None] * assembly._STIFF_REF,
+                          nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
+    rows = (inner + off).ravel()
+    A_ii = A[rows][:, rows]
+    G = hats[bdy]
+    rhs = -A[rows][:, (bdy + off).ravel()] @ np.tile(G, (ne, 1))
+    sol = np.empty_like(rhs)
+    nnz = A_ii.nnz // ne
+    for e, data in enumerate(A_ii.data.reshape(ne, nnz)):
+        K = sp.csc_matrix((data, A_ii.indices[:nnz], A_ii.indptr[:ni + 1]), shape=(ni, ni))
+        sol[e * ni:(e + 1) * ni] = spla.splu(K).solve(rhs[e * ni:(e + 1) * ni])
+    values = np.empty((ne, n, 4))
+    values[:, bdy] = G
+    values[:, inner] = sol.reshape(ne, ni, 4)
+    return values
+
+
+def _partition_case(case):
+    if case == "reduced-sweep":
+        return build_grids(10, 5), harness.gen_field("channels", nx=50, ny=50,
+                                                     contrast=1e5, seed=0)
+    if case == "exp1":
+        cfg = harness.experiment_config(1)
+        g = build_grids(cfg.coarse_n, cfg.refine)
+        return g, harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
+    geometry, contrast = case.split("-")
+    mask = harness.channel_geometry(24, 24, seed=int(geometry[1:])).ravel()
+    return build_grids(4, 6), PermeabilityField(np.where(mask, float(contrast), 1.0))
+
+
+@pytest.mark.parametrize("case", [f"g{g}-{c}" for g in (0, 2, 7)
+                                  for c in ("1e2", "1e4", "1e6")]
+                         + ["reduced-sweep", "exp1"])
+def test_partition_bit_equal_to_the_block_diagonal_coo(case):
+    """The partition of unity is bit-equal to the block-diagonal COO path on
+    contrast-sweep geometries 0, 2 and 7, the reduced-sweep grid and
+    experiment 1's raster."""
+    g, fld = _partition_case(case)
+    assert np.array_equal(msfem_partition(g, fld).values,
+                          _msfem_partition_block_diagonal(g, fld))
+
+
 def test_partition_rejects_a_wrong_factorization(monkeypatch):
     """Only element 3's local Dirichlet block is factored as 2K: its
     solutions' backward errors are near 1/2, and the check names element 3."""
@@ -460,6 +523,14 @@ def test_kappa_tilde_constant_kappa_closed_form():
     xb = yb = (h / 2) / H
     expect = 2 * ((1 - xb) ** 2 + xb ** 2 + (1 - yb) ** 2 + yb ** 2) / H ** 2
     assert kt.values[0] == pytest.approx(expect, rel=1e-10)
+
+
+def test_kappa_tilde_rejects_a_field_of_another_grid():
+    """A 20x20 field against a 24x24 partition is rejected with assemble's
+    message, not inside numpy."""
+    pou = msfem_partition(build_grids(4, 6), PermeabilityField(np.ones(576)))
+    with pytest.raises(ValueError, match="field has 400 cells, grid has 576"):
+        kappa_tilde(PermeabilityField(np.ones(400)), pou)
 
 
 def test_kappa_tilde_scales_with_kappa():

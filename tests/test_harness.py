@@ -607,7 +607,7 @@ def test_run_experiment_assembles_each_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(assembly, "assemble", lambda grid, field, weight:
                         kinds.append(weight) or assemble(grid, field, weight))
     run_experiment(_tiny_config(tmp_path / "run"))
-    assert sorted(kinds) == ["mass", "stiffness", "weighted_mass"]
+    assert sorted(kinds) == ["mass", "stiffness"]
 
 
 def test_run_experiment_fine_dump_holds_coarse_levels(tmp_path):

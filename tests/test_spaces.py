@@ -2,6 +2,7 @@
 bases."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ def aux_spaces(g, fld, L, J):
     return aux1, v2_aux_spectral(g, fld, aux1, J)
 
 
+def aux_weights(g, fld):
+    """The weights of the two auxiliary spaces of ``fld``, assembled: S, the
+    kappa_tilde-weighted mass, and the mass M."""
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+    return (assembly.assemble(g, kt, "weighted_mass"),
+            assembly.assemble(g, None, "mass"))
+
+
 def vectors(g, aux):
     """``aux.functions`` as sparse (n_dofs, n_elements * k) columns,
     element-major: column e * k + j is function j of element e."""
@@ -72,9 +81,10 @@ def test_aux_eigenvalues_ascending_nonnegative():
 
 
 def test_aux_s_orthonormal_per_element():
-    g, _, _, aux1 = setup_spaces()
+    g, fld, _, aux1 = setup_spaces()
     V1 = vectors(g, aux1)
-    G = (V1.T @ (aux1.weight @ V1)).toarray()
+    S, _ = aux_weights(g, fld)
+    G = (V1.T @ (S @ V1)).toarray()
     # disjoint element-interior supports make the global Gram the identity
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
@@ -106,15 +116,11 @@ def test_non_spd_local_weight_names_its_element():
     element's eigensolve, and the error names the element."""
     g = t.build_grids(3, 4)
     fld = channel_field(g)
-    A = assembly.assemble(g, fld, "stiffness")
-    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
-    S = assembly.assemble(g, kt, "weighted_mass")
-    keep = np.ones(g.n_dofs)
-    keep[g.index_maps(0).interior[4]] = 0.0
-    S = sp.diags(keep) @ S @ sp.diags(keep)
+    kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld)).values.copy()
+    kt[g.element_cells()[4]] = 0.0
     with pytest.raises(SolveError,
                        match="on element 4: generalized eigenproblem failed"):
-        spaces._local_eigs(g, A, S, 2)
+        spaces._local_eigs(g, fld, kt, 2)
 
 
 # -------------------------------------------------------------------- cem_basis
@@ -123,7 +129,8 @@ def test_cem_constraint_gram_identity():
     g, fld, _, aux1 = setup_spaces()
     b1 = cem_basis(g, fld, aux1, 2)
     V1 = vectors(g, aux1)
-    G = V1.T @ (aux1.weight @ b1.R)     # s-moments of each basis column
+    S, _ = aux_weights(g, fld)
+    G = V1.T @ (S @ b1.R)               # s-moments of each basis column
     expect = np.eye(V1.shape[1])
     assert np.max(np.abs(G - expect)) <= 1e-8
 
@@ -164,9 +171,10 @@ def test_v2_aux_in_pi_kernel():
     g, fld, _, aux1 = setup_spaces()
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
     V1, V2 = vectors(g, aux1), vectors(g, aux2)
+    S, _ = aux_weights(g, fld)
     for j in range(V2.shape[1]):
         xi = V2[:, j].toarray().ravel()
-        coef = V1.T @ (aux1.weight @ xi)
+        coef = V1.T @ (S @ xi)
         assert np.max(np.abs(coef)) <= 1e-9
 
 
@@ -177,7 +185,8 @@ def test_v2_aux_ascending_l2_orthonormal():
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] >= -1e-10
     V2 = vectors(g, aux2)
-    G = (V2.T @ (aux2.weight @ V2)).toarray()
+    _, M = aux_weights(g, fld)
+    G = (V2.T @ (M @ V2)).toarray()
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
 
@@ -217,11 +226,11 @@ def test_v2_basis_constraints():
     aux2 = v2_aux_spectral(g, fld, aux1, 2)
     b2 = v2_basis(g, fld, aux1, aux2, 2)
     V1, V2 = vectors(g, aux1), vectors(g, aux2)
+    S, M = aux_weights(g, fld)
     # s-orthogonality to every aux1 function
-    G1 = V1.T @ (aux1.weight @ b2.R)
+    G1 = V1.T @ (S @ b2.R)
     assert np.max(np.abs(G1)) <= 1e-8
     # L2 moments match those of the target eigenfunctions
-    M = aux2.weight
     G2 = V2.T @ (M @ b2.R)
     XtMX = (V2.T @ (M @ V2)).toarray()
     for j in range(b2.n):   # V2 column j targets aux2 column j
@@ -253,7 +262,7 @@ def _cem_patch_system(g, fld, aux1, i, layers):
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
     acols = _columns(aux1)[elements].ravel()
     V1 = vectors(g, aux1)
-    SPsi = (aux1.weight @ V1).tocsc()
+    SPsi = (aux_weights(g, fld)[0] @ V1).tocsc()
     C = SPsi[dofs][:, acols].T.tocsr()
     own = np.flatnonzero(np.isin(acols, _columns(aux1)[i]))
     G = (V1[:, acols].T @ SPsi[:, acols[own]]).toarray()
@@ -267,8 +276,9 @@ def _v2_patch_system(g, fld, aux1, aux2, i, layers):
     dofs, elements = maps.patch_dofs[i], np.flatnonzero(maps.in_patch[i])
     a1, a2 = _columns(aux1)[elements].ravel(), _columns(aux2)[elements].ravel()
     V1, V2 = vectors(g, aux1), vectors(g, aux2)
-    MXi = (aux2.weight @ V2).tocsc()
-    C = sp.vstack([(aux1.weight @ V1)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
+    S, M = aux_weights(g, fld)
+    MXi = (M @ V2).tocsc()
+    C = sp.vstack([(S @ V1)[dofs][:, a1].T, MXi[dofs][:, a2].T]).tocsr()
     own = np.flatnonzero(np.isin(a2, _columns(aux2)[i]))
     G2 = (V2[:, a2].T @ MXi[:, a2[own]]).toarray()
     G = np.vstack([np.zeros((len(a1), len(own))), G2])
@@ -470,13 +480,14 @@ def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
     maps = g.index_maps(0)
     interior, ni = maps.interior, maps.interior.shape[1]
     closure = np.hstack([interior, maps.boundary])
-    for aux in aux_spaces(g, fld, 3, 2):
+    for aux, weight in zip(aux_spaces(g, fld, 3, 2), aux_weights(g, fld)):
         X = vectors(g, aux)
-        V = spaces._blocks(g, "test V", X.T, _columns(aux), interior)
-        W = spaces._blocks(g, "test W", aux.weight, interior, interior)
+        V = np.ascontiguousarray(aux.functions.transpose(0, 2, 1))
+        W = weight.toarray()[interior[:, :, None], interior[:, None, :]]
         assert np.array_equal(aux.moments[:, :, :ni], V @ W)
-        rows = spaces._blocks(g, "test rows", (aux.weight @ X).T, _columns(aux),
-                              closure)
+        # Column -1 of the padded rows reads zero.
+        P = np.pad((weight @ X).T.toarray(), ((0, 0), (0, 1)))
+        rows = P[_columns(aux)[:, :, None], closure[:, None, :]]
         assert aux.moments.shape == rows.shape
         assert np.max(np.abs(aux.moments - rows)) <= 1e-14 * np.max(np.abs(rows))
 
@@ -617,23 +628,23 @@ def test_localize_names_a_near_duplicate_constraint_row():
 
 
 def test_build_spaces_gathers_stiffness_blocks_once(monkeypatch):
-    """Both spectral problems and both condensations share one gather of the
-    stiffness's element blocks."""
-    gather, gathered = spaces._blocks, []
+    """Both spectral problems and both condensations share one sum of the
+    stiffness's element blocks; the partition of unity sums its own."""
+    sum_blocks, summed = assembly.element_blocks, []
 
-    def blocks(grid, key, X, rows, cols):
-        gathered.append(X)
-        return gather(grid, key, X, rows, cols)
+    def blocks(grid, weights, ref, cols):
+        summed.append(ref)
+        return sum_blocks(grid, weights, ref, cols)
 
-    monkeypatch.setattr(spaces, "_blocks", blocks)
+    monkeypatch.setattr(assembly, "element_blocks", blocks)
     solved = []
     for name in ("aux_spectral", "v2_aux_spectral"):
         solve = getattr(spaces, name)
         monkeypatch.setattr(spaces, name, lambda *a, solve=solve:
                             solved.append(solve(*a)) or solved[-1])
     g = t.build_grids(3, 4)
-    cs = build_spaces(g, channel_field(g), 2, 1, 1)
-    assert sum(X is cs.A for X in gathered) == 1
+    build_spaces(g, channel_field(g), 2, 1, 1)
+    assert sum(ref is assembly._STIFF_REF for ref in summed) == 2
     aux1, aux2 = solved
     assert aux1.A_blocks is aux2.A_blocks
 
@@ -665,16 +676,17 @@ def test_basis_contracts_on_random_binary_fields(coarse_n, refine, contrast, see
     b1, b2 = coarse_bases(build_spaces(g, fld, 2, 1, 1))
     aux1, aux2 = aux_spaces(g, fld, 2, 1)
     V1, V2 = vectors(g, aux1), vectors(g, aux2)
+    S, M = aux_weights(g, fld)
     # Both bases take unit moments as their targets: each auxiliary space
     # must be orthonormal in its weight.
-    for aux, V in ((aux1, V1), (aux2, V2)):
-        gram = (V.T @ (aux.weight @ V)).toarray()
+    for W, V in ((S, V1), (M, V2)):
+        gram = (V.T @ (W @ V)).toarray()
         assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-12
-    G1 = V1.T @ (aux1.weight @ b1.R)
+    G1 = V1.T @ (S @ b1.R)
     assert np.max(np.abs(G1 - np.eye(V1.shape[1]))) <= 1e-9
-    assert np.max(np.abs(V1.T @ (aux1.weight @ b2.R))) <= 1e-9
-    G2 = V2.T @ (aux2.weight @ b2.R)
-    XtMX = (V2.T @ (aux2.weight @ V2)).toarray()
+    assert np.max(np.abs(V1.T @ (S @ b2.R))) <= 1e-9
+    G2 = V2.T @ (M @ b2.R)
+    XtMX = (V2.T @ (M @ V2)).toarray()
     assert np.max(np.abs(G2 - XtMX)) <= 1e-9
 
 
@@ -752,8 +764,8 @@ def test_combined_basis_full_rank():
 @pytest.mark.parametrize("geometry", [0, 2, 7])
 def test_read_plans_give_the_bases_of_a_fresh_grid(monkeypatch, geometry):
     """The contrast sweep (1e2, 1e4, 1e6) gives bit-equal bases and equal
-    rows on its first call on a grid, which builds the grid's read plans, on
-    its second, which reuses them, and on a fresh grid; so does a one-layer
+    rows on its first call on a grid, which builds the grid's patch-band
+    plan, on its second, which reuses it, and on a fresh grid; so does a one-layer
     build on the warm grid, whose patch bands need a plan of their own."""
     mask = harness.channel_geometry(24, 24, seed=geometry)
     g = t.build_grids(4, 6)
@@ -791,28 +803,19 @@ def _without(X, i, j):
     return X
 
 
-def _same_csr(X, Y):
-    return all(np.array_equal(a, b) for a, b in ((X.indptr, Y.indptr),
-                                                 (X.indices, Y.indices),
-                                                 (X.data, Y.data)))
-
-
 def test_a_pattern_that_lost_an_entry_rebuilds_its_plans(monkeypatch):
-    """After a warm build, matrices whose pattern lost one entry pair still
-    match their scipy oracles bit for bit, and each plan is built anew for
-    the new pattern: the patch solves of a skeleton operator S without its
-    smallest off-diagonal entry in the centre patch (``_scipy_patch_solves``),
-    the skeleton stiffness of a stiffness A without one skeleton entry
-    (``A[skel][:, skel]``) and A's element closure blocks (dense indexing)."""
+    """After a warm build, the patch solves of a skeleton operator S without
+    its smallest off-diagonal entry in the centre patch (as when it cancels
+    to exactly zero) still match their scipy oracle bit for bit, and the
+    band plan is built anew for the new pattern."""
     g = t.build_grids(4, 6)
     calls, solves = [], spaces._patch_solves
     monkeypatch.setattr(spaces, "_patch_solves",
                         lambda *a: calls.append(a) or solves(*a))
-    cs = build_spaces(g, assembly.PermeabilityField(sweep_fields[2]), 3, 3, 2)
+    build_spaces(g, assembly.PermeabilityField(sweep_fields[2]), 3, 3, 2)
     plans = g.__dict__["_plans"]
     _, _, S, WZ, k = calls[-1]
-    maps = g.index_maps(2)
-    sk = maps.patch_skeleton[5]
+    sk = g.index_maps(2).patch_skeleton[5]
     P = S[sk][:, sk].tocoo()
     off = np.flatnonzero(P.row != P.col)
     at = off[np.argmin(np.abs(P.data[off]))]
@@ -822,36 +825,54 @@ def test_a_pattern_that_lost_an_entry_rebuilds_its_plans(monkeypatch):
                           _scipy_patch_solves(g, 2, S2, WZ, k))
     assert np.array_equal(plans[("bands", 2)][0][1], S2.indices)
 
-    skel = maps.skeleton
-    P = cs.A[skel][:, skel].tocoo()
-    at = np.flatnonzero(P.row != P.col)[0]
-    A2 = _without(cs.A, skel[P.row[at]], skel[P.col[at]])
-    assert _same_csr(assembly._submatrix(g, "skeleton", A2, skel, skel),
-                     A2[skel][:, skel])
-    assert np.array_equal(plans["skeleton"][0][1], A2.indices)
-    closure = np.hstack([maps.interior, maps.boundary])
-    D = np.pad(A2.toarray(), ((0, 0), (0, 1)))      # column -1 reads zero
-    assert np.array_equal(
-        spaces._blocks(g, "closure", A2, maps.interior, closure),
-        D[maps.interior[:, :, None], closure[:, None, :]])
-    assert np.array_equal(plans["closure"][0][1], A2.indices)
-
 
 def test_a_plan_above_plan_entries_is_used_and_not_kept(monkeypatch):
-    """With PLAN_ENTRIES at 3,000 the sweep grid's larger plans (its patch
-    bands hold 23,092 entries) serve each build and are not kept, the
-    smaller ones are, and both builds are bit-equal to a build on a grid
-    that keeps every plan."""
+    """With PLAN_ENTRIES at 10,000 the sweep grid's two-layer patch bands
+    (23,092 entries) serve each build and are not kept, its one-layer bands
+    (7,668) are, and every build is bit-equal to a build on a grid that
+    keeps every plan."""
     fld = assembly.PermeabilityField(sweep_fields[2])
-    expect = build_spaces(t.build_grids(4, 6), fld, 3, 3, 2).combined.R
-    monkeypatch.setattr(assembly, "PLAN_ENTRIES", 3000)
+    expect = {layers: build_spaces(t.build_grids(4, 6), fld, 3, 3, layers).combined.R
+              for layers in (1, 2)}
+    monkeypatch.setattr(spaces, "PLAN_ENTRIES", 10_000)
     g = t.build_grids(4, 6)
-    for _ in range(2):
-        assert np.array_equal(build_spaces(g, fld, 3, 3, 2).combined.R, expect)
+    for layers in (2, 1, 2, 1):
+        assert np.array_equal(build_spaces(g, fld, 3, 3, layers).combined.R,
+                              expect[layers])
     kept = g.__dict__["_plans"]
-    assert ("bands", 2) not in kept and "dofs" not in kept
-    assert "skeleton" in kept and ("constraints", 3) in kept
-    assert all(entries <= 3000 for _, _, entries in kept.values())
+    assert ("bands", 2) not in kept and kept[("bands", 1)][2] == 7668
+
+
+@pytest.mark.parametrize("limit", [2, 4])
+def test_a_plan_is_kept_up_to_plan_entries_and_else_not_held(monkeypatch, limit):
+    """A plan of four one-entry parts: kept whole with PLAN_ENTRIES at 4 and
+    read from the grid the next time; with PLAN_ENTRIES at 2 not kept, and
+    each part let go once the count passes the limit, so that a large plan
+    (experiment 1's patch bands) is never held whole."""
+    monkeypatch.setattr(spaces, "PLAN_ENTRIES", limit)
+
+    class Part:
+        pass
+
+    made = []
+
+    def build(_):
+        for _ in range(4):
+            part = Part()
+            made.append(weakref.ref(part))
+            yield part, 1
+
+    g, X = t.build_grids(2, 2), sp.identity(3, format="csr")
+    held = []
+    for part in spaces._plan(g, "test", X, build):
+        del part
+        held.append([ref() is not None for ref in made])
+    if limit == 4:
+        assert all(all(step) for step in held)
+        assert len(list(spaces._plan(g, "test", X, build))) == 4 and len(made) == 4
+    else:
+        assert held[2][:2] == [False, False] and not any(held[3][:3])
+        assert "test" not in g.__dict__["_plans"]
 
 
 def test_experiment_1_keeps_no_band_plan():
