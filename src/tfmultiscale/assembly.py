@@ -10,9 +10,11 @@ must stay bit-equal to the per-element loops: at contrast 1e6 a relative
 1e-15 change in either moves the stability report by about 1e-6 (ROADMAP
 item 1), beyond the benchmark's 1e-9 references.  A global matrix is one
 :func:`_scatter`, whose entry order fixes the order in which duplicates are
-summed: cell order.  Every coarse element's dense block is summed from the
-element's own cells in that order (:func:`element_blocks`), so it is
-bit-equal to the assembled matrix's block without a gather from it.
+summed, cell order, as long as no row holds more than 16 COO entries (scipy
+1.17 sorts such a row stably, a longer one not); an assembled row holds at
+most 16 (4 cells x 4 nodes).  Every coarse element's dense block is summed
+from the element's own cells in that order (:func:`element_blocks`), so it
+is bit-equal to the assembled matrix's block without a gather from it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ def element_mass(h: float) -> np.ndarray:
 
 def _scatter(values, rows, cols, shape) -> sp.coo_matrix:
     """The sparse matrix with entries ``values`` at (``rows``, ``cols``), the
-    three broadcast together and listed in C order, so that duplicates are
-    summed in that order on conversion.  An entry whose row or column is
-    negative (-1, a node without a DOF) is dropped, by a mask made only when
-    there is such an entry."""
+    three broadcast together and listed in C order.  On conversion to CSR,
+    duplicates are summed in that order only in a row of at most 16 entries,
+    which scipy (1.17) sorts by insertion sort; a longer row is sorted by an
+    unstable sort, so its sums are in no fixed order.  An entry whose row or
+    column is negative (-1, a node without a DOF) is dropped, by a mask made
+    only when there is such an entry."""
     values, rows, cols = np.broadcast_arrays(values, rows, cols)
     if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
         keep = (rows >= 0) & (cols >= 0)

@@ -26,23 +26,22 @@ Both bases come from one patch loop, :func:`_localize`.  Every constraint
 row is a moment against a function living on one coarse element, so each
 element's interior unknowns and multipliers are eliminated once per basis
 (static condensation, :func:`_condense`, one stacked :func:`linalg.kkt_solve`
-on the moment table); a patch then solves only an SPD band system, by banded
+on the moment table) into the lower band of the skeleton operator S, in
+skeleton order; a patch then solves only an SPD band system, by banded
 Cholesky, on the fine DOFs of the coarse edges inside it (row-major: width
-at most 2 (2 layers + 1) refine).  Its basis columns are lifted by the element
+at most 2 (2 layers + 1) refine), its band read from S's by index arithmetic
+(:func:`_patch_solves`).  Its basis columns are lifted by the element
 solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
 :meth:`GridHierarchy.index_maps`.  Every element block of the stiffness, the
 weighted mass and the mass is summed from the element's own cells
-(:func:`assembly.element_blocks`), so no global weighted mass is assembled.
-An index of -1 (a boundary node without a DOF) is padding, read as zero by
-the blocks and by the lift, dropped by :func:`assembly._scatter`.  The patch
-bands are the one gather from a sparse matrix through a read plan
-(:func:`_plan`): the condensed skeleton operator's pattern depends on its
-values, for an entry that cancels to exactly zero is dropped, so the plan is
-checked against the pattern on every use.  Element eigenproblems are solved
-by :func:`linalg._eig_smallest`, in the kernels that one stacked SVD finds
-(:func:`_kernels`) for the second problem.
+(:func:`assembly.element_blocks`), so no global weighted mass is assembled,
+and no skeleton operator but its band.  An index of -1 (a boundary node
+without a DOF) is padding, read as zero by the blocks, the band and the
+lift.  Element eigenproblems are solved by :func:`linalg._eig_smallest`, in
+the kernels that one stacked SVD finds (:func:`_kernels`) for the second
+problem.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import as_strided
 
 from . import assembly
 from .grid import GridHierarchy, IndexMaps
@@ -293,11 +293,12 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     R = np.zeros((grid.n_dofs, ne * k))
     # Skeleton position of each boundary node, -1 where it has no DOF.
     bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
-    A_SS = A[maps.skeleton][:, maps.skeleton]
-    S, Y, WZ = _condense(maps, A_SS, AD, CT * (1.0 / norms)[:, :, None], k,
-                         norms, bpos)
+    S, Y, WZ = _condense(maps, A, AD, CT * (1.0 / norms)[:, :, None], k, norms, bpos)
 
-    XS = _patch_solves(grid, layers, S, WZ, k)
+    XS = _patch_solves(maps, S, WZ, k)
+    # The lift reads neither S's band nor W^T Z (a view of all W_e^T Y_e);
+    # held through it, they raised experiment 1's peak RSS by about 4 MB.
+    del S, WZ
     # C is the moment table in CSR, each element's closure columns sorted.
     closure = np.hstack([maps.interior, maps.boundary])
     order = np.argsort(closure, axis=1)
@@ -361,86 +362,43 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     return R
 
 
-# The most entries a plan may hold and still be kept on its grid: the
-# contrast-sweep grid keeps its patch bands (23,092 entries), experiment 1's
-# grid uses its (2,471,600) patch by patch as they are built.
-PLAN_ENTRIES = 2 ** 15
-
-
-def _plan(grid: GridHierarchy, key, X, build):
-    """The plan of where a build reads the data of the CSR matrix X: the
-    parts that ``build(X)`` yields, each with its entry count.  It is kept
-    on ``grid`` under ``key`` for the ``indptr`` and ``indices`` of X if it
-    holds at most PLAN_ENTRIES entries, and else used part by part as it is
-    built; read it to the end."""
-    plans = grid.__dict__.setdefault("_plans", {})
-    pattern = (X.indptr, X.indices)
-    kept = plans.get(key)
-    if kept is not None and all(map(np.array_equal, kept[0], pattern)):
-        yield from kept[1]
-        return
-    plans.pop(key, None)
-    pattern = tuple(a.copy() for a in pattern)
-    parts, entries = [], 0
-    for part, n in build(X):
-        entries += n
-        if entries <= PLAN_ENTRIES:
-            parts.append(part)
-        else:
-            parts.clear()
-        yield part
-    if entries <= PLAN_ENTRIES:
-        plans[key] = (pattern, parts, entries)
-
-
-def _patch_solves(grid: GridHierarchy, layers: int, S, WZ, k: int) -> np.ndarray:
+def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
     """Every patch's skeleton solutions, (n_skeleton, ne * k): the right-hand
     sides -W_i^T Z_i scattered once, then patch i's lower band on its
-    skeleton sk gathered from the canonical CSR S and solved once by
-    :func:`linalg._banded_cholesky`.  The grid's plan of the bands
-    (:func:`_plan`) holds, read from the rows of S, each one's
-    width, and where each entry goes (flat) and is in ``S.data``."""
-    S.sum_duplicates()
-    maps = grid.index_maps(layers)
-    ns, ne = S.shape[0], len(maps.patch_skeleton)
+    ascending skeleton positions sk read from S's lower band (see
+    :func:`_condense`) by index arithmetic, band[d, q] = S[sk[q + d] - sk[q],
+    sk[q]] and zero outside S's band, trimmed to its last nonzero diagonal
+    and solved once by :func:`linalg._banded_cholesky`."""
+    width, ns = S.shape
+    ne = len(maps.patch_skeleton)
     e, p = np.nonzero(maps.boundary_mask)
     XS = np.zeros((ns, ne * k))
     XS[maps.skeleton_pos[maps.boundary[e, p]][:, None],
        e[:, None] * k + np.arange(k)] = -WZ[e, p]
-
-    def build(S):
-        at_patch = np.full(ns, -1)
-        for sk in maps.patch_skeleton:
-            at_patch[sk] = np.arange(len(sk))
-            # Positions in S.indices of every entry of the rows sk, in turn.
-            start = S.indptr[sk]
-            count = S.indptr[sk + 1] - start
-            at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-            c = at_patch[S.indices[at]]
-            d = np.repeat(np.arange(len(sk)), count) - c
-            at_patch[sk] = -1
-            low = np.flatnonzero((c >= 0) & (d >= 0))
-            yield (int(d[low].max(initial=0)) + 1, d[low] * len(sk) + c[low],
-                   at[low]), len(low)
-
-    bands = _plan(grid, ("bands", layers), S, build)
-    for i, (width, flat, pos) in enumerate(bands):
-        sk = maps.patch_skeleton[i]
+    # band[d, q] is flat[(sk[q + d] - sk[q]) * ns + sk[q]], ahead[d, q]
+    # being sk[q + d] * ns with sk padded past its end.  An offset outside
+    # S's band is clipped to S's last entry, S[ns - 1 + width - 1, ns - 1],
+    # which lies outside S and is zero; with width 1 no offset is clipped.
+    flat = S.ravel()
+    pad = np.full(width, ns + width)
+    for i, sk in enumerate(maps.patch_skeleton):
         cols = slice(i * k, (i + 1) * k)
         rhs = XS[sk, cols]
         XS[:, cols] = 0.0
         if not len(sk):
             continue
-        band = np.zeros(width * len(sk))
-        band[flat] = S.data[pos]
+        ahead = np.concatenate([sk, pad]) * ns
+        ahead = as_strided(ahead, (width, len(sk)), ahead.strides * 2, writeable=False)
+        band = flat.take(ahead - sk * (ns - 1), mode="clip")
+        band = band[:np.flatnonzero(band.any(axis=1)).max(initial=0) + 1]
         try:
-            XS[sk, cols] = _banded_cholesky(band.reshape(width, -1), rhs)
+            XS[sk, cols] = _banded_cholesky(band, rhs)
         except SolveError as exc:
             raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
     return XS
 
 
-def _condense(maps: IndexMaps, A_SS, AD, CD, k: int, norms, bpos):
+def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -454,9 +412,13 @@ def _condense(maps: IndexMaps, A_SS, AD, CD, k: int, norms, bpos):
     :func:`linalg.kkt_solve` solves K_e [Y_e | Z_e] = [W_e | [0; g_e]] under
     its backward-error contract, a failure naming the element.
 
-    Returns the skeleton operator S = ``A_SS`` - sum_e W_e^T K_e^-1 W_e (one
-    :func:`assembly._scatter`, ``bpos`` -1 at a boundary node without a DOF),
-    the element tables [Y_e | Z_e] as solved, and the stack of W_e^T Z_e.
+    Returns the lower band of the skeleton operator S = A_SS - sum_e W_e^T
+    K_e^-1 W_e (A_SS the skeleton block of ``A``) in skeleton order, a
+    (width, n_skeleton) array whose row d holds S[j + d, j]; the element
+    tables [Y_e | Z_e] as solved; and the stack of W_e^T Z_e.  One
+    ``np.bincount`` sums each band entry: its element terms in C order
+    (``bpos`` -1 at a boundary node without a DOF), then A's entry, read
+    from A's own CSR arrays through ``skeleton_pos``.
     """
     (ne, nI), nb = maps.interior.shape, bpos.shape[1]
     m = CD.shape[1]
@@ -470,9 +432,17 @@ def _condense(maps: IndexMaps, A_SS, AD, CD, k: int, norms, bpos):
     except SolveError as exc:
         raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
     WtY = _transposed_products(W, Y)
-    S = (A_SS + assembly._scatter(
-        -WtY[:, :, :nb], bpos[:, :, None], bpos[:, None, :], A_SS.shape)).tocsr()
-    return S, Y, WtY[:, :, nb:]
+    pos = maps.skeleton_pos
+    i = np.concatenate([np.broadcast_to(bpos[:, :, None], (ne, nb, nb)).ravel(),
+                        np.repeat(pos, np.diff(A.indptr))])
+    j = np.concatenate([np.broadcast_to(bpos[:, None, :], (ne, nb, nb)).ravel(),
+                        pos[A.indices]])
+    low = (j >= 0) & (i >= j)
+    d, ns = i[low] - j[low], len(maps.skeleton)
+    S = np.bincount(d * ns + j[low],
+                    weights=np.concatenate([-WtY[:, :, :nb].ravel(), A.data])[low],
+                    minlength=(d.max(initial=0) + 1) * ns)
+    return S.reshape(-1, ns), Y, WtY[:, :, nb:]
 
 
 def _transposed_products(W, Y) -> np.ndarray:

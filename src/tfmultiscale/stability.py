@@ -164,7 +164,7 @@ def contrast_sweep(grid, geometry_mask: np.ndarray, contrasts, alpha: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be a real in (0, 1), got {alpha!r}")
     for name, value, least in (("L", L, 1), ("J", J, 1), ("layers", layers, 0)):
-        if not isinstance(value, numbers.Integral) or value < least:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if L + J > (grid.refine - 1) ** 2:
         raise ValueError(f"L + J = {L + J} exceeds the {(grid.refine - 1) ** 2} "

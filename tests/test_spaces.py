@@ -2,7 +2,6 @@
 bases."""
 
 import dataclasses
-import weakref
 
 import numpy as np
 import pytest
@@ -322,22 +321,26 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     which is a narrow band in its own row-major order: its band storage
     stays below the 703,387 fill of the full patch KKT system it replaces.
     Every patch system is a principal submatrix of the condensed skeleton
-    operator S, so S's symmetry covers all of them."""
+    operator S = A_SS - sum_e W_e^T Y_e, of which only the lower band is
+    formed; the symmetry of A and of the element terms W_e^T Y_e covers
+    all of them."""
     cfg = harness.experiment_config(1)
     g = t.build_grids(cfg.coarse_n, cfg.refine)
     fld = harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
     kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
     aux1 = aux_spectral(g, fld, kt, cfg.L)
     centre = (cfg.coarse_n // 2) * cfg.coarse_n + cfg.coarse_n // 2
-    factored, condensed = [], []
+    factored, products = [], []
     monkeypatch.setattr(spaces, "_banded_cholesky", lambda band, b:
                         factored.append(band) or _banded_cholesky(band, b))
-    condense = spaces._condense
-    monkeypatch.setattr(spaces, "_condense",
-                        lambda *a: condensed.append(condense(*a)) or condensed[-1])
+    transposed = spaces._transposed_products
+    monkeypatch.setattr(spaces, "_transposed_products", lambda W, Y:
+                        products.append(transposed(W, Y)) or products[-1])
     cem_basis(g, fld, aux1, cfg.layers)
-    S = condensed[0][0]
-    assert abs(S - S.T).max() <= 1e-12 * abs(S).max()
+    A = aux1.A
+    assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+    WtY = products[0][:, :, :products[0].shape[1]]
+    assert np.max(np.abs(WtY - WtY.transpose(0, 2, 1))) <= 1e-12 * np.max(np.abs(WtY))
     band = factored[centre]
     n = band.shape[1]
     # 8 inner coarse lines each way of 89 DOFs, crossing at 64 coarse vertices.
@@ -348,14 +351,24 @@ def test_exp1_centre_patch_is_a_narrow_band(monkeypatch):
     assert (bw + 1) * n < 703_387
 
 
-def _scipy_patch_solves(grid, layers, S, WZ, k):
-    """Oracle of ``spaces._patch_solves``: each patch system extracted by
-    scipy's ``S[sk][:, sk]``, its lower band summed from its COO entries and
-    solved once by scipy's ``cholesky_banded``/``cho_solve_banded``."""
-    maps = grid.index_maps(layers)
-    ns, ne = S.shape[0], len(maps.patch_skeleton)
+def _symmetric_from_band(S):
+    """The sparse symmetric matrix whose lower band is the (width, n) ``S``
+    (row d holds S[j + d, j]), holding only its nonzero entries."""
+    d, j = np.nonzero(S)
+    off = d > 0
+    return sp.coo_matrix((np.r_[S[d, j], S[d, j][off]],
+                          (np.r_[j + d, j[off]], np.r_[j, (j + d)[off]])),
+                         shape=(S.shape[1],) * 2)
+
+
+def _scipy_patch_solves(maps, S, WZ, k):
+    """Oracle of ``spaces._patch_solves``: the symmetric sparse S rebuilt
+    from its lower band, each patch system extracted by scipy's
+    ``S[sk][:, sk]``, its lower band summed from its COO entries and solved
+    once by scipy's ``cholesky_banded``/``cho_solve_banded``."""
+    ns, ne = S.shape[1], len(maps.patch_skeleton)
     XS = np.zeros((ns, ne * k))
-    S = S.tocsc()
+    S = _symmetric_from_band(S).tocsc()
     for i, sk in enumerate(maps.patch_skeleton):
         if not len(sk):
             continue
@@ -759,14 +772,79 @@ def test_combined_basis_full_rank():
     assert both.n1 == coarse_bases(cs)[0].n == both.n - g.coarse_n ** 2 * 2
 
 
-# ------------------------------------------------------------------ read plans
+# ---------------------------------------------------------- skeleton band
+
+def _scatter_condensed(A, WtY, maps, bpos):
+    """Oracle of ``spaces._condense``'s band: the skeleton operator as a CSR
+    sum, A_SS + sum_e -W_e^T Y_e scattered by ``assembly._scatter``."""
+    A_SS = A[maps.skeleton][:, maps.skeleton]
+    nb = bpos.shape[1]
+    return (A_SS + assembly._scatter(-WtY[:, :, :nb], bpos[:, :, None],
+                                     bpos[:, None, :], A_SS.shape)).tocsr()
+
+
+@pytest.mark.parametrize("case", ["0-1e2", "0-1e6", "2-1e2", "2-1e6", "7-1e2",
+                                  "7-1e6", "exp1"])
+def test_condensed_band_is_the_lower_band_of_the_sparse_sum(monkeypatch, case):
+    """Every condensation's band equals the lower band of the sparse sum
+    A_SS + sum_e -W_e^T Y_e within 4 eps max|S|, on sweep geometries 0, 2
+    and 7 (both bases) and on experiment 1's grid (the CEM basis).  They are
+    not bit-equal: scipy sums a COO row of more than 16 entries in no fixed
+    order (see ``assembly._scatter``)."""
+    calls, products = [], []
+    condense, transposed = spaces._condense, spaces._transposed_products
+    monkeypatch.setattr(spaces, "_condense", lambda *a:
+                        calls.append((a, condense(*a))) or calls[-1][1])
+    monkeypatch.setattr(spaces, "_transposed_products", lambda W, Y:
+                        products.append(transposed(W, Y)) or products[-1])
+    if case == "exp1":
+        cfg = harness.experiment_config(1)
+        g = t.build_grids(cfg.coarse_n, cfg.refine)
+        fld = harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field)
+        kt = assembly.kappa_tilde(fld, assembly.msfem_partition(g, fld))
+        cem_basis(g, fld, aux_spectral(g, fld, kt, cfg.L), cfg.layers)
+    else:
+        geometry, contrast = case.split("-")
+        mask = harness.channel_geometry(24, 24, seed=int(geometry))
+        fld = assembly.PermeabilityField(np.where(mask.ravel(), float(contrast), 1.0))
+        build_spaces(t.build_grids(4, 6), fld, 3, 3, 2)
+    assert len(calls) == len(products) == (1 if case == "exp1" else 2)
+    for ((maps, A, *_, bpos), (S, _, _)), WtY in zip(calls, products):
+        L = sp.tril(_scatter_condensed(A, WtY, maps, bpos)).tocoo()
+        d = L.row - L.col
+        assert d.max() < S.shape[0]
+        expect = np.zeros_like(S)
+        expect[d, L.col] = L.data
+        assert np.max(np.abs(S - expect)) <= 4 * np.finfo(float).eps * np.max(np.abs(S))
+
+
+def test_a_cancelled_band_entry_still_matches_the_oracle(monkeypatch):
+    """The patch solves of a skeleton band whose smallest off-diagonal entry
+    in patch 5 is zero (as when it cancels to exactly zero) still match
+    their scipy oracle bit for bit."""
+    g = t.build_grids(4, 6)
+    calls, solves = [], spaces._patch_solves
+    monkeypatch.setattr(spaces, "_patch_solves",
+                        lambda *a: calls.append(a) or solves(*a))
+    build_spaces(g, assembly.PermeabilityField(sweep_fields[2]), 3, 3, 2)
+    maps, S, WZ, k = calls[-1]
+    sk = maps.patch_skeleton[5]
+    d, j = np.nonzero(S)
+    inside = (d > 0) & np.isin(j, sk) & np.isin(j + d, sk)
+    at = np.flatnonzero(inside)[np.argmin(np.abs(S[d[inside], j[inside]]))]
+    S2 = S.copy()
+    S2[d[at], j[at]] = 0.0
+    assert np.count_nonzero(S2) == np.count_nonzero(S) - 1
+    assert np.array_equal(spaces._patch_solves(maps, S2, WZ, k),
+                          _scipy_patch_solves(maps, S2, WZ, k))
+
 
 @pytest.mark.parametrize("geometry", [0, 2, 7])
-def test_read_plans_give_the_bases_of_a_fresh_grid(monkeypatch, geometry):
+def test_repeated_builds_on_one_grid_equal_a_build_on_a_fresh_grid(monkeypatch,
+                                                                   geometry):
     """The contrast sweep (1e2, 1e4, 1e6) gives bit-equal bases and equal
-    rows on its first call on a grid, which builds the grid's patch-band
-    plan, on its second, which reuses it, and on a fresh grid; so does a one-layer
-    build on the warm grid, whose patch bands need a plan of their own."""
+    rows on its first and second call on one grid and on a fresh grid; so
+    does a one-layer build on the used grid."""
     mask = harness.channel_geometry(24, 24, seed=geometry)
     g = t.build_grids(4, 6)
     built, build = [], spaces.build_spaces
@@ -783,7 +861,7 @@ def test_read_plans_give_the_bases_of_a_fresh_grid(monkeypatch, geometry):
                           build(t.build_grids(4, 6), fld, 3, 3, 1).combined.R)
 
 
-def test_read_plans_give_the_bases_of_a_fresh_grid_on_the_reduced_sweep_grid():
+def test_repeated_builds_on_one_grid_equal_a_build_on_a_fresh_grid_on_the_reduced_sweep_grid():
     """Both bases on the reduced-sweep grid (10x10 coarse, refine 5, L = 3,
     J = 1, two layers): bit-equal on the first and second build on one grid
     and on a fresh grid."""
@@ -794,95 +872,12 @@ def test_read_plans_give_the_bases_of_a_fresh_grid_on_the_reduced_sweep_grid():
     assert np.array_equal(first, second) and np.array_equal(first, fresh)
 
 
-def _without(X, i, j):
-    """The CSR matrix X without its entries (i, j) and (j, i), as when they
-    cancel to exactly zero in a sum."""
-    X = X.tocsr(copy=True)
-    X[i, j] = X[j, i] = 0.0
-    X.eliminate_zeros()
-    return X
-
-
-def test_a_pattern_that_lost_an_entry_rebuilds_its_plans(monkeypatch):
-    """After a warm build, the patch solves of a skeleton operator S without
-    its smallest off-diagonal entry in the centre patch (as when it cancels
-    to exactly zero) still match their scipy oracle bit for bit, and the
-    band plan is built anew for the new pattern."""
+def test_a_grid_holds_only_its_index_maps_and_mass():
+    """After a contrast sweep and a one-layer build, the grid holds its two
+    counts, its cached maps and its mass matrix, and nothing else."""
     g = t.build_grids(4, 6)
-    calls, solves = [], spaces._patch_solves
-    monkeypatch.setattr(spaces, "_patch_solves",
-                        lambda *a: calls.append(a) or solves(*a))
-    build_spaces(g, assembly.PermeabilityField(sweep_fields[2]), 3, 3, 2)
-    plans = g.__dict__["_plans"]
-    _, _, S, WZ, k = calls[-1]
-    sk = g.index_maps(2).patch_skeleton[5]
-    P = S[sk][:, sk].tocoo()
-    off = np.flatnonzero(P.row != P.col)
-    at = off[np.argmin(np.abs(P.data[off]))]
-    S2 = _without(S, sk[P.row[at]], sk[P.col[at]])
-    assert S2.nnz == S.nnz - 2
-    assert np.array_equal(spaces._patch_solves(g, 2, S2, WZ, k),
-                          _scipy_patch_solves(g, 2, S2, WZ, k))
-    assert np.array_equal(plans[("bands", 2)][0][1], S2.indices)
-
-
-def test_a_plan_above_plan_entries_is_used_and_not_kept(monkeypatch):
-    """With PLAN_ENTRIES at 10,000 the sweep grid's two-layer patch bands
-    (23,092 entries) serve each build and are not kept, its one-layer bands
-    (7,668) are, and every build is bit-equal to a build on a grid that
-    keeps every plan."""
-    fld = assembly.PermeabilityField(sweep_fields[2])
-    expect = {layers: build_spaces(t.build_grids(4, 6), fld, 3, 3, layers).combined.R
-              for layers in (1, 2)}
-    monkeypatch.setattr(spaces, "PLAN_ENTRIES", 10_000)
-    g = t.build_grids(4, 6)
-    for layers in (2, 1, 2, 1):
-        assert np.array_equal(build_spaces(g, fld, 3, 3, layers).combined.R,
-                              expect[layers])
-    kept = g.__dict__["_plans"]
-    assert ("bands", 2) not in kept and kept[("bands", 1)][2] == 7668
-
-
-@pytest.mark.parametrize("limit", [2, 4])
-def test_a_plan_is_kept_up_to_plan_entries_and_else_not_held(monkeypatch, limit):
-    """A plan of four one-entry parts: kept whole with PLAN_ENTRIES at 4 and
-    read from the grid the next time; with PLAN_ENTRIES at 2 not kept, and
-    each part let go once the count passes the limit, so that a large plan
-    (experiment 1's patch bands) is never held whole."""
-    monkeypatch.setattr(spaces, "PLAN_ENTRIES", limit)
-
-    class Part:
-        pass
-
-    made = []
-
-    def build(_):
-        for _ in range(4):
-            part = Part()
-            made.append(weakref.ref(part))
-            yield part, 1
-
-    g, X = t.build_grids(2, 2), sp.identity(3, format="csr")
-    held = []
-    for part in spaces._plan(g, "test", X, build):
-        del part
-        held.append([ref() is not None for ref in made])
-    if limit == 4:
-        assert all(all(step) for step in held)
-        assert len(list(spaces._plan(g, "test", X, build))) == 4 and len(made) == 4
-    else:
-        assert held[2][:2] == [False, False] and not any(held[3][:3])
-        assert "test" not in g.__dict__["_plans"]
-
-
-def test_experiment_1_keeps_no_band_plan():
-    """Experiment 1's grid (10x10 coarse, refine 10, 4 layers) keeps no
-    patch-band plan (2,471,600 entries, above PLAN_ENTRIES) and at most
-    0.5M plan entries in all."""
-    cfg = harness.experiment_config(1)
-    g = t.build_grids(cfg.coarse_n, cfg.refine)
-    build_spaces(g, harness.gen_field(nx=g.n_fine, ny=g.n_fine, **cfg.field),
-                 cfg.L, cfg.J, cfg.layers)
-    kept = g.__dict__["_plans"]
-    assert cfg.layers == 4 and ("bands", 4) not in kept
-    assert sum(entries for _, _, entries in kept.values()) <= 500_000
+    mask = harness.channel_geometry(24, 24, seed=0)
+    stability.contrast_sweep(g, mask, (1e2, 1e6), 0.9, layers=2)
+    build_spaces(g, assembly.PermeabilityField(sweep_fields[0]), 3, 3, 1)
+    assert set(g.__dict__) == {"coarse_n", "refine", "_geometry", "_element_maps",
+                               "_index_maps", "_mass"}

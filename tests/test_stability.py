@@ -405,14 +405,20 @@ def test_contrast_sweep_rejects_nonpositive(monkeypatch):
     ({"J": 0}, r"J must be an integer >= 1, got 0"),
     ({"L": 2.0}, r"L must be an integer >= 1, got 2\.0"),
     ({"L": 5, "J": 5}, r"L \+ J = 10 exceeds the 9 interior DOFs of a coarse element"),
+    ({"layers": True}, r"layers must be an integer >= 0, got True"),
+    ({"L": True}, r"L must be an integer >= 1, got True"),
+    ({"J": True}, r"J must be an integer >= 1, got True"),
 ], ids=["alpha=0", "alpha=1", "alpha=-0.2", "alpha=1.5", "alpha=nan",
-        "layers=1.5", "layers=-1", "L=0", "J=0", "L=2.0", "L+J=10"])
+        "layers=1.5", "layers=-1", "L=0", "J=0", "L=2.0", "L+J=10",
+        "layers=True", "L=True", "J=True"])
 def test_contrast_sweep_checks_its_arguments_before_building(monkeypatch, kwargs,
                                                              message):
     """alpha, L, J and layers are checked before any space is built, with a
     message naming the argument: on a 3x3/refine-4 grid these used to build
     (alpha 0 then divided by zero; alpha 1 and -0.2 returned rows) or failed
-    inside scipy or the gamma function."""
+    inside scipy or the gamma function.  A bool is not a count: layers=True
+    used to build a one-layer sweep, and L=True or J=True failed inside the
+    build."""
     built = []
     monkeypatch.setattr(spaces, "build_spaces", lambda *a: built.append(a))
     g = t.build_grids(3, 4)
