@@ -14,13 +14,13 @@ summed, cell order, as long as no row holds more than 16 COO entries (scipy
 1.17 sorts such a row stably, a longer one not); an assembled row holds at
 most 16 (4 cells x 4 nodes).  Every coarse element's dense block is summed
 from the element's own cells in that order (:func:`element_blocks`), so it
-is bit-equal to the assembled matrix's block without a gather from it.
+is bit-equal to the assembled matrix's block without a gather from it; its
+columns follow the grid's closure order (``grid.element_closure()``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,19 +99,18 @@ def element_blocks(grid: GridHierarchy, cell_weights: np.ndarray,
                    elem_ref: np.ndarray, cols) -> np.ndarray:
     """Every coarse element's dense block of sum_c w_c * elem_ref over its own
     fine cells, stacked: the rows of its interior nodes and the columns
-    ``cols`` of its closure, positions in the list of its interior nodes then
-    its perimeter nodes (the order of the grid's element maps), one list for
-    every element or one per element, distinct, a column of -1 reading zero.
+    ``cols`` of its closure, positions in the grid's closure order
+    (:meth:`GridHierarchy.element_closure`), one list for every element or
+    one per element, distinct, a column of -1 reading zero.
     The cells are added in cell order, the order in which :func:`assemble`'s
     COO sums them, so every block is bit-equal to the assembled matrix's."""
-    r = grid.refine
-    (closure, cells), ni = _closure(r), (r - 1) ** 2
+    (order, cells), ni = grid.element_closure(), (grid.refine - 1) ** 2
     cols = np.atleast_2d(cols)
     ne, nc = grid.coarse_n ** 2, cols.shape[1]
     # Output column of each closure position, -1 where not asked for (a
     # column of -1 writes the spare last position).  An entry outside the
     # interior rows and the asked columns goes to its element's spare place.
-    out_col = np.full((len(cols), len(closure) + 1), -1)
+    out_col = np.full((len(cols), len(order) + 1), -1)
     out_col[np.arange(len(cols))[:, None], cols] = np.arange(nc)
     row, col = cells[:, :, None], out_col[:, cells[:, None, :]]
     at = np.where((row < ni) & (col >= 0), row * nc + col, ni * nc)
@@ -155,26 +154,6 @@ def assemble(grid: GridHierarchy, field, weight: str) -> sp.csr_matrix:
     return out
 
 
-@cache
-def _closure(r: int) -> tuple:
-    """One element's local nodes (x fastest) in closure order, its interior
-    nodes then its perimeter nodes, each ascending, and the closure
-    positions of its cells' nodes; read-only, built once per ``refine``."""
-    ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
-    closure = np.argsort((lx % r == 0) | (ly % r == 0), kind="stable")
-    cells = np.argsort(closure)[_local_cells(r)]
-    for a in (closure, cells):
-        a.flags.writeable = False
-    return closure, cells
-
-
-def _local_cells(r: int) -> np.ndarray:
-    """(r * r, 4) local nodes (x fastest) of one element's cells, ccw from SW."""
-    cY, cX = np.divmod(np.arange(r * r), r)
-    c0 = cY * (r + 1) + cX
-    return np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1])
-
-
 def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionOfUnity:
     """kappa-harmonic partition of unity chi_i, one per coarse vertex.
 
@@ -189,13 +168,13 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
     """
     _check_cells(grid, field.values)
     r = grid.refine
-    (closure, _), ni = _closure(r), (r - 1) ** 2
-    ly, lx = np.divmod(closure[ni:], r + 1)
+    (order, _), ni = grid.element_closure(), (r - 1) ** 2
+    ly, lx = np.divmod(order[ni:], r + 1)
     lx, ly = lx / r, ly / r
     # Boundary data: the corner hats (SW, SE, NE, NW) at the perimeter nodes.
     G = np.column_stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
 
-    blocks = element_blocks(grid, field.values, _STIFF_REF, np.arange(len(closure)))
+    blocks = element_blocks(grid, field.values, _STIFF_REF, np.arange(len(order)))
     ne, A_ii = len(blocks), blocks[:, :, :ni]
     rhs = np.zeros((ne, ni, 4))
     for j, g in enumerate(G):
@@ -214,9 +193,9 @@ def msfem_partition(grid: GridHierarchy, field: PermeabilityField) -> PartitionO
                               sol, rhs)
     except SolveError as exc:
         raise SolveError(f"on element {exc.block}: {exc.reason}") from exc
-    values = np.empty((ne, len(closure), 4))
-    values[:, closure[:ni]] = sol
-    values[:, closure[ni:]] = G
+    values = np.empty((ne, len(order), 4))
+    values[:, order[:ni]] = sol
+    values[:, order[ni:]] = G
     return PartitionOfUnity(grid=grid, values=values)
 
 
@@ -226,8 +205,8 @@ def kappa_tilde(field: PermeabilityField, pou: PartitionOfUnity) -> WeightedFiel
     are summed in ascending vertex order (corners 0, 1, 3, 2), as over all i."""
     grid = pou.grid
     _check_cells(grid, field.values)
-    h = grid.h
-    u = pou.values[:, _local_cells(grid.refine)]      # (ne, r * r, 4 nodes, 4 corners)
+    h, (order, cells) = grid.h, grid.element_closure()
+    u = pou.values[:, order[cells]]      # (ne, r * r, 4 nodes, 4 corners)
     gx = ((u[:, :, 1] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 3])) / (2 * h)
     gy = ((u[:, :, 3] - u[:, :, 0]) + (u[:, :, 2] - u[:, :, 1])) / (2 * h)
     t = gx * gx + gy * gy

@@ -4,8 +4,9 @@ The coarse mesh splits [0,1]^2 into ``coarse_n x coarse_n`` square elements;
 each coarse element is refined into ``refine x refine`` fine cells.  The
 hierarchy is those two integer counts, so that h * refine = H holds exactly;
 every map (node coordinates, cell connectivity, DOF numbering, element cells
-and nodes, element, skeleton and patch index sets) is a read-only numpy table
-derived from them on first use and cached.
+and nodes, element closure order, element, skeleton and patch index sets) is
+a read-only numpy table derived from them on first use and cached; only this
+module orders an element's closure (interior nodes, then perimeter nodes).
 
 Node and cell numbering is lexicographic with x running fastest.  Nodes on
 the outer boundary carry no degree of freedom (homogeneous Dirichlet).
@@ -24,20 +25,21 @@ import numpy as np
 class IndexMaps:
     """Index maps of one grid and one oversampling depth, as read-only arrays.
 
-    ``interior[e]`` holds coarse element e's interior DOFs in ascending
-    order.  ``boundary[e]`` holds the DOFs of its 4r perimeter nodes in
-    lexicographic node order, -1 where the node lies on the outer boundary
-    (``boundary_mask`` is False there).  The skeleton is the set of DOFs on
+    ``closure[e]`` holds coarse element e's DOFs in the grid's closure order
+    (:meth:`GridHierarchy.element_closure`), -1 at a node on the outer
+    boundary: its interior DOFs ascending, the leading columns ``interior``,
+    then its 4r perimeter nodes'.  The skeleton is the set of DOFs on
     coarse-element edges, ascending; ``skeleton_pos`` gives each DOF's
-    position in it or -1.  Patch i (element i enlarged by ``layers`` rings)
-    has DOFs ``patch_dofs[i]`` (ascending, strictly inside the patch), of
-    which those on the skeleton sit at positions ``patch_skeleton[i]``;
-    ``in_patch[i, e]`` tells whether element e lies in patch i.
+    position in it or -1, ``boundary_pos[e]`` each perimeter node's.  Patch i
+    (element i enlarged by ``layers`` rings) has DOFs ``patch_dofs[i]``
+    (ascending, strictly inside the patch), of which those on the skeleton
+    sit at positions ``patch_skeleton[i]``; ``in_patch[i, e]`` tells whether
+    element e lies in patch i.
     """
 
     interior: np.ndarray
-    boundary: np.ndarray
-    boundary_mask: np.ndarray
+    closure: np.ndarray
+    boundary_pos: np.ndarray
     skeleton: np.ndarray
     skeleton_pos: np.ndarray
     patch_dofs: tuple
@@ -117,27 +119,28 @@ class GridHierarchy:
 
     @cached_property
     def _element_maps(self) -> tuple:
-        """Fine cells and nodes of every coarse element, its interior and
-        padded boundary DOFs, and the skeleton with each DOF's position in it
-        (see :class:`IndexMaps`)."""
+        """Fine cells and nodes of every coarse element, its closure order
+        and cells (:meth:`element_closure`), closure DOFs and perimeter
+        skeleton positions, and the skeleton (see :class:`IndexMaps`)."""
         cn, r, nn = self.coarse_n, self.refine, self.n_nodes_side
         cy, cx = np.divmod(np.arange(cn * cn), cn)
         fy, fx = np.divmod(np.arange(r * r), r)
         cells = (cy[:, None] * r + fy) * self.n_fine + cx[:, None] * r + fx
         ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
-        on_perimeter = (lx % r == 0) | (ly % r == 0)
+        order = np.argsort((lx % r == 0) | (ly % r == 0), kind="stable")
+        local = (fy * (r + 1) + fx)[:, None] + np.array([0, 1, r + 2, r + 1])
         nodes = (cy[:, None] * r + ly) * nn + cx[:, None] * r + lx
         dof_nodes = self.interior_nodes()
         dof_map = np.full(self.n_nodes, -1)
         dof_map[dof_nodes] = np.arange(self.n_dofs)
-        closure = dof_map[nodes]
-        interior = np.ascontiguousarray(closure[:, ~on_perimeter])
-        boundary = np.ascontiguousarray(closure[:, on_perimeter])
+        closure = dof_map[nodes[:, order]]
         skeleton = np.flatnonzero((dof_nodes % nn % r == 0)
                                   | (dof_nodes // nn % r == 0))
         skeleton_pos = np.full(self.n_dofs, -1)
         skeleton_pos[skeleton] = np.arange(len(skeleton))
-        out = (cells, nodes, interior, boundary, boundary >= 0, skeleton,
+        perimeter = closure[:, (r - 1) ** 2:]
+        out = (cells, nodes, order, np.argsort(order)[local], closure,
+               np.where(perimeter >= 0, skeleton_pos[perimeter], -1), skeleton,
                skeleton_pos)
         for a in out:
             a.flags.writeable = False
@@ -148,11 +151,17 @@ class GridHierarchy:
         a read-only (coarse_n**2, refine**2) table."""
         return self._element_maps[0]
 
+    def element_closure(self) -> tuple:
+        """Every coarse element's closure order, read-only: ``order`` lists
+        its local nodes (x fastest), interior then perimeter, each ascending;
+        ``cells`` the closure positions of its cells' nodes, ccw from SW."""
+        return self._element_maps[2:4]
+
     def index_maps(self, layers: int) -> IndexMaps:
         """The element, skeleton and patch index maps for ``layers`` rings of
         oversampling, built with numpy on first use and cached per value."""
-        if layers < 0:
-            raise ValueError(f"layers must be >= 0, got {layers}")
+        if not isinstance(layers, Integral) or isinstance(layers, bool) or layers < 0:
+            raise ValueError(f"layers must be an integer >= 0, got {layers!r}")
         cache = self.__dict__.setdefault("_index_maps", {})
         if layers not in cache:
             cache[layers] = self._build_index_maps(layers)
@@ -160,7 +169,7 @@ class GridHierarchy:
 
     def _build_index_maps(self, layers: int) -> IndexMaps:
         cn, r = self.coarse_n, self.refine
-        interior, boundary, mask, skeleton, skeleton_pos = self._element_maps[2:]
+        closure, boundary_pos, skeleton, skeleton_pos = self._element_maps[4:]
         # Interior DOFs form an (n_fine - 1)^2 grid, x fastest; patch i's
         # DOFs are a rectangle of it, listed row by row.
         dof_grid = np.arange(self.n_dofs).reshape(self.n_fine - 1, -1)
@@ -182,8 +191,8 @@ class GridHierarchy:
         in_patch = (near[:, None, :, None] & near[None, :, None, :]).reshape(
             cn * cn, cn * cn)
         in_patch.flags.writeable = False
-        return IndexMaps(interior=interior, boundary=boundary,
-                         boundary_mask=mask, skeleton=skeleton,
+        return IndexMaps(interior=closure[:, :(r - 1) ** 2], closure=closure,
+                         boundary_pos=boundary_pos, skeleton=skeleton,
                          skeleton_pos=skeleton_pos,
                          patch_dofs=tuple(patch_dofs),
                          patch_skeleton=tuple(patch_skeleton),

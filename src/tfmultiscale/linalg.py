@@ -85,9 +85,11 @@ def _check_backward_error(Kx, norm_K, x, r):
 
 def _eig_smallest(A, B, k: int):
     """(values, vectors) of the k smallest eigenpairs of the dense pencil
-    A v = lambda B v (B SPD), values ascending and vectors B-orthonormal; a
-    dimension below k or a failed LAPACK call raises SolveError.  Private,
-    so that perfbench's tracer times ``eigh`` under its caller."""
+    A v = lambda B v (B SPD), values ascending and vectors B-orthonormal; a k
+    outside [1, dimension] or a failed LAPACK call raises SolveError.
+    Private, so that perfbench's tracer times ``eigh`` under its caller."""
+    if k < 1:
+        raise SolveError(f"requested {k} eigenpairs, need at least 1")
     if len(A) < k:
         raise SolveError(f"requested {k} eigenpairs, space has dimension {len(A)}")
     try:

@@ -34,14 +34,15 @@ at most 2 (2 layers + 1) refine), its band read from S's by index arithmetic
 solution tables and checked against their full patch saddle residuals.
 
 Element, skeleton and patch index sets come from the grid's cached
-:meth:`GridHierarchy.index_maps`.  Every element block of the stiffness, the
-weighted mass and the mass is summed from the element's own cells
-(:func:`assembly.element_blocks`), so no global weighted mass is assembled,
-and no skeleton operator but its band.  An index of -1 (a boundary node
-without a DOF) is padding, read as zero by the blocks, the band and the
-lift.  Element eigenproblems are solved by :func:`linalg._eig_smallest`, in
-the kernels that one stacked SVD finds (:func:`_kernels`) for the second
-problem.
+:meth:`GridHierarchy.index_maps`, each element's closure (interior DOFs,
+then perimeter DOFs) in the grid's order.  Every element block of the
+stiffness, the weighted mass and the mass is summed from the element's own
+cells (:func:`assembly.element_blocks`), so no global weighted mass is
+assembled, and no skeleton operator but its band.  An index of -1 (a
+boundary node without a DOF) is padding, read as zero by the blocks, the
+band and the lift.  Element eigenproblems are solved by
+:func:`linalg._eig_smallest`, in the kernels that one stacked SVD finds
+(:func:`_kernels`) for the second problem.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class AuxSpace:
     first space the weight is S, the kappa_tilde-weighted mass realizing the
     s-bilinear form; for the second it is the mass M and every vector lies
     in the Pi-kernel.  ``A`` is the stiffness the local problems were solved
-    against, and ``A_blocks`` its element blocks (interior rows,
-    interior-then-boundary columns), summed once for both spaces' spectral
-    problems and condensations.
+    against, and ``A_blocks`` its element blocks (interior rows, the
+    columns of the index maps' ``closure``), summed once for both spaces'
+    spectral problems and condensations.
     ``moments`` stacks each element's v^T B_e over its closure, in the
     columns of ``A_blocks`` (a -1 boundary column reads zero), formed where
     the functions are solved: the space's constraint rows for both bases,
@@ -163,10 +164,9 @@ def _local_eigs(grid: GridHierarchy, field_, weights, k: int,
     summed apart.
     """
     maps = grid.index_maps(0)       # element maps are the same for every layers
-    closure = np.hstack([maps.interior, maps.boundary])
-    (ne, ni), nc = maps.interior.shape, closure.shape[1]
+    (ne, ni), nc = maps.interior.shape, maps.closure.shape[1]
     # Closure positions of every element's columns, -1 at a node without a DOF.
-    cols = np.where(closure >= 0, np.arange(nc), -1)
+    cols = np.where(maps.closure >= 0, np.arange(nc), -1)
     if constraint is None:
         A = assembly.assemble(grid, field_, "stiffness")
         AD = assembly.element_blocks(grid, field_.values, assembly._STIFF_REF, cols)
@@ -291,18 +291,15 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
     # after them, it keeps their freed heap resident (on experiment 1 the
     # process peak RSS rose by about 18 MB).
     R = np.zeros((grid.n_dofs, ne * k))
-    # Skeleton position of each boundary node, -1 where it has no DOF.
-    bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
-    S, Y, WZ = _condense(maps, A, AD, CT * (1.0 / norms)[:, :, None], k, norms, bpos)
+    S, Y, WZ = _condense(maps, A, AD, CT * (1.0 / norms)[:, :, None], k, norms)
 
     XS = _patch_solves(maps, S, WZ, k)
     # The lift reads neither S's band nor W^T Z (a view of all W_e^T Y_e);
     # held through it, they raised experiment 1's peak RSS by about 4 MB.
     del S, WZ
     # C is the moment table in CSR, each element's closure columns sorted.
-    closure = np.hstack([maps.interior, maps.boundary])
-    order = np.argsort(closure, axis=1)
-    dofs = np.broadcast_to(np.take_along_axis(closure, order, axis=1)[:, None], CT.shape)
+    order = np.argsort(maps.closure, axis=1)
+    dofs = np.broadcast_to(np.sort(maps.closure, axis=1)[:, None], CT.shape)
     keep = dofs >= 0
     C = sp.csr_matrix((np.take_along_axis(CT, order[:, None], axis=2)[keep], dofs[keep],
                        np.r_[0, np.cumsum(keep.sum(axis=2))]), shape=(ne * m, grid.n_dofs))
@@ -310,7 +307,7 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
 
     # Lift and check the columns of a few elements at a time, so that no
     # (n_dofs, ne * k) array but R is held.
-    nI, nb = maps.interior.shape[1], bpos.shape[1]
+    nI, nb = maps.interior.shape[1], maps.boundary_pos.shape[1]
     unit = np.eye(m, k, k - m)
     diag = np.abs(A.diagonal())
     col_elem = np.repeat(np.arange(ne), k)
@@ -322,7 +319,7 @@ def _localize(grid: GridHierarchy, A, AD, CT, k: int,
         # one: a one-column (BLAS gemv) product was seen to round by placement.
         XB = np.zeros((len(XS) + 1, max(c1 - c0, 2)))
         np.negative(XS[:, c0:c1], out=XB[:-1, :c1 - c0])
-        V = (Y[:, :, :nb] @ XB[bpos])[:, :, :c1 - c0]
+        V = (Y[:, :, :nb] @ XB[maps.boundary_pos])[:, :, :c1 - c0]
         own = np.arange(e1 - e0)[:, None]
         V[e0 + own, :, own * k + np.arange(k)] += Y[e0:e1, :, nb:].transpose(0, 2, 1)
         R[maps.interior, c0:c1] = V[:, :nI]
@@ -371,10 +368,9 @@ def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
     and solved once by :func:`linalg._banded_cholesky`."""
     width, ns = S.shape
     ne = len(maps.patch_skeleton)
-    e, p = np.nonzero(maps.boundary_mask)
-    XS = np.zeros((ns, ne * k))
-    XS[maps.skeleton_pos[maps.boundary[e, p]][:, None],
-       e[:, None] * k + np.arange(k)] = -WZ[e, p]
+    # A perimeter node without a DOF (position -1) writes the spare last row.
+    XS = np.zeros((ns + 1, ne * k))
+    XS[maps.boundary_pos[:, :, None], np.arange(ne * k).reshape(ne, 1, k)] = -WZ
     # band[d, q] is flat[(sk[q + d] - sk[q]) * ns + sk[q]], ahead[d, q]
     # being sk[q + d] * ns with sk padded past its end.  An offset outside
     # S's band is clipped to S's last entry, S[ns - 1 + width - 1, ns - 1],
@@ -395,10 +391,10 @@ def _patch_solves(maps: IndexMaps, S, WZ, k: int) -> np.ndarray:
             XS[sk, cols] = _banded_cholesky(band, rhs)
         except SolveError as exc:
             raise SolveError(f"on element {i}: patch skeleton system is {exc}") from exc
-    return XS
+    return XS[:-1]
 
 
-def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
+def _condense(maps: IndexMaps, A, AD, CD, k: int, norms):
     """Eliminate every element's interior unknowns and multipliers once.
 
     The skeleton is the set of DOFs on coarse-element edges.  Element e's
@@ -417,9 +413,10 @@ def _condense(maps: IndexMaps, A, AD, CD, k: int, norms, bpos):
     (width, n_skeleton) array whose row d holds S[j + d, j]; the element
     tables [Y_e | Z_e] as solved; and the stack of W_e^T Z_e.  One
     ``np.bincount`` sums each band entry: its element terms in C order
-    (``bpos`` -1 at a boundary node without a DOF), then A's entry, read
-    from A's own CSR arrays through ``skeleton_pos``.
+    (``boundary_pos`` -1 at a perimeter node without a DOF), then A's entry,
+    read from A's own CSR arrays through ``skeleton_pos``.
     """
+    bpos = maps.boundary_pos
     (ne, nI), nb = maps.interior.shape, bpos.shape[1]
     m = CD.shape[1]
     g = np.eye(m, k, k - m) / norms[:, :, None]

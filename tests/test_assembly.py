@@ -237,8 +237,7 @@ def test_element_blocks_bit_equal_to_the_assembled_blocks(coarse_n, refine, kind
     if kind == "mass":
         w = np.ones(g.n_cells)
     maps = g.index_maps(0)
-    ni = maps.interior.shape[1]
-    closure = np.hstack([maps.interior, maps.boundary])
+    ni, closure = maps.interior.shape[1], maps.closure
     at = {"interior": np.arange(ni), "boundary": np.arange(ni, closure.shape[1]),
           "closure": np.arange(closure.shape[1])}[cols]
     dofs = closure[:, at]
@@ -449,7 +448,9 @@ def _msfem_partition_block_diagonal(grid, field):
     elem_cells = grid.element_cells()
     ne = len(elem_cells)
     off = n * np.arange(ne)[:, None]
-    nodes = assembly._local_cells(r) + off[:, :, None]
+    cy, cx = np.divmod(np.arange(r * r), r)
+    c0 = cy * (r + 1) + cx
+    nodes = np.column_stack([c0, c0 + 1, c0 + r + 2, c0 + r + 1]) + off[:, :, None]
     A = assembly._scatter(field.values[elem_cells][:, :, None, None] * assembly._STIFF_REF,
                           nodes[..., None], nodes[..., None, :], (ne * n, ne * n)).tocsc()
     rows = (inner + off).ravel()

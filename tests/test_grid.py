@@ -223,15 +223,26 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
     pos = np.full(g.n_dofs, -1)
     pos[on_skel] = np.arange(on_skel.sum())
     assert np.array_equal(maps.skeleton_pos, pos)
-    assert maps.boundary.shape == (g.coarse_n ** 2, 4 * r)
-    assert np.array_equal(maps.boundary_mask, maps.boundary >= 0)
+    ni = (r - 1) ** 2
+    assert maps.closure.shape == (g.coarse_n ** 2, (r + 1) ** 2)
+    assert maps.boundary_pos.shape == (g.coarse_n ** 2, 4 * r)
+    assert np.array_equal(maps.interior, maps.closure[:, :ni])
     for i in range(g.coarse_n ** 2):
         cy, cx = divmod(i, coarse_n)
         inside = (x > cx * r) & (x < (cx + 1) * r) & (y > cy * r) & (y < (cy + 1) * r)
         assert np.array_equal(maps.interior[i], np.flatnonzero(inside))
+        # The oracle's nodes are x fastest; the closure lists the interior
+        # nodes, then the perimeter nodes, each in that order.
+        ny, nx = np.divmod(elem_maps[i][1], nn)
+        on_perimeter = (nx % r == 0) | (ny % r == 0)
         closure = dof_map[elem_maps[i][1]]
-        assert np.array_equal(maps.boundary[i][maps.boundary_mask[i]],
+        assert np.array_equal(maps.closure[i], np.r_[closure[~on_perimeter],
+                                                     closure[on_perimeter]])
+        perimeter = closure[on_perimeter]
+        assert np.array_equal(perimeter[perimeter >= 0],
                               closure[np.isin(closure, np.flatnonzero(on_skel))])
+        assert np.array_equal(maps.boundary_pos[i],
+                              np.where(perimeter >= 0, pos[perimeter], -1))
         x0, x1 = max(cx - layers, 0), min(cx + layers, coarse_n - 1)
         y0, y1 = max(cy - layers, 0), min(cy + layers, coarse_n - 1)
         dofs = np.flatnonzero((x > x0 * r) & (x < (x1 + 1) * r)
@@ -241,7 +252,7 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
         ey, ex = np.divmod(np.arange(g.coarse_n ** 2), coarse_n)
         assert np.array_equal(maps.in_patch[i], (abs(ex - cx) <= layers)
                               & (abs(ey - cy) <= layers))
-    arrays = (maps.interior, maps.boundary, maps.boundary_mask, maps.skeleton,
+    arrays = (maps.interior, maps.closure, maps.boundary_pos, maps.skeleton,
               maps.skeleton_pos, maps.in_patch) + maps.patch_dofs + maps.patch_skeleton
     for a in arrays:
         assert not a.flags.writeable
@@ -257,3 +268,40 @@ def test_index_maps_match_direct_construction(coarse_n, refine, layers):
 def test_index_maps_reject_negative_layers():
     with pytest.raises(ValueError, match="layers"):
         build_grids(3, 3).index_maps(-1)
+
+
+@pytest.mark.parametrize("layers", [True, False, 1.5, 2.0, "2", None])
+def test_index_maps_reject_a_layers_that_is_not_an_integer(layers):
+    with pytest.raises(ValueError, match="layers must be an integer >= 0"):
+        build_grids(3, 3).index_maps(layers)
+
+
+def test_index_maps_take_a_numpy_integer_layers():
+    g = build_grids(3, 3)
+    assert g.index_maps(np.int64(1)) is g.index_maps(1)
+
+
+@pytest.mark.parametrize("refine", [2, 3, 6])
+def test_element_closure_puts_perimeter_nodes_last(refine):
+    """The closure order lists the interior nodes, then the perimeter nodes,
+    each x fastest, and ``order[cells]`` are the x-fastest local nodes of
+    the element's cells, counterclockwise from SW."""
+    g = build_grids(3, refine)
+    order, cells = g.element_closure()
+    r, ni = refine, (refine - 1) ** 2
+    ly, lx = np.divmod(np.arange((r + 1) ** 2), r + 1)
+    on_perimeter = (lx % r == 0) | (ly % r == 0)
+    assert np.array_equal(order, np.r_[np.flatnonzero(~on_perimeter),
+                                       np.flatnonzero(on_perimeter)])
+    assert not on_perimeter[order[:ni]].any() and on_perimeter[order[ni:]].all()
+    local = [[cy * (r + 1) + cx, cy * (r + 1) + cx + 1, (cy + 1) * (r + 1) + cx + 1,
+              (cy + 1) * (r + 1) + cx] for cy in range(r) for cx in range(r)]
+    assert np.array_equal(order[cells], local)
+    # The element's global nodes at its cells' closure positions are the
+    # cell nodes of the grid.
+    nodes = g._element_maps[1][:, order]
+    assert np.array_equal(nodes[np.arange(9)[:, None, None], cells],
+                          g.cell_nodes()[g.element_cells()])
+    for a in (order, cells):
+        assert not a.flags.writeable
+    assert g.element_closure()[0] is order

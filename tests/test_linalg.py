@@ -193,6 +193,9 @@ def test_gen_eig_scaling_invariance():
 def test_gen_eig_errors():
     with pytest.raises(SolveError, match="requested 4 eigenpairs, space has dimension 3"):
         _eig_smallest(np.eye(3), np.eye(3), 4)
+    for k in (0, -1):
+        with pytest.raises(SolveError, match=f"requested {k} eigenpairs, need at least 1"):
+            _eig_smallest(np.eye(3), np.eye(3), k)
     with pytest.raises(SolveError):
         _eig_smallest(np.eye(2), np.diag([1.0, -1.0]), 1)
 

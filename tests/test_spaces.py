@@ -110,6 +110,17 @@ def test_aux_degenerate_s_names_element():
         aux_spectral(g, fld, kt, 2)
 
 
+@pytest.mark.parametrize("L, J, layers, error, match", [
+    (0, 3, 2, SolveError, "element 0: requested 0 eigenpairs, need at least 1"),
+    (3, 0, 2, SolveError, "element 0: requested 0 eigenpairs, need at least 1"),
+    (3, 3, 1.5, ValueError, "layers must be an integer >= 0, got 1.5"),
+    (3, 3, "2", ValueError, "layers must be an integer >= 0, got '2'")])
+def test_build_spaces_names_a_bad_count(L, J, layers, error, match):
+    g = t.build_grids(3, 4)
+    with pytest.raises(error, match=match):
+        build_spaces(g, channel_field(g), L, J, layers)
+
+
 def test_non_spd_local_weight_names_its_element():
     """A weight whose block on one element interior is zero fails that
     element's eigensolve, and the error names the element."""
@@ -372,9 +383,9 @@ def _scipy_patch_solves(maps, S, WZ, k):
     for i, sk in enumerate(maps.patch_skeleton):
         if not len(sk):
             continue
-        valid = maps.boundary_mask[i]
+        valid = maps.boundary_pos[i] >= 0
         rhs = np.zeros((ns, k))
-        rhs[maps.skeleton_pos[maps.boundary[i][valid]]] = -WZ[i][valid]
+        rhs[maps.boundary_pos[i][valid]] = -WZ[i][valid]
         rhs = rhs[sk]
         K = S[sk][:, sk].tocoo()
         n, d = K.shape[0], K.row - K.col.astype(np.int64)
@@ -439,7 +450,7 @@ def _sparse_lift(maps, n_dofs, Y, XS, k):
     multipliers, entered only the residual checks, which every basis build
     passes.)"""
     ne, nI = maps.interior.shape
-    bpos = np.where(maps.boundary_mask, maps.skeleton_pos[maps.boundary], -1)
+    bpos = maps.boundary_pos
     nb = bpos.shape[1]
     E = assembly._scatter(-Y[:, :nI, :nb], maps.interior[:, :, None],
                           bpos[:, None, :], (n_dofs, len(maps.skeleton))).tocsr()
@@ -491,8 +502,7 @@ def test_moment_tables_bit_equal_to_the_gathered_blocks(case):
     else:
         g, fld = sweep_grid, assembly.PermeabilityField(sweep_fields[2])
     maps = g.index_maps(0)
-    interior, ni = maps.interior, maps.interior.shape[1]
-    closure = np.hstack([interior, maps.boundary])
+    interior, ni, closure = maps.interior, maps.interior.shape[1], maps.closure
     for aux, weight in zip(aux_spaces(g, fld, 3, 2), aux_weights(g, fld)):
         X = vectors(g, aux)
         V = np.ascontiguousarray(aux.functions.transpose(0, 2, 1))
@@ -774,10 +784,11 @@ def test_combined_basis_full_rank():
 
 # ---------------------------------------------------------- skeleton band
 
-def _scatter_condensed(A, WtY, maps, bpos):
+def _scatter_condensed(A, WtY, maps):
     """Oracle of ``spaces._condense``'s band: the skeleton operator as a CSR
     sum, A_SS + sum_e -W_e^T Y_e scattered by ``assembly._scatter``."""
     A_SS = A[maps.skeleton][:, maps.skeleton]
+    bpos = maps.boundary_pos
     nb = bpos.shape[1]
     return (A_SS + assembly._scatter(-WtY[:, :, :nb], bpos[:, :, None],
                                      bpos[:, None, :], A_SS.shape)).tocsr()
@@ -809,8 +820,8 @@ def test_condensed_band_is_the_lower_band_of_the_sparse_sum(monkeypatch, case):
         fld = assembly.PermeabilityField(np.where(mask.ravel(), float(contrast), 1.0))
         build_spaces(t.build_grids(4, 6), fld, 3, 3, 2)
     assert len(calls) == len(products) == (1 if case == "exp1" else 2)
-    for ((maps, A, *_, bpos), (S, _, _)), WtY in zip(calls, products):
-        L = sp.tril(_scatter_condensed(A, WtY, maps, bpos)).tocoo()
+    for ((maps, A, *_), (S, _, _)), WtY in zip(calls, products):
+        L = sp.tril(_scatter_condensed(A, WtY, maps)).tocoo()
         d = L.row - L.col
         assert d.max() < S.shape[0]
         expect = np.zeros_like(S)
